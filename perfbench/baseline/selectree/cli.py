@@ -1,0 +1,550 @@
+"""Command-line interface: CSV ingestion, real-data preprocessing, and the
+screen/infer/synth/perf commands.
+
+Exit codes: 0 success, 1 usage error, 2 data error (unreadable or malformed
+input), 3 numeric degeneracy (collapsed truncation window, singular Gram
+matrix, zero residual variance).
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import sys
+
+import numpy as np
+
+from .experiments import (
+    SyntheticSpec,
+    run_fpr_study,
+    run_perf_study,
+    run_tpr_study,
+    write_rows_csv,
+    write_rows_json,
+)
+from .inference import (
+    DegenerateTruncationError,
+    InferenceReport,
+    SingularGramError,
+    infer,
+)
+from .itemsets import Dataset, ModelConfig, feature_column
+from .screening import ScreeningResult, marginal_screen
+
+REPORT_FIELDS = (
+    "itemset",
+    "beta_hat",
+    "v_minus",
+    "v_plus",
+    "pivot",
+    "p_value",
+    "ci_low",
+    "ci_high",
+    "significant",
+)
+
+
+class DataError(Exception):
+    """Unreadable, malformed, or out-of-contract input data."""
+
+
+class SigmaEstimationError(Exception):
+    """The residual noise estimate is unusable (n <= k or zero residual)."""
+
+
+# ---------------------------------------------------------------------------
+# ingestion and preprocessing
+# ---------------------------------------------------------------------------
+
+def _parse_cell(cell: str, line_no: int, col_no: int) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise DataError(
+            f"line {line_no}, column {col_no}: non-numeric cell {cell!r}"
+        ) from None
+
+
+def ingest_csv(path, has_header: bool | None = None) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Parse a CSV of covariate columns with the response last.
+
+    Returns (covariate names, Z raw, y).  With ``has_header=None`` the header
+    is auto-detected: a first row with any non-numeric cell is treated as
+    names.  Headerless files get default names z1..zd.
+    """
+    import csv
+
+    try:
+        fh = open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    with fh:
+        rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
+    if not rows:
+        raise DataError(f"{path}: empty file")
+
+    first_line, first = rows[0]
+    if has_header is None:
+        try:
+            [float(cell) for cell in first]
+            has_header = False
+        except ValueError:
+            has_header = True
+    names = [cell.strip() for cell in first[:-1]] if has_header else None
+    if has_header:
+        rows = rows[1:]
+        if not rows:
+            raise DataError(f"{path}: header but no data rows")
+
+    width = len(rows[0][1])
+    if width < 2:
+        raise DataError(f"{path}: need at least one covariate and a response")
+    table = np.empty((len(rows), width))
+    for i, (line_no, row) in enumerate(rows):
+        if len(row) != width:
+            raise DataError(
+                f"line {line_no}: expected {width} cells, got {len(row)}"
+            )
+        for j, cell in enumerate(row):
+            table[i, j] = _parse_cell(cell, line_no, j + 1)
+    if not np.isfinite(table).all():
+        bad = np.argwhere(~np.isfinite(table))[0]
+        raise DataError(
+            f"non-finite value at data row {bad[0] + 1}, column {bad[1] + 1}"
+        )
+    if names is None:
+        names = [f"z{j}" for j in range(1, width)]
+    return names, table[:, :-1], table[:, -1]
+
+
+def binarize_continuous(column: np.ndarray, name: str) -> list[tuple[str, np.ndarray]]:
+    """Standardize to mean 0 / variance 1, then threshold at +-1.
+
+    Returns the two indicator columns [(name>1, ...), (name<-1, ...)].
+    """
+    mu = float(np.mean(column))
+    sd = float(np.std(column))
+    if sd == 0.0:
+        raise DataError(f"column {name!r} has zero variance; cannot standardize")
+    z = (column - mu) / sd
+    return [
+        (f"{name}>1", (z > 1.0).astype(np.float64)),
+        (f"{name}<-1", (z < -1.0).astype(np.float64)),
+    ]
+
+
+def binarize_table(
+    names: list[str], Z: np.ndarray
+) -> tuple[list[str], np.ndarray]:
+    """Binarize every covariate column, dropping duplicate results.
+
+    Duplicates (identical binary columns) are collapsed keeping the first,
+    since co-selecting two copies guarantees a singular Gram matrix.
+    """
+    out_names: list[str] = []
+    cols: list[np.ndarray] = []
+    seen: dict[bytes, str] = {}
+    for j, name in enumerate(names):
+        for new_name, col in binarize_continuous(Z[:, j], name):
+            key = col.tobytes()
+            if key in seen:
+                continue
+            seen[key] = new_name
+            out_names.append(new_name)
+            cols.append(col)
+    if not cols:
+        raise DataError("binarization left no covariate columns")
+    return out_names, np.column_stack(cols)
+
+
+def subsample(Z: np.ndarray, y: np.ndarray, max_rows: int, seed) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded uniform row sample without replacement; rows stay in order."""
+    n = Z.shape[0]
+    if max_rows >= n:
+        return Z, y
+    idx = np.sort(np.random.default_rng(seed).choice(n, size=max_rows, replace=False))
+    return Z[idx], y[idx]
+
+
+def estimate_sigma(data: Dataset, sel: ScreeningResult) -> float:
+    """Residual noise scale sqrt(RSS / (n - k)) of the selected-column fit."""
+    k = len(sel.selected)
+    if data.n <= k:
+        raise SigmaEstimationError(
+            f"cannot estimate noise: n = {data.n} rows but k = {k} columns"
+        )
+    X = np.column_stack([feature_column(it, data.Z) for it in sel.selected])
+    resid = data.y - X @ np.linalg.lstsq(X, data.y, rcond=None)[0]
+    sigma = math.sqrt(float(resid @ resid) / (data.n - k))
+    # An (almost) exact fit leaves only rounding noise in the residual; any
+    # inference at that scale would be meaningless.
+    if sigma <= 1e-12 * math.sqrt(float(data.y @ data.y) / data.n):
+        raise SigmaEstimationError(
+            f"residual estimate {sigma:.3g} is indistinguishable from an exact fit"
+        )
+    return sigma
+
+
+# ---------------------------------------------------------------------------
+# report emission
+# ---------------------------------------------------------------------------
+
+def _fmt(x: float) -> str:
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return f"{x:.17g}"
+
+
+def _report_records(report: InferenceReport, names: list[str]) -> list[dict]:
+    records = []
+    for f in report.features:
+        records.append(
+            {
+                "itemset": [names[i - 1] for i in f.itemset.indices],
+                "beta_hat": f.beta_hat,
+                "v_minus": f.interval.v_minus,
+                "v_plus": f.interval.v_plus,
+                "pivot": f.pivot,
+                "p_value": f.p_value,
+                "ci_low": f.ci_low,
+                "ci_high": f.ci_high,
+                "significant": f.significant,
+            }
+        )
+    return records
+
+
+def _json_scalar(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f'"{_fmt(value)}"' if math.isinf(value) else _fmt(value)
+    raise TypeError(f"unexpected report value {value!r}")
+
+
+def emit_report(report: InferenceReport, names: list[str], fh, fmt: str) -> None:
+    """Write one record per selected feature, floats at 17 significant
+    digits, infinities as "inf"/"-inf" strings."""
+    records = _report_records(report, names)
+    if fmt == "json":
+        lines = []
+        for rec in records:
+            items = ", ".join(f'"{n}"' for n in rec["itemset"])
+            body = ", ".join(
+                f'"{key}": {_json_scalar(rec[key])}' for key in REPORT_FIELDS[1:]
+            )
+            lines.append(f'  {{"itemset": [{items}], {body}}}')
+        fh.write("[\n" + ",\n".join(lines) + "\n]\n")
+    elif fmt == "csv":
+        fh.write(",".join(REPORT_FIELDS) + "\n")
+        for rec in records:
+            cells = ["*".join(rec["itemset"])]
+            for key in REPORT_FIELDS[1:-1]:
+                cells.append(_fmt(rec[key]))
+            cells.append("true" if rec["significant"] else "false")
+            fh.write(",".join(cells) + "\n")
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+
+
+def parse_report(path, fmt: str) -> list[dict]:
+    """Read back an emitted report; inverse of emit_report."""
+    import csv
+    import json
+
+    def scalar(text: str):
+        return float(text) if text not in ("true", "false") else text == "true"
+
+    records = []
+    if fmt == "json":
+        with open(path) as fh:
+            for raw in json.load(fh):
+                rec = {"itemset": raw["itemset"]}
+                for key in REPORT_FIELDS[1:]:
+                    val = raw[key]
+                    rec[key] = float(val) if isinstance(val, str) else val
+                records.append(rec)
+    elif fmt == "csv":
+        with open(path) as fh:
+            for raw in csv.DictReader(fh):
+                rec = {"itemset": raw["itemset"].split("*")}
+                for key in REPORT_FIELDS[1:]:
+                    rec[key] = scalar(raw[key])
+                records.append(rec)
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    return records
+
+
+def emit_screen(sel: ScreeningResult, names: list[str], fh, fmt: str) -> None:
+    rows = [
+        {
+            "itemset": [names[i - 1] for i in it.indices],
+            "score": score,
+            "sign": sign,
+        }
+        for it, score, sign in zip(sel.selected, sel.scores, sel.signs)
+    ]
+    if fmt == "json":
+        lines = []
+        for row in rows:
+            items = ", ".join(f'"{n}"' for n in row["itemset"])
+            lines.append(
+                f'  {{"itemset": [{items}], "score": {_fmt(row["score"])}, '
+                f'"sign": {row["sign"]}}}'
+            )
+        fh.write("[\n" + ",\n".join(lines) + "\n]\n")
+    else:
+        fh.write("itemset,score,sign\n")
+        for row in rows:
+            fh.write(
+                f'{"*".join(row["itemset"])},{_fmt(row["score"])},{row["sign"]}\n'
+            )
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+# ---------------------------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # argparse defaults to exit code 2
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _sigma_arg(text: str):
+    if text == "estimate":
+        return text
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"--sigma expects a number or 'estimate', got {text!r}"
+        ) from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError("--sigma must be positive")
+    return value
+
+
+def _truth_arg(text: str) -> dict:
+    """Parse '1,2,3:1.0;4:0.5' into {(1,2,3): 1.0, (4,): 0.5}."""
+    truth = {}
+    if not text:
+        return truth
+    for part in text.split(";"):
+        try:
+            indices, coef = part.split(":")
+            key = tuple(int(tok) for tok in indices.split(","))
+            truth[key] = float(coef)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"bad --truth term {part!r}; expected e.g. '1,2,3:1.0'"
+            ) from None
+    return truth
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(tok) for tok in text.split(",")]
+
+
+def _float_list(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",")]
+
+
+def _add_data_flags(sub, k_default: int) -> None:
+    sub.add_argument("--input", required=True, help="CSV: covariates, response last")
+    sub.add_argument("--order", type=int, default=3, metavar="R")
+    sub.add_argument("--topk", type=int, default=k_default, metavar="K")
+    sub.add_argument("--max-rows", type=int, default=None, metavar="N")
+    sub.add_argument("--binarize", action="store_true",
+                     help="standardize each covariate and recode as >1 / <-1 indicators")
+
+
+def _add_common_flags(sub) -> None:
+    sub.add_argument("--output", default=None, help="default: stdout")
+    sub.add_argument("--format", choices=("json", "csv"), default="json")
+    sub.add_argument("--seed", type=int, default=0, metavar="N")
+    sub.add_argument("--threads", type=int, default=1, metavar="N",
+                     help="worker processes for trial-parallel commands")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(prog="selectree")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    screen = commands.add_parser("screen", parents=[], description="Top-k screening only.")
+    _add_data_flags(screen, k_default=30)
+    _add_common_flags(screen)
+
+    inf = commands.add_parser("infer", description="Screening plus selective inference.")
+    _add_data_flags(inf, k_default=30)
+    inf.add_argument("--alpha", type=float, default=0.05, metavar="A")
+    inf.add_argument("--sigma", type=_sigma_arg, default="estimate",
+                     help="noise level, or 'estimate' for the residual estimate")
+    inf.add_argument("--no-prune", action="store_true",
+                     help="disable subtree skipping (output must be identical)")
+    _add_common_flags(inf)
+
+    synth = commands.add_parser(
+        "synth", description="Synthetic error-rate study (FPR when --truth is empty, else TPR)."
+    )
+    synth.add_argument("--rows", type=int, default=100, metavar="N")
+    synth.add_argument("--cols", type=int, default=50, metavar="D")
+    synth.add_argument("--order", type=int, default=3, metavar="R")
+    synth.add_argument("--topk", type=int, default=10, metavar="K")
+    synth.add_argument("--alpha", type=float, default=0.05, metavar="A")
+    synth.add_argument("--sigma", type=float, default=0.1, metavar="S")
+    synth.add_argument("--sparsity", type=float, default=0.5)
+    synth.add_argument("--trials", type=int, default=100)
+    synth.add_argument("--truth", type=_truth_arg, default={},
+                       help="planted coefficients, e.g. '1,2,3:1.0'")
+    _add_common_flags(synth)
+
+    perf = commands.add_parser("perf", description="Timing / visit-rate grid study.")
+    perf.add_argument("--rows", type=int, default=100, metavar="N")
+    perf.add_argument("--topk", type=int, default=10, metavar="K")
+    perf.add_argument("--alpha", type=float, default=0.05, metavar="A")
+    perf.add_argument("--sigma", type=float, default=0.1, metavar="S")
+    perf.add_argument("--trials", type=int, default=10)
+    perf.add_argument("--truth", type=_truth_arg, default={(1, 2, 3): 1.0})
+    perf.add_argument("--cols-list", type=_int_list, default=[100], metavar="D,D,...")
+    perf.add_argument("--order-list", type=_int_list, default=[1, 2, 3], metavar="R,R,...")
+    perf.add_argument("--sparsity-list", type=_float_list, default=[0.5, 0.9])
+    _add_common_flags(perf)
+
+    return parser
+
+
+# ---------------------------------------------------------------------------
+# command bodies
+# ---------------------------------------------------------------------------
+
+def _load_dataset(ns) -> tuple[list[str], Dataset]:
+    names, Z, y = ingest_csv(ns.input)
+    if ns.max_rows is not None:
+        Z, y = subsample(Z, y, ns.max_rows, ns.seed)
+    if ns.binarize:
+        names, Z = binarize_table(names, Z)
+    try:
+        return names, Dataset(Z, y)
+    except ValueError as exc:
+        hint = " (is --binarize missing?)" if "[0, 1]" in str(exc) else ""
+        raise DataError(f"{ns.input}: {exc}{hint}") from None
+
+
+def _open_output(ns):
+    if ns.output is None:
+        return sys.stdout, False
+    return open(ns.output, "w"), True
+
+
+def _cmd_screen(ns) -> int:
+    names, data = _load_dataset(ns)
+    sel, _ = marginal_screen(data, ns.topk, ns.order)
+    fh, close = _open_output(ns)
+    try:
+        emit_screen(sel, names, fh, ns.format)
+    finally:
+        if close:
+            fh.close()
+    return 0
+
+
+def _cmd_infer(ns) -> int:
+    names, data = _load_dataset(ns)
+    prune = not ns.no_prune
+    sigma = ns.sigma
+    if sigma == "estimate":
+        sel, _ = marginal_screen(data, ns.topk, ns.order, prune=prune)
+        sigma = estimate_sigma(data, sel)
+    config = ModelConfig(r=ns.order, k=ns.topk, sigma=sigma, alpha=ns.alpha)
+    report = infer(data, config, prune=prune)
+    fh, close = _open_output(ns)
+    try:
+        emit_report(report, names, fh, ns.format)
+    finally:
+        if close:
+            fh.close()
+    return 0
+
+
+def _write_rows(rows, ns) -> None:
+    fh = sys.stdout if ns.output is None else open(ns.output, "w")
+    try:
+        if ns.format == "json":
+            write_rows_json(rows, fh)
+        else:
+            write_rows_csv(rows, fh)
+    finally:
+        if ns.output is not None:
+            fh.close()
+
+
+def _cmd_synth(ns) -> int:
+    spec = SyntheticSpec(
+        n=ns.rows,
+        d=ns.cols,
+        r=ns.order,
+        k=ns.topk,
+        sparsity=ns.sparsity,
+        sigma=ns.sigma,
+        truth=ns.truth,
+        alpha=ns.alpha,
+        seed=ns.seed,
+        trials=ns.trials,
+    )
+    study = run_tpr_study if spec.truth else run_fpr_study
+    summary = study(spec, threads=ns.threads)
+    _write_rows(summary.to_rows(), ns)
+    return 0
+
+
+def _cmd_perf(ns) -> int:
+    max_r = max(ns.order_list)
+    spec = SyntheticSpec(
+        n=ns.rows,
+        d=min(ns.cols_list),
+        r=max_r,
+        k=ns.topk,
+        sparsity=ns.sparsity_list[0],
+        sigma=ns.sigma,
+        truth=ns.truth,
+        alpha=ns.alpha,
+        seed=ns.seed,
+        trials=ns.trials,
+    )
+    rows = run_perf_study(
+        spec, ns.cols_list, ns.order_list, ns.sparsity_list, threads=ns.threads
+    )
+    _write_rows([row.to_row() for row in rows], ns)
+    return 0
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        ns = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits on usage errors and --help; keep the int contract
+        return exc.code if isinstance(exc.code, int) else 1
+    handler = {
+        "screen": _cmd_screen,
+        "infer": _cmd_infer,
+        "synth": _cmd_synth,
+        "perf": _cmd_perf,
+    }[ns.command]
+    try:
+        return handler(ns)
+    except DataError as exc:
+        print(f"selectree: data error: {exc}", file=sys.stderr)
+        return 2
+    except (DegenerateTruncationError, SingularGramError, SigmaEstimationError) as exc:
+        print(f"selectree: degenerate instance: {exc}", file=sys.stderr)
+        return 3
+    except ValueError as exc:
+        print(f"selectree: error: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

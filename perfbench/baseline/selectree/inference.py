@@ -1,0 +1,639 @@
+"""Exact post-selection inference conditional on the marginal-screening event.
+
+Screening k features by largest |x_j^T y| is an affine event in y: for every
+selected j (with sign s_j) and every unselected l,
+
+    (-s_j x_j - x_l)^T y <= 0,   (-s_j x_j + x_l)^T y <= 0,
+
+plus the k sign constraints -s_j x_j^T y <= 0.  Conditional on that event and
+on the nuisance directions, eta^T y follows a Normal law truncated to an
+interval [v_minus, v_plus]; its CDF evaluated at the observation is a uniform
+pivot, which yields exact p-values and confidence intervals for the selected
+coefficients.
+
+The interval endpoints are a max/min of one ratio per constraint.  There are
+2*k*kbar + k constraints with kbar = D - k astronomically large, so the ratios
+over unselected features are searched over the same implicit itemset tree as
+screening, with a branch-and-bound rule: the sign-partitioned sums of a node's
+column against +-y and +-c bound every descendant's numerator and denominator,
+hence bound the best ratio the subtree could contribute to either endpoint.
+
+The search is organized as one depth-first pass per contrast, evaluating all
+k selected features and both constraint orientations ("C1" rows
+-s_j x_j + x_l, "C2" rows -s_j x_j - x_l) jointly at each node, with per-
+(feature, orientation, endpoint) activity masks.  Pruning never changes the
+endpoints: the subtree tests include a slack that dwarfs floating-point noise,
+so any skipped ratio is strictly non-improving.
+"""
+
+from __future__ import annotations
+
+import math
+import time
+from dataclasses import dataclass
+
+import numpy as np
+from scipy.special import log_ndtr, ndtr
+
+from .itemsets import (
+    Dataset,
+    Itemset,
+    TraversalMetrics,
+    feature_column,
+    sign_split,
+    total_feature_count,
+)
+from .screening import ScreeningResult, marginal_screen
+
+__all__ = [
+    "Contrast",
+    "TruncationInterval",
+    "ActiveConstraint",
+    "FeatureInference",
+    "InferenceReport",
+    "SingularGramError",
+    "InternalConsistencyError",
+    "DegenerateTruncationError",
+    "beta_hat",
+    "contrast_for_coefficient",
+    "truncation_points",
+    "trunc_norm_cdf",
+    "selective_pvalue",
+    "selective_interval",
+    "infer",
+    "DENOM_TOL",
+]
+
+# Constraint directions this close to zero contribute to neither endpoint
+# (the ratio is numerically meaningless and the constraint is inactive along
+# the slice).  Shared with the brute-force oracle so both routes classify
+# constraints identically.
+DENOM_TOL = 1e-12
+
+# Subtree tests fire only when the incumbent beats the bound by this relative
+# slack, so rounding in the batched bound computation can never prune a ratio
+# that direct evaluation would have kept.
+_PRUNE_SLACK = 1e-9
+
+_COND_LIMIT = 1e12
+
+_CASES = ("C1", "C2")
+
+
+class SingularGramError(ValueError):
+    """Selected design has a (numerically) singular Gram matrix."""
+
+    def __init__(self, message: str, pairs: tuple[tuple[int, int], ...] = ()):
+        super().__init__(message)
+        self.pairs = pairs
+
+
+class InternalConsistencyError(RuntimeError):
+    """An invariant that only an upstream bug can break was violated."""
+
+
+class DegenerateTruncationError(RuntimeError):
+    """Truncation interval collapsed to a point."""
+
+
+@dataclass(frozen=True)
+class Contrast:
+    """A linear functional eta^T y of the response plus its slice direction.
+
+    ``c = Sigma eta / (eta^T Sigma eta)`` is the direction along which the
+    selection polyhedron is sliced; it satisfies eta^T c = 1.
+    """
+
+    eta: np.ndarray
+    eta_y: float
+    eta_var: float
+    c: np.ndarray
+
+
+@dataclass(frozen=True)
+class ActiveConstraint:
+    """Which constraint produced an endpoint: a (j, l) pair or a sign row."""
+
+    kind: str  # "pair" | "sign"
+    j: Itemset
+    ell: Itemset | None
+    case: str | None  # "C1" | "C2" for pair rows
+
+
+@dataclass(frozen=True)
+class TruncationInterval:
+    """Admissible range of eta^T y given the selection event."""
+
+    v_minus: float
+    v_plus: float
+    argmin_info: tuple[ActiveConstraint | None, ActiveConstraint | None]
+    metrics: TraversalMetrics
+
+
+@dataclass(frozen=True)
+class FeatureInference:
+    itemset: Itemset
+    beta_hat: float
+    interval: TruncationInterval
+    pivot: float
+    p_value: float
+    ci_low: float
+    ci_high: float
+    significant: bool
+
+
+@dataclass(frozen=True)
+class InferenceReport:
+    features: tuple[FeatureInference, ...]
+    screening: ScreeningResult
+    screen_metrics: TraversalMetrics
+
+
+# ---------------------------------------------------------------------------
+# least squares on the selected design
+# ---------------------------------------------------------------------------
+
+def _check_gram(G: np.ndarray, X: np.ndarray) -> None:
+    cond = np.linalg.cond(G)
+    if np.isfinite(cond) and cond <= _COND_LIMIT:
+        return
+    # Name the offending columns to make the (common) duplicate-binary-column
+    # failure mode diagnosable.
+    norms = np.sqrt(np.diag(G))
+    pairs = []
+    k = G.shape[1]
+    for a in range(k):
+        for b in range(a + 1, k):
+            denom = norms[a] * norms[b]
+            if denom == 0 or abs(G[a, b]) >= denom * (1 - 1e-10):
+                pairs.append((a + 1, b + 1))
+    zero = [a + 1 for a in range(k) if norms[a] == 0]
+    detail = []
+    if pairs:
+        detail.append("collinear column pairs " + ", ".join(map(str, pairs)))
+    if zero:
+        detail.append("all-zero columns " + ", ".join(map(str, zero)))
+    raise SingularGramError(
+        "singular Gram matrix on the selected design"
+        + (": " + "; ".join(detail) if detail else ""),
+        pairs=tuple(pairs),
+    )
+
+
+def beta_hat(X_S: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares coefficients on the k selected columns."""
+    X = np.asarray(X_S, dtype=np.float64)
+    G = X.T @ X
+    _check_gram(G, X)
+    return np.linalg.solve(G, X.T @ np.asarray(y, dtype=np.float64))
+
+
+def contrast_for_coefficient(
+    X_S: np.ndarray,
+    y: np.ndarray,
+    j: int,
+    sigma: float | None = None,
+    covariance: np.ndarray | None = None,
+) -> Contrast:
+    """Contrast eta = X_S (X_S^T X_S)^{-1} e_j picking out coefficient j (1-based)."""
+    X = np.asarray(X_S, dtype=np.float64)
+    k = X.shape[1]
+    if not 1 <= j <= k:
+        raise ValueError(f"coefficient index {j} out of range 1..{k}")
+    if (sigma is None) == (covariance is None):
+        raise ValueError("supply exactly one of sigma or covariance")
+    G = X.T @ X
+    _check_gram(G, X)
+    e = np.zeros(k)
+    e[j - 1] = 1.0
+    eta = X @ np.linalg.solve(G, e)
+    if covariance is None:
+        sig_eta = (sigma * sigma) * eta
+    else:
+        sig_eta = np.asarray(covariance, dtype=np.float64) @ eta
+    eta_var = float(eta @ sig_eta)
+    if not eta_var > 0:
+        raise ValueError(f"eta^T Sigma eta = {eta_var} is not positive")
+    return Contrast(
+        eta=eta,
+        eta_y=float(np.dot(eta, np.asarray(y, dtype=np.float64))),
+        eta_var=eta_var,
+        c=sig_eta / eta_var,
+    )
+
+
+# ---------------------------------------------------------------------------
+# truncation points by pruned tree search
+# ---------------------------------------------------------------------------
+
+def truncation_points(
+    sel: ScreeningResult,
+    data: Dataset,
+    con: Contrast,
+    r: int,
+    prune: bool = True,
+) -> TruncationInterval:
+    """Endpoints of the truncated support of eta^T y, by branch and bound.
+
+    Per (selected feature j, orientation) the quantities kappa_j = s_j x_j^T y
+    (>= 0 by selection) and rho_j = -s_j x_j^T c reduce every pair ratio to
+
+        C1:  (kappa_j - x_l^T y) / (rho_j + x_l^T c)
+        C2:  (kappa_j + x_l^T y) / (rho_j - x_l^T c)
+
+    contributing to v_minus when the denominator is negative and to v_plus
+    when positive.  A node's sums bound x_l^T y in [-sy_neg, sy_pos] and
+    x_l^T c in [-sc_neg, sc_pos] over all descendants l, giving per-(j,
+    orientation) bounds on the best achievable ratio below the node; subtrees
+    whose bounds cannot beat the incumbents are skipped.  With prune=False the
+    same walk visits everything and must produce identical endpoints.
+    """
+    n, d = data.n, data.d
+    k = len(sel.selected)
+    D = total_feature_count(d, r)
+    t0 = time.perf_counter()
+
+    Z = data.Z
+    y = data.y
+    c = np.ascontiguousarray(con.c, dtype=np.float64)
+    ZT = np.ascontiguousarray(Z.T)
+    y_pos, y_neg = sign_split(y)
+    c_pos, c_neg = sign_split(c)
+    W = np.stack([y, c, y_pos, y_neg, c_pos, c_neg], axis=1)  # (n, 6)
+
+    kappa = np.abs(np.array(sel.scores, dtype=np.float64))
+    rho = np.array(
+        [
+            -float(s) * float(np.dot(feature_column(it, Z), c))
+            for it, s in zip(sel.selected, sel.signs)
+        ]
+    )
+
+    # Selected children indexed by parent prefix, to skip their pair ratios.
+    sel_by_parent: dict[tuple[int, ...], set[int]] = {}
+    for it in sel.selected:
+        sel_by_parent.setdefault(it.indices[:-1], set()).add(it.indices[-1])
+
+    lo_best, hi_best = -np.inf, np.inf
+    lo_info: ActiveConstraint | None = None
+    hi_info: ActiveConstraint | None = None
+
+    # Sign rows kappa_j / rho_j seed the incumbents, so pruning has teeth from
+    # the first tree node.
+    for j in range(k):
+        if abs(rho[j]) < DENOM_TOL:
+            continue
+        ratio = kappa[j] / rho[j]
+        if rho[j] < 0.0:
+            if ratio > lo_best:
+                lo_best, lo_info = ratio, ActiveConstraint(
+                    "sign", sel.selected[j], None, None
+                )
+        else:
+            if ratio < hi_best:
+                hi_best, hi_info = ratio, ActiveConstraint(
+                    "sign", sel.selected[j], None, None
+                )
+
+    visits = np.zeros(k, dtype=np.int64)
+    half_tol = 0.5 * DENOM_TOL
+
+    def walk(parent: tuple[int, ...], parent_col: np.ndarray, act: np.ndarray) -> None:
+        # act: bool (2, 2, k) = (endpoint lo/hi, orientation C1/C2, feature j)
+        nonlocal lo_best, hi_best, lo_info, hi_info
+        if len(parent) == r:
+            return
+        start = parent[-1] if parent else 0
+        if start >= d:
+            return
+        block = ZT[start:d] * parent_col
+        m = d - start
+        M = block @ W  # columns: xy, xc, sy_pos, sy_neg, sc_pos, sc_neg
+
+        visits[act.any(axis=(0, 1))] += m
+
+        keep = np.ones(m, dtype=bool)
+        taken = sel_by_parent.get(parent)
+        if taken:
+            for idx in taken:
+                if start + 1 <= idx <= d:
+                    keep[idx - 1 - start] = False
+
+        xy = M[:, 0]
+        xc = M[:, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for case in (0, 1):
+                if case == 0:
+                    num = kappa[None, :] - xy[:, None]
+                    den = rho[None, :] + xc[:, None]
+                else:
+                    num = kappa[None, :] + xy[:, None]
+                    den = rho[None, :] - xc[:, None]
+                ratios = num / den
+                lo_mask = keep[:, None] & act[0, case][None, :] & (den < -DENOM_TOL)
+                if lo_mask.any():
+                    vals = np.where(lo_mask, ratios, -np.inf)
+                    flat = int(np.argmax(vals))
+                    val = float(vals.flat[flat])
+                    if val > lo_best:
+                        i, j = divmod(flat, k)
+                        lo_best = val
+                        lo_info = ActiveConstraint(
+                            "pair",
+                            sel.selected[j],
+                            Itemset(parent + (start + 1 + i,)),
+                            _CASES[case],
+                        )
+                hi_mask = keep[:, None] & act[1, case][None, :] & (den > DENOM_TOL)
+                if hi_mask.any():
+                    vals = np.where(hi_mask, ratios, np.inf)
+                    flat = int(np.argmin(vals))
+                    val = float(vals.flat[flat])
+                    if val < hi_best:
+                        i, j = divmod(flat, k)
+                        hi_best = val
+                        hi_info = ActiveConstraint(
+                            "pair",
+                            sel.selected[j],
+                            Itemset(parent + (start + 1 + i,)),
+                            _CASES[case],
+                        )
+
+        if len(parent) + 1 == r:
+            return
+
+        # Subtree bounds per (child, orientation, j).  For descendants of
+        # child i the denominator lives in [rho - b_minus, rho + b_plus] and
+        # the numerator is at least kappa - a_minus, with
+        #   C1: a_minus = sy_pos, b_plus = sc_pos, b_minus = sc_neg
+        #   C2: a_minus = sy_neg, b_plus = sc_neg, b_minus = sc_pos.
+        thr_lo = np.empty((2, m, k))
+        thr_hi = np.empty((2, m, k))
+        dead_lo = np.empty((2, m, k), dtype=bool)
+        dead_hi = np.empty((2, m, k), dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for case in (0, 1):
+                if case == 0:
+                    a_minus, b_plus, b_minus = M[:, 2], M[:, 4], M[:, 5]
+                else:
+                    a_minus, b_plus, b_minus = M[:, 3], M[:, 5], M[:, 4]
+                A = kappa[None, :] - a_minus[:, None]
+                dlo = rho[None, :] - b_minus[:, None]
+                dhi = rho[None, :] + b_plus[:, None]
+                absmax = np.maximum(np.abs(dlo), np.abs(dhi))
+                den_lo = np.where(dhi < 0.0, np.abs(dlo), absmax)
+                den_hi = np.where(dlo > 0.0, np.abs(dhi), absmax)
+                bound_lo = -A / den_lo
+                bound_hi = A / den_hi
+                thr_lo[case] = bound_lo + _PRUNE_SLACK * (1.0 + np.abs(bound_lo))
+                thr_hi[case] = bound_hi - _PRUNE_SLACK * (1.0 + np.abs(bound_hi))
+                # No descendant can contribute at all when every reachable
+                # denominator sits inside the dead band around zero.
+                dead_lo[case] = (den_lo < half_tol) | (dlo > -half_tol)
+                dead_hi[case] = (den_hi < half_tol) | (dhi < half_tol)
+
+        for i in range(m):
+            child_act = act.copy()
+            if prune:
+                child_act[0] &= ~(dead_lo[:, i] | (lo_best >= thr_lo[:, i]))
+                child_act[1] &= ~(dead_hi[:, i] | (hi_best <= thr_hi[:, i]))
+            if child_act.any():
+                walk(parent + (start + 1 + i,), block[i], child_act)
+
+    walk((), np.ones(n, dtype=np.float64), np.ones((2, 2, k), dtype=bool))
+
+    eta_y = con.eta_y
+    slop = 1e-6 * (1.0 + abs(eta_y))
+    if lo_best > slop or hi_best < -slop:
+        raise InternalConsistencyError(
+            f"observation violates its own selection event "
+            f"(lo={lo_best}, hi={hi_best}); screening and contrast disagree"
+        )
+    v_minus = eta_y + lo_best if np.isfinite(lo_best) else -np.inf
+    v_plus = eta_y + hi_best if np.isfinite(hi_best) else np.inf
+    if np.isfinite(v_minus):
+        v_minus = min(v_minus, eta_y)
+    if np.isfinite(v_plus):
+        v_plus = max(v_plus, eta_y)
+    if not v_minus < v_plus:
+        raise DegenerateTruncationError(
+            f"truncation interval collapsed: [{v_minus}, {v_plus}]"
+        )
+
+    metrics = TraversalMetrics(
+        nodes_visited=int(visits.sum()),
+        total_nodes=k * D,
+        elapsed=time.perf_counter() - t0,
+    )
+    return TruncationInterval(
+        v_minus=float(v_minus),
+        v_plus=float(v_plus),
+        argmin_info=(lo_info, hi_info),
+        metrics=metrics,
+    )
+
+
+# ---------------------------------------------------------------------------
+# truncated-Normal pivot
+# ---------------------------------------------------------------------------
+
+def _phi_integral_poly(alpha: float, u: float) -> float:
+    """(1/u) * integral_0^u exp(-alpha*t - t^2/2) dt, as a Taylor polynomial.
+
+    Relative error below 1e-12 whenever u * (1 + |alpha|) <= 1e-2.
+    """
+    a2 = alpha * alpha
+    return 1.0 + u * (
+        -alpha / 2.0
+        + u * (
+            (a2 - 1.0) / 6.0
+            + u * (alpha * (3.0 - a2) / 24.0 + u * (a2 * (a2 - 6.0) + 3.0) / 120.0)
+        )
+    )
+
+
+def trunc_norm_cdf(x: float, mean: float, variance: float, v: float, w: float) -> float:
+    """CDF of N(mean, variance) truncated to [v, w], evaluated at x.
+
+    Stable in far tails: when the whole window sits on one side of the mean
+    the Phi differences are evaluated in log space through expm1, avoiding the
+    catastrophic cancellation of subtracting nearly-equal CDF values.  Narrow
+    windows take a direct density-integration path instead, which stays
+    accurate where any Phi-difference scheme loses to round-off.  Either
+    endpoint may be infinite.  x at or below v gives 0, at or above w gives 1.
+    """
+    if not variance > 0:
+        raise ValueError(f"variance must be positive, got {variance}")
+    if not v < w:
+        raise ValueError(f"need v < w, got [{v}, {w}]")
+    if x <= v:
+        return 0.0
+    if x >= w:
+        return 1.0
+    s = math.sqrt(variance)
+    a = (v - mean) / s
+    b = (w - mean) / s
+    xi = min(max((x - mean) / s, a), b)
+
+    if math.isfinite(a) and math.isfinite(b) and (b - a) * (1.0 + max(abs(a), abs(b))) <= 1e-2:
+        # Narrow window: every Phi-difference scheme cancels to ~1e-16/width,
+        # so integrate the density directly.  With u measured from the lower
+        # endpoint, Phi(a+u) - Phi(a) = phi(a) * u * P(a, u) for a short
+        # polynomial P, and phi(a) cancels from the ratio exactly -- this is
+        # accurate at any depth in the tails.  u is formed from the raw
+        # endpoints to avoid the standardization round-off.
+        u_x = (x - v) / s
+        u_w = (w - v) / s
+        num = u_x * _phi_integral_poly(a, u_x)
+        den = u_w * _phi_integral_poly(a, u_w)
+        if not den > 0:
+            raise FloatingPointError(
+                f"truncated CDF denominator underflowed for window [{v}, {w}]"
+            )
+        return min(max(num / den, 0.0), 1.0)
+
+    if a >= 0:  # window in the upper tail (b may be +inf)
+        la = float(log_ndtr(-a))
+        lx = float(log_ndtr(-xi))
+        lb = float(log_ndtr(-b))
+        num = -math.expm1(lx - la)
+        den = -math.expm1(lb - la)
+    elif b <= 0:  # window in the lower tail (a may be -inf)
+        lb_ = float(log_ndtr(b))
+        lx = float(log_ndtr(xi))
+        if a == -math.inf:
+            num = math.exp(lx - lb_)
+            den = 1.0
+        else:
+            la = float(log_ndtr(a))
+            if lx - la > 690.0:
+                # expm1 would overflow; the -1 is negligible at this scale, so
+                # collapse the product exp(la - lb) * (exp(lx - la) - 1).
+                num = math.exp(lx - lb_)
+            else:
+                num = math.exp(la - lb_) * math.expm1(lx - la)
+            den = -math.expm1(la - lb_)
+    else:  # window straddles the mean: plain differences are safe
+        num = float(ndtr(xi)) - float(ndtr(a))
+        den = float(ndtr(b)) - float(ndtr(a))
+
+    if not den > 0:
+        raise FloatingPointError(
+            f"truncated CDF denominator underflowed for window [{v}, {w}]"
+        )
+    return min(max(num / den, 0.0), 1.0)
+
+
+def selective_pvalue(eta_y: float, eta_var: float, interval: TruncationInterval) -> float:
+    """Two-sided p-value from the truncated pivot under H0: eta^T mu = 0."""
+    if not interval.v_minus <= eta_y <= interval.v_plus:
+        raise InternalConsistencyError(
+            f"eta^T y = {eta_y} outside its truncation interval "
+            f"[{interval.v_minus}, {interval.v_plus}]"
+        )
+    pivot = trunc_norm_cdf(eta_y, 0.0, eta_var, interval.v_minus, interval.v_plus)
+    return min(max(2.0 * min(pivot, 1.0 - pivot), 0.0), 1.0)
+
+
+def _solve_pivot_mean(
+    target: float,
+    eta_y: float,
+    eta_var: float,
+    v: float,
+    w: float,
+) -> float:
+    """Solve trunc_norm_cdf(eta_y, m, eta_var, v, w) = target for the mean m.
+
+    The pivot is strictly decreasing in m, so bisection applies once a
+    bracket is found by geometric expansion around eta_y.  Returns -inf/+inf
+    if 200 doublings cannot straddle the target.
+    """
+    s = math.sqrt(eta_var)
+
+    def piv(mean: float) -> float:
+        return trunc_norm_cdf(eta_y, mean, eta_var, v, w)
+
+    left = eta_y - s
+    for _ in range(200):
+        if piv(left) >= target:
+            break
+        left = eta_y - 2.0 * (eta_y - left)
+    else:
+        return -math.inf
+    right = eta_y + s
+    for _ in range(200):
+        if piv(right) <= target:
+            break
+        right = eta_y + 2.0 * (right - eta_y)
+    else:
+        return math.inf
+
+    tol = 1e-8 * s
+    for _ in range(600):
+        if right - left <= tol:
+            break
+        mid = 0.5 * (left + right)
+        if piv(mid) >= target:
+            left = mid
+        else:
+            right = mid
+    return 0.5 * (left + right)
+
+
+def selective_interval(
+    eta_y: float,
+    eta_var: float,
+    interval: TruncationInterval,
+    alpha: float,
+) -> tuple[float, float]:
+    """Selective confidence interval at level 1 - alpha by pivot inversion.
+
+    ``lo`` solves pivot = 1 - alpha/2 and ``hi`` solves pivot = alpha/2; with
+    no truncation this reduces to the classical eta_y -+ z_{alpha/2} * sd
+    interval.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+    lo = _solve_pivot_mean(1.0 - alpha / 2.0, eta_y, eta_var, interval.v_minus, interval.v_plus)
+    hi = _solve_pivot_mean(alpha / 2.0, eta_y, eta_var, interval.v_minus, interval.v_plus)
+    return lo, hi
+
+
+# ---------------------------------------------------------------------------
+# end-to-end
+# ---------------------------------------------------------------------------
+
+def infer(data: Dataset, config, prune: bool = True) -> InferenceReport:
+    """Screen, then test every selected coefficient conditional on selection."""
+    if config.sigma is None and config.covariance is None:
+        raise ValueError("inference needs a noise model: set sigma or covariance")
+    sel, smetrics = marginal_screen(data, config.k, config.r, prune=prune)
+    X_S = np.column_stack([feature_column(it, data.Z) for it in sel.selected])
+
+    feats = []
+    for j in range(1, config.k + 1):
+        con = contrast_for_coefficient(
+            X_S, data.y, j, sigma=config.sigma, covariance=config.covariance
+        )
+        interval = truncation_points(sel, data, con, config.r, prune=prune)
+        pivot = trunc_norm_cdf(
+            con.eta_y, 0.0, con.eta_var, interval.v_minus, interval.v_plus
+        )
+        p_value = selective_pvalue(con.eta_y, con.eta_var, interval)
+        ci_low, ci_high = selective_interval(con.eta_y, con.eta_var, interval, config.alpha)
+        feats.append(
+            FeatureInference(
+                itemset=sel.selected[j - 1],
+                # eta'y IS the least-squares coefficient; reporting the same
+                # scalar the window was built around keeps every row
+                # self-consistent (v_minus <= beta_hat <= v_plus bit-exactly)
+                beta_hat=con.eta_y,
+                interval=interval,
+                pivot=pivot,
+                p_value=p_value,
+                ci_low=ci_low,
+                ci_high=ci_high,
+                significant=bool(p_value < config.alpha),
+            )
+        )
+    return InferenceReport(features=tuple(feats), screening=sel, screen_metrics=smetrics)

@@ -3,7 +3,8 @@ screen/infer/synth/perf commands.
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or malformed
 input), 3 numeric degeneracy (collapsed truncation window, singular Gram
-matrix, zero residual variance).
+matrix, zero residual variance, a linear-algebra routine that did not
+converge, or an underflowed truncated-Normal CDF).
 """
 
 from __future__ import annotations
@@ -364,8 +365,12 @@ def _add_common_flags(sub) -> None:
     sub.add_argument("--output", default=None, help="default: stdout")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--seed", type=int, default=0, metavar="N")
+
+
+def _add_study_flags(sub) -> None:
+    _add_common_flags(sub)
     sub.add_argument("--threads", type=int, default=1, metavar="N",
-                     help="worker processes for trial-parallel commands")
+                     help="worker processes running the trials")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--trials", type=int, default=100)
     synth.add_argument("--truth", type=_truth_arg, default={},
                        help="planted coefficients, e.g. '1,2,3:1.0'")
-    _add_common_flags(synth)
+    _add_study_flags(synth)
 
     perf = commands.add_parser("perf", description="Timing / visit-rate grid study.")
     perf.add_argument("--rows", type=int, default=100, metavar="N")
@@ -410,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--cols-list", type=_int_list, default=[100], metavar="D,D,...")
     perf.add_argument("--order-list", type=_int_list, default=[1, 2, 3], metavar="R,R,...")
     perf.add_argument("--sparsity-list", type=_float_list, default=[0.5, 0.9])
-    _add_common_flags(perf)
+    _add_study_flags(perf)
 
     return parser
 
@@ -454,11 +459,12 @@ def _cmd_infer(ns) -> int:
     names, data = _load_dataset(ns)
     prune = not ns.no_prune
     sigma = ns.sigma
+    screened = None
     if sigma == "estimate":
-        sel, _ = marginal_screen(data, ns.topk, ns.order, prune=prune)
-        sigma = estimate_sigma(data, sel)
+        screened = marginal_screen(data, ns.topk, ns.order, prune=prune)
+        sigma = estimate_sigma(data, screened[0])
     config = ModelConfig(r=ns.order, k=ns.topk, sigma=sigma, alpha=ns.alpha)
-    report = infer(data, config, prune=prune)
+    report = infer(data, config, prune=prune, screened=screened)
     fh, close = _open_output(ns)
     try:
         emit_report(report, names, fh, ns.format)
@@ -538,7 +544,13 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"selectree: data error: {exc}", file=sys.stderr)
         return 2
-    except (DegenerateTruncationError, SingularGramError, SigmaEstimationError) as exc:
+    except (
+        DegenerateTruncationError,
+        SingularGramError,
+        SigmaEstimationError,
+        np.linalg.LinAlgError,
+        FloatingPointError,
+    ) as exc:
         print(f"selectree: degenerate instance: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -18,12 +18,14 @@ screening, with a branch-and-bound rule: the sign-partitioned sums of a node's
 column against +-y and +-c bound every descendant's numerator and denominator,
 hence bound the best ratio the subtree could contribute to either endpoint.
 
-The search is organized as one depth-first pass per contrast, evaluating all
-k selected features and both constraint orientations ("C1" rows
--s_j x_j + x_l, "C2" rows -s_j x_j - x_l) jointly at each node, with per-
-(feature, orientation, endpoint) activity masks.  Pruning never changes the
-endpoints: the subtree tests include a slack that dwarfs floating-point noise,
-so any skipped ratio is strictly non-improving.
+The search is one pass per contrast of :func:`selectree.itemsets.walk_tree`,
+the depth-first walker screening runs on too, evaluating all k selected
+features and both constraint orientations ("C1" rows -s_j x_j + x_l, "C2"
+rows -s_j x_j - x_l) jointly at each node, with per-(feature, orientation,
+endpoint) activity masks as the walk state.  Pruning never changes the
+endpoints: the subtree tests use the same relative slack as screening
+(``PRUNE_SLACK``), which dwarfs floating-point noise, so any skipped ratio is
+strictly non-improving.
 """
 
 from __future__ import annotations
@@ -36,12 +38,15 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from .itemsets import (
+    PRUNE_SLACK,
     Dataset,
     Itemset,
     TraversalMetrics,
+    column_score,
     feature_column,
     sign_split,
     total_feature_count,
+    walk_tree,
 )
 from .screening import ScreeningResult, marginal_screen
 
@@ -69,11 +74,6 @@ __all__ = [
 # the slice).  Shared with the brute-force oracle so both routes classify
 # constraints identically.
 DENOM_TOL = 1e-12
-
-# Subtree tests fire only when the incumbent beats the bound by this relative
-# slack, so rounding in the batched bound computation can never prune a ratio
-# that direct evaluation would have kept.
-_PRUNE_SLACK = 1e-9
 
 _COND_LIMIT = 1e12
 
@@ -248,9 +248,8 @@ def truncation_points(
     whose bounds cannot beat the incumbents are skipped.  With prune=False the
     same walk visits everything and must produce identical endpoints.
     """
-    n, d = data.n, data.d
     k = len(sel.selected)
-    D = total_feature_count(d, r)
+    D = total_feature_count(data.d, r)
     t0 = time.perf_counter()
 
     Z = data.Z
@@ -264,7 +263,7 @@ def truncation_points(
     kappa = np.abs(np.array(sel.scores, dtype=np.float64))
     rho = np.array(
         [
-            -float(s) * float(np.dot(feature_column(it, Z), c))
+            -float(s) * column_score(feature_column(it, Z), c)
             for it, s in zip(sel.selected, sel.signs)
         ]
     )
@@ -298,16 +297,10 @@ def truncation_points(
     visits = np.zeros(k, dtype=np.int64)
     half_tol = 0.5 * DENOM_TOL
 
-    def walk(parent: tuple[int, ...], parent_col: np.ndarray, act: np.ndarray) -> None:
+    def expand(parent, start, block, act, leaves):
         # act: bool (2, 2, k) = (endpoint lo/hi, orientation C1/C2, feature j)
         nonlocal lo_best, hi_best, lo_info, hi_info
-        if len(parent) == r:
-            return
-        start = parent[-1] if parent else 0
-        if start >= d:
-            return
-        block = ZT[start:d] * parent_col
-        m = d - start
+        m = block.shape[0]
         M = block @ W  # columns: xy, xc, sy_pos, sy_neg, sc_pos, sc_neg
 
         visits[act.any(axis=(0, 1))] += m
@@ -316,7 +309,7 @@ def truncation_points(
         taken = sel_by_parent.get(parent)
         if taken:
             for idx in taken:
-                if start + 1 <= idx <= d:
+                if start < idx <= start + m:
                     keep[idx - 1 - start] = False
 
         xy = M[:, 0]
@@ -359,7 +352,7 @@ def truncation_points(
                             _CASES[case],
                         )
 
-        if len(parent) + 1 == r:
+        if leaves:
             return
 
         # Subtree bounds per (child, orientation, j).  For descendants of
@@ -385,8 +378,8 @@ def truncation_points(
                 den_hi = np.where(dlo > 0.0, np.abs(dhi), absmax)
                 bound_lo = -A / den_lo
                 bound_hi = A / den_hi
-                thr_lo[case] = bound_lo + _PRUNE_SLACK * (1.0 + np.abs(bound_lo))
-                thr_hi[case] = bound_hi - _PRUNE_SLACK * (1.0 + np.abs(bound_hi))
+                thr_lo[case] = bound_lo + PRUNE_SLACK * (1.0 + np.abs(bound_lo))
+                thr_hi[case] = bound_hi - PRUNE_SLACK * (1.0 + np.abs(bound_hi))
                 # No descendant can contribute at all when every reachable
                 # denominator sits inside the dead band around zero.
                 dead_lo[case] = (den_lo < half_tol) | (dlo > -half_tol)
@@ -398,9 +391,9 @@ def truncation_points(
                 child_act[0] &= ~(dead_lo[:, i] | (lo_best >= thr_lo[:, i]))
                 child_act[1] &= ~(dead_hi[:, i] | (hi_best <= thr_hi[:, i]))
             if child_act.any():
-                walk(parent + (start + 1 + i,), block[i], child_act)
+                yield i, child_act
 
-    walk((), np.ones(n, dtype=np.float64), np.ones((2, 2, k), dtype=bool))
+    walk_tree(ZT, r, expand, np.ones((2, 2, k), dtype=bool))
 
     eta_y = con.eta_y
     slop = 1e-6 * (1.0 + abs(eta_y))
@@ -603,11 +596,28 @@ def selective_interval(
 # end-to-end
 # ---------------------------------------------------------------------------
 
-def infer(data: Dataset, config, prune: bool = True) -> InferenceReport:
-    """Screen, then test every selected coefficient conditional on selection."""
+def infer(
+    data: Dataset,
+    config,
+    prune: bool = True,
+    screened: tuple[ScreeningResult, TraversalMetrics] | None = None,
+) -> InferenceReport:
+    """Screen, then test every selected coefficient conditional on selection.
+
+    ``screened`` is an optional precomputed ``marginal_screen(data, config.k,
+    config.r)`` result (the selection and its metrics), for callers that
+    already screened, e.g. to estimate sigma; it is used instead of
+    screening again.
+    """
     if config.sigma is None and config.covariance is None:
         raise ValueError("inference needs a noise model: set sigma or covariance")
-    sel, smetrics = marginal_screen(data, config.k, config.r, prune=prune)
+    if screened is None:
+        screened = marginal_screen(data, config.k, config.r, prune=prune)
+    sel, smetrics = screened
+    if len(sel.selected) != config.k:
+        raise ValueError(
+            f"screening selected {len(sel.selected)} features, config has k = {config.k}"
+        )
     X_S = np.column_stack([feature_column(it, data.Z) for it in sel.selected])
 
     feats = []

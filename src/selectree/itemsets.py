@@ -4,10 +4,11 @@ A model over d covariates z_1..z_d (each scaled to [0,1]) can include any
 product feature x_J = prod_{j in J} z_j for an index set J of size at most r.
 The D = sum_{rho=1}^{r} C(d, rho) candidate features are never materialized as
 a design matrix; they are organized as a prefix tree over sorted index sets
-(children append a strictly larger index) and enumerated lazily.  Because all
-covariate values lie in [0,1], a descendant's feature column is elementwise
-no larger than its ancestor's, which is what makes subtree bounds possible
-downstream.
+(children append a strictly larger index) and searched lazily by
+:func:`walk_tree`, the one depth-first walker that both screening and the
+truncation search run on.  Because all covariate values lie in [0,1], a
+descendant's feature column is elementwise no larger than its ancestor's,
+which is what makes subtree bounds possible downstream.
 
 Indices are 1-based throughout: itemset (1, 3) means the product z_1 * z_3.
 """
@@ -16,21 +17,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
 __all__ = [
     "Itemset",
     "Dataset",
-    "NodeStats",
     "ModelConfig",
-    "children",
+    "column_score",
     "feature_column",
-    "node_stats",
-    "descend_stats",
     "total_feature_count",
     "TraversalMetrics",
+    "walk_tree",
+    "PRUNE_SLACK",
 ]
+
+# Relative safety slack for every subtree test: a subtree is skipped only when
+# its bound misses the incumbent by a margin that dwarfs accumulated rounding
+# (bounds come from a batched matmul, which may round differently from direct
+# evaluation).  Equal-score descendants are therefore never pruned, which
+# exact tie-breaking needs, and pruning can never drop a ratio that direct
+# evaluation would have kept.
+PRUNE_SLACK = 1e-9
 
 
 @dataclass(frozen=True, order=True)
@@ -78,7 +87,8 @@ class Dataset:
             raise ValueError(f"Z must be 2-d, got shape {Z.shape}")
         if y.shape != (Z.shape[0],):
             raise ValueError(f"y has shape {y.shape}, expected ({Z.shape[0]},)")
-        if Z.size and (Z.min() < 0.0 or Z.max() > 1.0):
+        # Written so that NaN fails it: every comparison with NaN is False.
+        if Z.size and not (Z.min() >= 0.0 and Z.max() <= 1.0):
             raise ValueError("covariate values must lie in [0, 1]")
         if not np.all(np.isfinite(y)):
             raise ValueError("response contains non-finite entries")
@@ -135,20 +145,50 @@ class TraversalMetrics:
 
 
 # ---------------------------------------------------------------------------
-# tree navigation
+# tree search
 # ---------------------------------------------------------------------------
 
-def children(itemset: Itemset, d: int, r: int) -> list[Itemset]:
-    """Children of a node: append each index above max(itemset), in order.
+def walk_tree(
+    ZT: np.ndarray,
+    r: int,
+    expand: Callable[..., Iterator[tuple[int, Any]]],
+    state: Any,
+) -> None:
+    """Depth-first search of the itemset tree down to order ``r``.
 
-    Every index set of size 1..r is reachable from the root exactly once, so
-    the enumeration is a tree (no DAG dedup needed) and depth-first order is
-    lexicographic.
+    ``ZT`` is the transposed covariate matrix (d x n, C-contiguous).  A node's
+    children append one index above the node's largest, so every itemset of
+    order 1..r is reached exactly once and in lexicographic order.  At each
+    node the walker forms all children's columns in one block,
+    ``block = ZT[start:] * parent_col`` (row i is child
+    ``parent + (start + 1 + i,)``), and hands it to ``expand`` together with
+    the node's ``state`` and ``leaves`` (true when the children are at order
+    ``r`` and have no subtrees).  ``expand`` scores the children and then
+    lazily yields ``(i, child_state)`` for each child whose subtree must be
+    searched; the walker descends into it before asking for the next one, so
+    an incumbent that tightens inside one subtree already gates the next.
     """
-    if itemset.order >= r:
-        return []
-    start = itemset.indices[-1] if itemset.indices else 0
-    return [Itemset(itemset.indices + (j,)) for j in range(start + 1, d + 1)]
+    d, n = ZT.shape
+
+    def visit(parent: tuple[int, ...], parent_col: np.ndarray, state: Any) -> None:
+        start = parent[-1] if parent else 0
+        block = ZT[start:] * parent_col
+        leaves = len(parent) + 1 == r
+        for i, child_state in expand(parent, start, block, state, leaves):
+            if not leaves and start + 1 + i < d:
+                visit(parent + (start + 1 + i,), block[i], child_state)
+
+    visit((), np.ones(n, dtype=np.float64), state)
+
+
+def column_score(col: np.ndarray, v: np.ndarray) -> float:
+    """The score kernel: one feature column's inner product with ``v``.
+
+    Screening and the oracle score every feature with this one call, and the
+    truncation search scores the selected columns against its contrast with
+    it, so the routes agree bit for bit.
+    """
+    return float(np.dot(col, v))
 
 
 def feature_column(itemset: Itemset | tuple[int, ...], Z: np.ndarray) -> np.ndarray:
@@ -178,84 +218,12 @@ def total_feature_count(d: int, r: int) -> int:
     return sum(math.comb(d, rho) for rho in range(1, r + 1))
 
 
-# ---------------------------------------------------------------------------
-# per-node statistics
-# ---------------------------------------------------------------------------
-
 def sign_split(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split v into (positive part, absolute negative part), both >= 0."""
+    """Split v into (positive part, absolute negative part), both >= 0.
+
+    A node's column against each part gives sums that both shrink as the
+    column is multiplied by further [0,1] factors down the tree, which is
+    what bounds every descendant's inner product with v.
+    """
     v = np.asarray(v, dtype=np.float64)
     return np.where(v > 0, v, 0.0), np.where(v < 0, -v, 0.0)
-
-
-@dataclass(frozen=True)
-class NodeStats:
-    """Sign-partitioned inner products of one feature column.
-
-    For a column x and vector v, define  s_pos = sum_{i: v_i > 0} x_i v_i  and
-    s_neg = -sum_{i: v_i < 0} x_i v_i;  both are nonnegative and, crucially,
-    both shrink monotonically as the column is multiplied by further [0,1]
-    factors while descending the tree.  ``score`` is the plain inner product
-    x^T y = sy_pos - sy_neg.  The c-sums are populated only when a contrast
-    vector is supplied (the truncation search); screening leaves them None.
-    """
-
-    itemset: tuple[int, ...]
-    col: np.ndarray
-    sy_pos: float
-    sy_neg: float
-    score: float
-    sc_pos: float | None = None
-    sc_neg: float | None = None
-
-
-def node_stats(
-    itemset: Itemset | tuple[int, ...],
-    Z: np.ndarray,
-    y: np.ndarray,
-    c: np.ndarray | None = None,
-) -> NodeStats:
-    """NodeStats computed from scratch (column materialized, then reduced)."""
-    idx = itemset.indices if isinstance(itemset, Itemset) else tuple(itemset)
-    col = feature_column(idx, Z)
-    return _stats_from_column(idx, col, y, c)
-
-
-def descend_stats(
-    parent: NodeStats,
-    new_index: int,
-    Z: np.ndarray,
-    y: np.ndarray,
-    c: np.ndarray | None = None,
-) -> NodeStats:
-    """Child stats from a parent by one extra multiplication of the column."""
-    if parent.itemset and new_index <= parent.itemset[-1]:
-        raise ValueError(
-            f"new index {new_index} must exceed max of parent {parent.itemset}"
-        )
-    col = parent.col * Z[:, new_index - 1]
-    return _stats_from_column(parent.itemset + (new_index,), col, y, c)
-
-
-def _stats_from_column(
-    idx: tuple[int, ...],
-    col: np.ndarray,
-    y: np.ndarray,
-    c: np.ndarray | None,
-) -> NodeStats:
-    y_pos, y_neg = sign_split(y)
-    sy_pos = float(np.dot(col, y_pos))
-    sy_neg = float(np.dot(col, y_neg))
-    score = float(np.dot(col, np.asarray(y, dtype=np.float64)))
-    if c is None:
-        return NodeStats(idx, col, sy_pos, sy_neg, score)
-    c_pos, c_neg = sign_split(c)
-    return NodeStats(
-        idx,
-        col,
-        sy_pos,
-        sy_neg,
-        score,
-        sc_pos=float(np.dot(col, c_pos)),
-        sc_neg=float(np.dot(col, c_neg)),
-    )

@@ -9,13 +9,16 @@ can be checked against direct enumeration.
 
 from __future__ import annotations
 
+import itertools
+
 import mpmath
 import numpy as np
 
 from .itemsets import (
     Dataset,
     Itemset,
-    children,
+    TraversalMetrics,
+    column_score,
     feature_column,
     total_feature_count,
 )
@@ -26,7 +29,6 @@ from .inference import (
     ActiveConstraint,
     DENOM_TOL,
 )
-from .itemsets import TraversalMetrics
 
 __all__ = [
     "oracle_screen",
@@ -39,16 +41,12 @@ _MAX_ORACLE_FEATURES = 10**6
 
 
 def _enumerate_itemsets(d: int, r: int) -> list[Itemset]:
-    """All itemsets of order 1..r in depth-first (= lexicographic) order."""
-    out: list[Itemset] = []
-
-    def walk(node: Itemset) -> None:
-        for ch in children(node, d, r):
-            out.append(ch)
-            walk(ch)
-
-    walk(Itemset(()))
-    return out
+    """All itemsets of order 1..r in lexicographic (= the tree's depth-first)
+    order, enumerated independently of the tree walker under test."""
+    combos = itertools.chain.from_iterable(
+        itertools.combinations(range(1, d + 1), rho) for rho in range(1, r + 1)
+    )
+    return [Itemset(idx) for idx in sorted(combos)]
 
 
 def oracle_screen(data: Dataset, k: int, r: int) -> ScreeningResult:
@@ -56,7 +54,8 @@ def oracle_screen(data: Dataset, k: int, r: int) -> ScreeningResult:
 
     Ties in |score| are broken lexicographically (smaller itemset wins),
     matching the production convention.  Scores use the same one-column-at-a-
-    time dot products as the tree search so the two routes agree bit for bit.
+    time score kernel as the tree search so the two routes agree bit for bit.
+    Only ``data.Z``, ``data.y`` and ``data.d`` are read.
     """
     D = total_feature_count(data.d, r)
     if D > _MAX_ORACLE_FEATURES:
@@ -68,7 +67,7 @@ def oracle_screen(data: Dataset, k: int, r: int) -> ScreeningResult:
     scored = []
     for it in items:
         col = feature_column(it, data.Z)
-        scored.append((float(np.dot(col, data.y)), it))
+        scored.append((column_score(col, data.y), it))
     scored.sort(key=lambda sc: (-abs(sc[0]), sc[1].indices))
     top = scored[:k]
     selected = tuple(it for _, it in top)

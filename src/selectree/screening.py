@@ -2,7 +2,8 @@
 
 The screener returns the k features with the largest |x_j^T y| among all
 D = sum_{rho<=r} C(d,rho) interaction features without ever materializing the
-design matrix.  The search walks the prefix tree depth first; at each node it
+design matrix.  The search runs on :func:`selectree.itemsets.walk_tree`, the
+depth-first walker it shares with the truncation search; at each node it
 knows the sign-partitioned sums
 
     sy_pos = sum_{i: y_i>0} x_i y_i,      sy_neg = -sum_{i: y_i<0} x_i y_i,
@@ -27,21 +28,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .itemsets import (
+    PRUNE_SLACK,
     Dataset,
     Itemset,
-    NodeStats,
     TraversalMetrics,
+    column_score,
     sign_split,
     total_feature_count,
+    walk_tree,
 )
 
-__all__ = ["ScreeningResult", "ms_bound", "marginal_screen"]
-
-# Safety slack for the subtree test: prune only when the bound is below the
-# threshold by a margin that dwarfs accumulated rounding (the bound may be
-# computed by a different BLAS kernel than the scores).  Equal-score
-# descendants are therefore never pruned, which the exact tie-breaking needs.
-_PRUNE_SLACK = 1e-9
+__all__ = ["ScreeningResult", "marginal_screen"]
 
 
 @dataclass(frozen=True)
@@ -57,11 +54,6 @@ class ScreeningResult:
     signs: tuple[int, ...]
     scores: tuple[float, ...]
     kth_abs_score: float
-
-
-def ms_bound(stats: NodeStats) -> float:
-    """Upper bound on |x_l^T y| over the node itself and all its descendants."""
-    return max(stats.sy_pos, stats.sy_neg)
 
 
 def _tie_key(itemset: tuple[int, ...]) -> tuple[int, ...]:
@@ -86,8 +78,7 @@ def marginal_screen(
     is identical either way (the bound is only ever used to skip subtrees
     that provably cannot reach the current threshold).
     """
-    n, d = data.n, data.d
-    D = total_feature_count(d, r)
+    D = total_feature_count(data.d, r)
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     if k > D:
@@ -104,39 +95,31 @@ def marginal_screen(
     heap: list[tuple[float, tuple[int, ...], float, tuple[int, ...]]] = []
     visited = 0
 
-    def walk(parent: tuple[int, ...], parent_col: np.ndarray) -> None:
+    def expand(parent, start, block, state, leaves):
         nonlocal visited
-        if len(parent) == r:
-            return
-        start = parent[-1] if parent else 0
-        if start >= d:
-            return
-        block = ZT[start:d] * parent_col  # rows are the child columns
-        m = d - start
-
-        scores = [float(np.dot(block[i], y)) for i in range(m)]
+        m = block.shape[0]
+        visited += m
         for i in range(m):
             child = parent + (start + 1 + i,)
-            visited += 1
-            s = scores[i]
+            s = column_score(block[i], y)
             entry = (abs(s), _tie_key(child), s, child)
             if len(heap) < k:
                 heapq.heappush(heap, entry)
             elif entry[:2] > heap[0][:2]:
                 heapq.heapreplace(heap, entry)
 
-        if len(parent) + 1 == r:
+        if leaves:
             return
         bounds = block @ W  # (m, 2): per-child sy_pos, sy_neg
         for i in range(m):
             if prune and len(heap) == k:
                 thresh = heap[0][0]
                 bound = max(bounds[i, 0], bounds[i, 1])
-                if bound < thresh - _PRUNE_SLACK * (1.0 + thresh):
+                if bound < thresh - PRUNE_SLACK * (1.0 + thresh):
                     continue
-            walk(parent + (start + 1 + i,), block[i])
+            yield i, None
 
-    walk((), np.ones(n, dtype=np.float64))
+    walk_tree(ZT, r, expand, None)
 
     ranked = sorted(heap, key=lambda e: (e[0], e[1]), reverse=True)
     selected = tuple(Itemset(e[3]) for e in ranked)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from selectree.itemsets import Dataset
+from selectree.itemsets import Dataset, column_score, walk_tree
 
 
 @pytest.fixture
@@ -30,3 +30,20 @@ def random_instance(rng: np.random.Generator, n_max=30, d_max=10):
     else:
         y = rng.standard_normal(n)
     return Dataset(Z, y)
+
+
+def walk_every_node(Z, r, W, y):
+    """Run ``walk_tree`` over the whole tree (no pruning) and record, per
+    itemset: its column as the walk formed it, its row of the walk's own
+    ``block @ W`` sums, and its ``column_score`` against y.  Insertion order
+    is the walk's visiting order."""
+    nodes = {}
+
+    def expand(parent, start, block, state, leaves):
+        sums = block @ W
+        for i in range(block.shape[0]):
+            nodes[parent + (start + 1 + i,)] = (block[i], sums[i], column_score(block[i], y))
+            yield i, None
+
+    walk_tree(np.ascontiguousarray(Z.T), r, expand, None)
+    return nodes

@@ -1,0 +1,42 @@
+"""The benchmark under perfbench/ wraps selectree functions by module
+attribute and runs the oracle as its correctness gate; these checks keep the
+names and call shapes it relies on working.  The benchmark's files are only
+read, never changed."""
+
+import importlib
+import importlib.util
+import os
+import types
+
+import numpy as np
+
+from selectree import oracle
+from selectree.itemsets import Dataset
+from selectree.screening import marginal_screen
+
+TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_attribute_resolves():
+    tracer = _load_tracer()
+    for mod, attr, _ in tracer.SPANS + tracer.COUNTS:
+        module = importlib.import_module(f"selectree.{mod}")
+        assert callable(getattr(module, attr)), f"selectree.{mod}.{attr}"
+
+
+def test_oracle_screen_reads_only_z_y_d():
+    # The tall_noise gate hands the oracle a namespace without ``n``.
+    rng = np.random.default_rng(11)
+    Z = (rng.random((40, 6)) < 0.4).astype(np.float64)
+    y = rng.standard_normal(40)
+    data = types.SimpleNamespace(Z=np.asfortranarray(Z), y=y, d=6)
+    ref = oracle.oracle_screen(data, 5, 3)
+    sel, _ = marginal_screen(Dataset(Z, y), 5, 3)
+    assert ref == sel

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from selectree import cli, inference
 from selectree.cli import (
     DataError,
     SigmaEstimationError,
@@ -255,6 +256,33 @@ class TestMainExitCodes:
         assert main(["infer", "--input", p, "--topk", "1", "--order", "1"]) == 3
 
 
+    @pytest.mark.parametrize(
+        "error", [np.linalg.LinAlgError("SVD did not converge"),
+                  FloatingPointError("truncated CDF denominator underflowed")],
+        ids=["LinAlgError", "FloatingPointError"],
+    )
+    def test_numeric_failure_in_infer_is_3(self, tmp_path, capsys, monkeypatch, error):
+        def failing_infer(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "infer", failing_infer)
+        p = _write(tmp_path, "a,b,c,y\n1,1,0,2\n0,1,1,-1\n1,0,1,1\n")
+        rc = main(["infer", "--input", p, "--topk", "2", "--order", "2", "--sigma", "1.0"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "degenerate instance" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["screen", "infer"])
+    def test_threads_is_not_a_flag_of_single_run_commands(self, tmp_path, capsys, command):
+        p = _write(tmp_path, "a,b,y\n1,1,2\n0,1,-1\n1,0,1\n")
+        args = [command, "--input", p, "--topk", "1", "--order", "1", "--sigma", "1.0"]
+        if command == "screen":
+            args = args[:-2]
+        assert main(args) == 0
+        assert main(args + ["--threads", "2"]) == 1
+        assert "--threads" in capsys.readouterr().err
+
+
 class TestMainEndToEnd:
     def test_screen_json(self, tmp_path, capsys):
         p = _write(tmp_path, "a,b,y\n1,1,2\n0,1,-1\n1,0,1\n")
@@ -293,6 +321,24 @@ class TestMainEndToEnd:
         assert main(base + ["--output", str(a)]) == 0
         assert main(base + ["--no-prune", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_sigma_estimate_screens_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_screen(*args, **kwargs):
+            calls.append(args)
+            return marginal_screen(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "marginal_screen", counting_screen)
+        monkeypatch.setattr(inference, "marginal_screen", counting_screen)
+        out = tmp_path / "rep.json"
+        rc = main(
+            ["infer", "--input", FIXTURE, "--binarize", "--max-rows", "200",
+             "--order", "2", "--topk", "4", "--sigma", "estimate",
+             "--output", str(out)]
+        )
+        assert rc == 0
+        assert len(calls) == 1
 
     def test_fixture_pipeline_finds_planted_pair(self, tmp_path):
         out = tmp_path / "rep.csv"

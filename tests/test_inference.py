@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import random_instance
-from selectree import oracle
+from selectree import inference, oracle
 from selectree.inference import (
     DegenerateTruncationError,
     InternalConsistencyError,
@@ -306,3 +306,36 @@ class TestInfer:
         report = infer(tiny, ModelConfig(r=2, k=2, sigma=1.0, alpha=0.2))
         for f in report.features:
             assert f.ci_low < f.ci_high
+
+    def test_precomputed_screening_is_used_instead_of_screening_again(
+        self, tiny, monkeypatch
+    ):
+        calls = []
+
+        def counting_screen(*args, **kwargs):
+            calls.append(args)
+            return marginal_screen(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "marginal_screen", counting_screen)
+        config = ModelConfig(r=2, k=2, sigma=1.0)
+        fresh = inference.infer(tiny, config)
+        assert len(calls) == 1
+        screened = marginal_screen(tiny, 2, 2)
+        reused = inference.infer(tiny, config, screened=screened)
+        assert len(calls) == 1
+        assert reused.screening == fresh.screening
+        assert reused.screen_metrics is screened[1]
+
+        def rows(report):
+            return [
+                (f.itemset, f.beta_hat, f.interval.v_minus, f.interval.v_plus,
+                 f.interval.argmin_info, f.pivot, f.p_value, f.ci_low, f.ci_high)
+                for f in report.features
+            ]
+
+        assert rows(reused) == rows(fresh)
+
+    def test_precomputed_screening_must_match_k(self, tiny):
+        with pytest.raises(ValueError, match="k = 2"):
+            infer(tiny, ModelConfig(r=2, k=2, sigma=1.0),
+                  screened=marginal_screen(tiny, 1, 2))

@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import walk_every_node
 from selectree.itemsets import (
     ROOT,
     Dataset,
     Itemset,
     ModelConfig,
-    children,
-    descend_stats,
     feature_column,
-    node_stats,
     sign_split,
     total_feature_count,
+    walk_tree,
 )
 
 
@@ -46,32 +45,29 @@ class TestItemset:
 
 
 class TestChildren:
-    def test_root_children(self):
-        assert children(ROOT, d=3, r=2) == [Itemset((1,)), Itemset((2,)), Itemset((3,))]
-
-    def test_extends_past_max_index_only(self):
-        assert children(Itemset((2,)), d=4, r=3) == [Itemset((2, 3)), Itemset((2, 4))]
-
-    def test_order_cap(self):
-        assert children(Itemset((1, 2)), d=5, r=2) == []
-
     @given(d=st.integers(1, 7), r=st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
     def test_tree_enumerates_every_itemset_once(self, d, r):
+        # Children append one index above the parent's largest, nothing goes
+        # deeper than r, and an expand that descends everywhere visits every
+        # itemset once, in lexicographic (= depth-first) order.
         seen = []
 
-        def walk(node):
-            for child in children(node, d, r):
-                seen.append(child.indices)
-                walk(child)
+        def expand(parent, start, block, state, leaves):
+            assert state == len(parent)
+            assert leaves == (len(parent) + 1 == r)
+            assert block.shape == (d - start, 2)
+            for i in range(block.shape[0]):
+                seen.append(parent + (start + 1 + i,))
+                yield i, state + 1
 
-        walk(ROOT)
-        expected = [
+        walk_tree(np.ones((d, 2)), r, expand, 0)
+        expected = sorted(
             c
-            for rho in range(1, min(r, d) + 1)
+            for rho in range(1, r + 1)
             for c in itertools.combinations(range(1, d + 1), rho)
-        ]
-        assert sorted(seen) == sorted(expected)
+        )
+        assert seen == expected
         assert len(seen) == len(set(seen)) == total_feature_count(d, r)
 
 
@@ -115,6 +111,10 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.array([[-0.1]]), np.array([1.0]))
 
+    def test_rejects_nan_covariates(self):
+        with pytest.raises(ValueError):
+            Dataset(np.array([[0.5, np.nan]]), np.array([1.0]))
+
     def test_rejects_nonfinite_response(self):
         with pytest.raises(ValueError):
             Dataset(np.array([[0.5]]), np.array([np.nan]))
@@ -147,26 +147,39 @@ class TestModelConfig:
 
 
 class TestNodeStats:
+    """The per-node statistics the truncation walk forms: each child's column
+    as a row of ``block``, and its sign-partitioned sums as a row of
+    ``block @ W``."""
+
+    @staticmethod
+    def _W(y, c):
+        y_pos, y_neg = sign_split(y)
+        c_pos, c_neg = sign_split(c)
+        return np.stack([y, c, y_pos, y_neg, c_pos, c_neg], axis=1)
+
     def test_matches_direct_sums(self, tiny):
         c = np.array([0.5, -0.25, 1.0])
-        st_ = node_stats((1, 2), tiny.Z, tiny.y, c)
-        col = feature_column((1, 2), tiny.Z)
-        assert st_.score == pytest.approx(float(col @ tiny.y))
-        assert st_.sy_pos - st_.sy_neg == pytest.approx(st_.score)
-        assert st_.sc_pos >= 0 and st_.sc_neg >= 0
+        nodes = walk_every_node(tiny.Z, 3, self._W(tiny.y, c), tiny.y)
+        for itemset, (col, sums, score) in nodes.items():
+            assert score == float(feature_column(itemset, tiny.Z) @ tiny.y)
+            assert sums[0] == pytest.approx(score)
+            assert sums[2] - sums[3] == pytest.approx(score)
+            assert sums[4] - sums[5] == pytest.approx(sums[1])
+            assert (sums[2:] >= 0).all()
 
-    def test_descend_equals_from_scratch(self, tiny):
-        parent = node_stats((1,), tiny.Z, tiny.y)
-        child = descend_stats(parent, 2, tiny.Z, tiny.y)
-        direct = node_stats((1, 2), tiny.Z, tiny.y)
-        assert child.itemset == direct.itemset == (1, 2)
-        assert child.score == direct.score
-        assert child.sy_pos == direct.sy_pos and child.sy_neg == direct.sy_neg
-
-    def test_descend_requires_larger_index(self, tiny):
-        parent = node_stats((2,), tiny.Z, tiny.y)
-        with pytest.raises(ValueError):
-            descend_stats(parent, 2, tiny.Z, tiny.y)
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=20, deadline=None)
+    def test_descend_equals_from_scratch(self, seed):
+        # The walk builds each column by one multiplication of its parent's;
+        # the result is bit-identical to materializing it from scratch.
+        rng = np.random.default_rng(seed)
+        Z = rng.random((9, 5))
+        y = rng.standard_normal(9)
+        nodes = walk_every_node(Z, 3, self._W(y, y), y)
+        for itemset, (col, _, score) in nodes.items():
+            direct = feature_column(itemset, Z)
+            assert np.array_equal(col, direct)
+            assert score == float(np.dot(direct, y))
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -180,10 +193,8 @@ class TestNodeStats:
         Z = rng.random((n, d))
         y = rng.standard_normal(n)
         c = rng.standard_normal(n)
-        parent = node_stats((2,), Z, y, c)
-        for j in (3, 4, 5):
-            child = descend_stats(parent, j, Z, y, c)
-            assert child.sy_pos <= parent.sy_pos
-            assert child.sy_neg <= parent.sy_neg
-            assert child.sc_pos <= parent.sc_pos
-            assert child.sc_neg <= parent.sc_neg
+        nodes = walk_every_node(Z, 3, self._W(y, c), y)
+        for itemset, (_, sums, _) in nodes.items():
+            if len(itemset) > 1:
+                parent_sums = nodes[itemset[:-1]][1]
+                assert (sums[2:] <= parent_sums[2:]).all()

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_instance
+from conftest import random_instance, walk_every_node
 from selectree import oracle
-from selectree.itemsets import Dataset, Itemset, node_stats, total_feature_count
-from selectree.screening import marginal_screen, ms_bound
+from selectree.itemsets import Dataset, Itemset, sign_split, total_feature_count
+from selectree.screening import marginal_screen
 
 
 class TestTinyExample:
@@ -60,14 +60,18 @@ class TestTieBreaking:
 
 class TestBound:
     def test_bound_dominates_descendant_scores(self):
+        # The screening walk's subtree bound max(sy_pos, sy_neg), from its own
+        # block @ W sums, covers the score of the node and every descendant.
         rng = np.random.default_rng(7)
         Z = rng.random((15, 6))
         y = rng.standard_normal(15)
-        parent = node_stats((2,), Z, y)
-        bound = ms_bound(parent)
-        for j in (3, 4, 5, 6):
-            child = node_stats((2, j), Z, y)
-            assert abs(child.score) <= bound
+        W = np.stack(sign_split(y), axis=1)
+        nodes = walk_every_node(Z, 3, W, y)
+        for itemset, (_, sums, _) in nodes.items():
+            bound = max(sums[0], sums[1])
+            for other, (_, _, score) in nodes.items():
+                if other[: len(itemset)] == itemset:
+                    assert abs(score) <= bound
 
 
 class TestOracleAgreement:

@@ -44,7 +44,30 @@ class TestItemset:
         assert Itemset((4, 7, 9)).order == 3
 
 
+def _children(d, r):
+    """Each node's children as ``walk_tree`` hands them to ``expand`` (row i
+    of the block is ``parent + (start + 1 + i,)``) when it descends
+    everywhere; a node it never expands has no children."""
+    kids = {}
+
+    def expand(parent, start, block, state, leaves):
+        kids[parent] = [Itemset(parent + (start + 1 + i,)) for i in range(block.shape[0])]
+        yield from ((i, None) for i in range(block.shape[0]))
+
+    walk_tree(np.ones((d, 1)), r, expand, None)
+    return lambda node: kids.get(node.indices, [])
+
+
 class TestChildren:
+    def test_root_children(self):
+        assert _children(d=3, r=2)(ROOT) == [Itemset((1,)), Itemset((2,)), Itemset((3,))]
+
+    def test_extends_past_max_index_only(self):
+        assert _children(d=4, r=3)(Itemset((2,))) == [Itemset((2, 3)), Itemset((2, 4))]
+
+    def test_order_cap(self):
+        assert _children(d=5, r=2)(Itemset((1, 2))) == []
+
     @given(d=st.integers(1, 7), r=st.integers(1, 4))
     @settings(max_examples=30, deadline=None)
     def test_tree_enumerates_every_itemset_once(self, d, r):

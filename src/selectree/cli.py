@@ -4,7 +4,8 @@ screen/infer/synth/perf commands.
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or malformed
 input), 3 numeric degeneracy (collapsed truncation window, singular Gram
 matrix, zero residual variance, a linear-algebra routine that did not
-converge, or an underflowed truncated-Normal CDF).
+converge, an underflowed truncated-Normal CDF, or an observation that
+violates its own selection event).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .experiments import (
 from .inference import (
     DegenerateTruncationError,
     InferenceReport,
+    InternalConsistencyError,
     SingularGramError,
     infer,
 )
@@ -548,6 +550,7 @@ def main(argv=None) -> int:
         DegenerateTruncationError,
         SingularGramError,
         SigmaEstimationError,
+        InternalConsistencyError,
         np.linalg.LinAlgError,
         FloatingPointError,
     ) as exc:

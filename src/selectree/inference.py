@@ -18,14 +18,21 @@ screening, with a branch-and-bound rule: the sign-partitioned sums of a node's
 column against +-y and +-c bound every descendant's numerator and denominator,
 hence bound the best ratio the subtree could contribute to either endpoint.
 
+Only v_minus needs a search rule of its own.  Reversing the slice direction
+c negates every constraint's denominator and ratio, so v_plus along c is
+exactly -v_minus along -c (Lee et al.'s polyhedral lemma read both ways), and
+IEEE negation is exact.  The search therefore carries an endpoint axis: e = 0
+looks for v_minus along c, e = 1 for v_minus along -c, and one offer rule,
+one subtree bound and one prune test serve both.
+
 The search is one pass per contrast of :func:`selectree.itemsets.walk_tree`,
 the depth-first walker screening runs on too, evaluating all k selected
-features and both constraint orientations ("C1" rows -s_j x_j + x_l, "C2"
-rows -s_j x_j - x_l) jointly at each node, with per-(feature, orientation,
-endpoint) activity masks as the walk state.  Pruning never changes the
-endpoints: the subtree tests use the same relative slack as screening
-(``PRUNE_SLACK``), which dwarfs floating-point noise, so any skipped ratio is
-strictly non-improving.
+features, both constraint orientations ("C1" rows -s_j x_j + x_l, "C2"
+rows -s_j x_j - x_l) and both endpoints jointly at each node, with
+per-(endpoint, orientation, feature) activity masks as the walk state.
+Pruning never changes the endpoints: the subtree tests use the same slack
+rule as screening (``PRUNE_SLACK``), which dwarfs floating-point noise, so
+any skipped ratio is strictly non-improving.
 """
 
 from __future__ import annotations
@@ -241,12 +248,21 @@ def truncation_points(
         C1:  (kappa_j - x_l^T y) / (rho_j + x_l^T c)
         C2:  (kappa_j + x_l^T y) / (rho_j - x_l^T c)
 
-    contributing to v_minus when the denominator is negative and to v_plus
-    when positive.  A node's sums bound x_l^T y in [-sy_neg, sy_pos] and
-    x_l^T c in [-sc_neg, sc_pos] over all descendants l, giving per-(j,
-    orientation) bounds on the best achievable ratio below the node; subtrees
-    whose bounds cannot beat the incumbents are skipped.  With prune=False the
-    same walk visits everything and must produce identical endpoints.
+    and every sign row to kappa_j / rho_j.  v_minus is eta^T y plus the
+    largest ratio with a negative denominator.  v_plus along c is minus
+    v_minus along -c: reversing c negates rho and x_l^T c, hence every
+    denominator and ratio, and swaps the sums sc_pos and sc_neg.  The search
+    therefore runs one rule over an endpoint axis e, where e = 0 finds
+    v_minus along c and e = 1 finds v_minus along -c, and keeps one incumbent
+    ``best[e]`` per endpoint (the largest ratio so far, i.e. -hi for v_plus).
+    IEEE negation is exact, so both endpoints see bit for bit the ratios,
+    bounds and thresholds a mirrored min/max search would.
+
+    A node's sums bound x_l^T y in [-sy_neg, sy_pos] and x_l^T c in
+    [-sc_neg, sc_pos] over all descendants l, giving per-(endpoint,
+    orientation, j) bounds on the best ratio below the node; subtrees whose
+    bounds cannot beat the incumbents are skipped.  With prune=False the same
+    walk visits everything and must produce identical endpoints.
     """
     k = len(sel.selected)
     D = total_feature_count(data.d, r)
@@ -259,6 +275,7 @@ def truncation_points(
     y_pos, y_neg = sign_split(y)
     c_pos, c_neg = sign_split(c)
     W = np.stack([y, c, y_pos, y_neg, c_pos, c_neg], axis=1)  # (n, 6)
+    ysum = float(np.abs(y).sum())
 
     kappa = np.abs(np.array(sel.scores, dtype=np.float64))
     rho = np.array(
@@ -267,41 +284,38 @@ def truncation_points(
             for it, s in zip(sel.selected, sel.signs)
         ]
     )
+    # Axes of the search: endpoint e searches along s_e c with s = (1, -1),
+    # orientation o is C1 or C2 with t = (1, -1).  The pair ratio is
+    #     (kappa - t_o x_l^T y) / (s_e rho + ec[e, o] x_l^T c),  ec = s t^T,
+    # and below a node ec[e, o] x_l^T c reaches up to row ``up`` of the node's
+    # sums M (sc_pos or sc_neg) and down to row 9 - up, the other one.
+    rho_e = np.stack([rho, -rho])  # (2, k)
+    ec = np.array([[1.0, -1.0], [-1.0, 1.0]])
+    up = np.where(ec > 0, 4, 5)
 
     # Selected children indexed by parent prefix, to skip their pair ratios.
     sel_by_parent: dict[tuple[int, ...], set[int]] = {}
     for it in sel.selected:
         sel_by_parent.setdefault(it.indices[:-1], set()).add(it.indices[-1])
 
-    lo_best, hi_best = -np.inf, np.inf
-    lo_info: ActiveConstraint | None = None
-    hi_info: ActiveConstraint | None = None
+    best = np.full(2, -np.inf)
+    info: list[ActiveConstraint | None] = [None, None]
 
-    # Sign rows kappa_j / rho_j seed the incumbents, so pruning has teeth from
-    # the first tree node.
-    for j in range(k):
-        if abs(rho[j]) < DENOM_TOL:
-            continue
-        ratio = kappa[j] / rho[j]
-        if rho[j] < 0.0:
-            if ratio > lo_best:
-                lo_best, lo_info = ratio, ActiveConstraint(
-                    "sign", sel.selected[j], None, None
-                )
-        else:
-            if ratio < hi_best:
-                hi_best, hi_info = ratio, ActiveConstraint(
-                    "sign", sel.selected[j], None, None
-                )
+    def offer(vals, constraint):
+        # Each endpoint takes its first largest candidate if strictly better.
+        flat = vals.reshape(2, -1)
+        for e, f in enumerate(flat.argmax(axis=1)):
+            if flat[e, f] > best[e]:
+                best[e] = flat[e, f]
+                info[e] = constraint(int(f))
 
     visits = np.zeros(k, dtype=np.int64)
     half_tol = 0.5 * DENOM_TOL
 
     def expand(parent, start, block, act, leaves):
-        # act: bool (2, 2, k) = (endpoint lo/hi, orientation C1/C2, feature j)
-        nonlocal lo_best, hi_best, lo_info, hi_info
+        # act: bool (2, 2, k) = (endpoint, orientation C1/C2, feature j)
         m = block.shape[0]
-        M = block @ W  # columns: xy, xc, sy_pos, sy_neg, sc_pos, sc_neg
+        M = (block @ W).T  # rows: xy, xc, sy_pos, sy_neg, sc_pos, sc_neg
 
         visits[act.any(axis=(0, 1))] += m
 
@@ -312,102 +326,61 @@ def truncation_points(
                 if start < idx <= start + m:
                     keep[idx - 1 - start] = False
 
-        xy = M[:, 0]
-        xc = M[:, 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for case in (0, 1):
-                if case == 0:
-                    num = kappa[None, :] - xy[:, None]
-                    den = rho[None, :] + xc[:, None]
-                else:
-                    num = kappa[None, :] + xy[:, None]
-                    den = rho[None, :] - xc[:, None]
-                ratios = num / den
-                lo_mask = keep[:, None] & act[0, case][None, :] & (den < -DENOM_TOL)
-                if lo_mask.any():
-                    vals = np.where(lo_mask, ratios, -np.inf)
-                    flat = int(np.argmax(vals))
-                    val = float(vals.flat[flat])
-                    if val > lo_best:
-                        i, j = divmod(flat, k)
-                        lo_best = val
-                        lo_info = ActiveConstraint(
-                            "pair",
-                            sel.selected[j],
-                            Itemset(parent + (start + 1 + i,)),
-                            _CASES[case],
-                        )
-                hi_mask = keep[:, None] & act[1, case][None, :] & (den > DENOM_TOL)
-                if hi_mask.any():
-                    vals = np.where(hi_mask, ratios, np.inf)
-                    flat = int(np.argmin(vals))
-                    val = float(vals.flat[flat])
-                    if val < hi_best:
-                        i, j = divmod(flat, k)
-                        hi_best = val
-                        hi_info = ActiveConstraint(
-                            "pair",
-                            sel.selected[j],
-                            Itemset(parent + (start + 1 + i,)),
-                            _CASES[case],
-                        )
+        def pair(f):
+            o, f = divmod(f, m * k)
+            i, j = divmod(f, k)
+            child = Itemset(parent + (start + 1 + i,))
+            return ActiveConstraint("pair", sel.selected[j], child, _CASES[o])
+
+        # (endpoint, orientation, child, feature)
+        rho4 = rho_e[:, None, None, :]
+        num = kappa - ec[0][:, None, None] * M[0][:, None]  # t_o = ec[0, o]
+        den = rho4 + (ec[:, :, None] * M[1])[..., None]
+        mask = keep[:, None] & act[:, :, None, :] & (den < -DENOM_TOL)
+        offer(np.where(mask, num / den, -np.inf), pair)
 
         if leaves:
             return
-
-        # Subtree bounds per (child, orientation, j).  For descendants of
-        # child i the denominator lives in [rho - b_minus, rho + b_plus] and
-        # the numerator is at least kappa - a_minus, with
-        #   C1: a_minus = sy_pos, b_plus = sc_pos, b_minus = sc_neg
-        #   C2: a_minus = sy_neg, b_plus = sc_neg, b_minus = sc_pos.
-        thr_lo = np.empty((2, m, k))
-        thr_hi = np.empty((2, m, k))
-        dead_lo = np.empty((2, m, k), dtype=bool)
-        dead_hi = np.empty((2, m, k), dtype=bool)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for case in (0, 1):
-                if case == 0:
-                    a_minus, b_plus, b_minus = M[:, 2], M[:, 4], M[:, 5]
-                else:
-                    a_minus, b_plus, b_minus = M[:, 3], M[:, 5], M[:, 4]
-                A = kappa[None, :] - a_minus[:, None]
-                dlo = rho[None, :] - b_minus[:, None]
-                dhi = rho[None, :] + b_plus[:, None]
-                absmax = np.maximum(np.abs(dlo), np.abs(dhi))
-                den_lo = np.where(dhi < 0.0, np.abs(dlo), absmax)
-                den_hi = np.where(dlo > 0.0, np.abs(dhi), absmax)
-                bound_lo = -A / den_lo
-                bound_hi = A / den_hi
-                thr_lo[case] = bound_lo + PRUNE_SLACK * (1.0 + np.abs(bound_lo))
-                thr_hi[case] = bound_hi - PRUNE_SLACK * (1.0 + np.abs(bound_hi))
-                # No descendant can contribute at all when every reachable
-                # denominator sits inside the dead band around zero.
-                dead_lo[case] = (den_lo < half_tol) | (dlo > -half_tol)
-                dead_hi[case] = (den_hi < half_tol) | (dhi < half_tol)
+        if not prune:
+            yield from ((i, act) for i in range(m))
+            return
+        # For descendants of child i the denominator lives in [dlo, dhi] and
+        # the numerator is at least kappa - sy_pos (C1) or kappa - sy_neg (C2).
+        dlo = rho4 - M[9 - up][..., None]
+        dhi = rho4 + M[up][..., None]
+        den = np.where(dhi < 0.0, np.abs(dlo), np.maximum(np.abs(dlo), np.abs(dhi)))
+        bound = -(kappa - M[2:4, :, None]) / den
+        thr = bound + PRUNE_SLACK * (ysum + np.abs(bound))
+        # No descendant can contribute at all when every reachable
+        # denominator sits inside the dead band around zero.
+        alive = act[:, :, None, :] & ~((den < half_tol) | (dlo > -half_tol))
 
         for i in range(m):
-            child_act = act.copy()
-            if prune:
-                child_act[0] &= ~(dead_lo[:, i] | (lo_best >= thr_lo[:, i]))
-                child_act[1] &= ~(dead_hi[:, i] | (hi_best <= thr_hi[:, i]))
+            child_act = alive[:, :, i] & ~(best[:, None, None] >= thr[:, :, i])
             if child_act.any():
                 yield i, child_act
 
-    walk_tree(ZT, r, expand, np.ones((2, 2, k), dtype=bool))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # Sign rows kappa_j / rho_j seed the incumbents, so pruning has teeth
+        # from the first tree node.
+        offer(
+            np.where(rho_e <= -DENOM_TOL, kappa / rho_e, -np.inf),
+            lambda j: ActiveConstraint("sign", sel.selected[j], None, None),
+        )
+        walk_tree(ZT, r, expand, np.ones((2, 2, k), dtype=bool))
 
     eta_y = con.eta_y
     slop = 1e-6 * (1.0 + abs(eta_y))
-    if lo_best > slop or hi_best < -slop:
+    if (best > slop).any():
         raise InternalConsistencyError(
             f"observation violates its own selection event "
-            f"(lo={lo_best}, hi={hi_best}); screening and contrast disagree"
+            f"(lo={best[0]}, hi={-best[1]}); screening and contrast disagree"
         )
-    v_minus = eta_y + lo_best if np.isfinite(lo_best) else -np.inf
-    v_plus = eta_y + hi_best if np.isfinite(hi_best) else np.inf
-    if np.isfinite(v_minus):
-        v_minus = min(v_minus, eta_y)
-    if np.isfinite(v_plus):
-        v_plus = max(v_plus, eta_y)
+    # v_minus = eta_y + best[0] and v_plus = eta_y - best[1], each moved out
+    # to eta_y if rounding put it on the wrong side.
+    v_minus, v_plus = (
+        s * min(s * (eta_y + s * b), s * eta_y) for s, b in zip((1.0, -1.0), best)
+    )
     if not v_minus < v_plus:
         raise DegenerateTruncationError(
             f"truncation interval collapsed: [{v_minus}, {v_plus}]"
@@ -421,7 +394,7 @@ def truncation_points(
     return TruncationInterval(
         v_minus=float(v_minus),
         v_plus=float(v_plus),
-        argmin_info=(lo_info, hi_info),
+        argmin_info=tuple(info),
         metrics=metrics,
     )
 
@@ -517,15 +490,22 @@ def trunc_norm_cdf(x: float, mean: float, variance: float, v: float, w: float) -
     return min(max(num / den, 0.0), 1.0)
 
 
-def selective_pvalue(eta_y: float, eta_var: float, interval: TruncationInterval) -> float:
-    """Two-sided p-value from the truncated pivot under H0: eta^T mu = 0."""
+def _pivot_and_pvalue(
+    eta_y: float, eta_var: float, interval: TruncationInterval
+) -> tuple[float, float]:
+    """The truncated pivot under H0: eta^T mu = 0, and its two-sided p-value."""
     if not interval.v_minus <= eta_y <= interval.v_plus:
         raise InternalConsistencyError(
             f"eta^T y = {eta_y} outside its truncation interval "
             f"[{interval.v_minus}, {interval.v_plus}]"
         )
     pivot = trunc_norm_cdf(eta_y, 0.0, eta_var, interval.v_minus, interval.v_plus)
-    return min(max(2.0 * min(pivot, 1.0 - pivot), 0.0), 1.0)
+    return pivot, min(max(2.0 * min(pivot, 1.0 - pivot), 0.0), 1.0)
+
+
+def selective_pvalue(eta_y: float, eta_var: float, interval: TruncationInterval) -> float:
+    """Two-sided p-value from the truncated pivot under H0: eta^T mu = 0."""
+    return _pivot_and_pvalue(eta_y, eta_var, interval)[1]
 
 
 def _solve_pivot_mean(
@@ -626,10 +606,7 @@ def infer(
             X_S, data.y, j, sigma=config.sigma, covariance=config.covariance
         )
         interval = truncation_points(sel, data, con, config.r, prune=prune)
-        pivot = trunc_norm_cdf(
-            con.eta_y, 0.0, con.eta_var, interval.v_minus, interval.v_plus
-        )
-        p_value = selective_pvalue(con.eta_y, con.eta_var, interval)
+        pivot, p_value = _pivot_and_pvalue(con.eta_y, con.eta_var, interval)
         ci_low, ci_high = selective_interval(con.eta_y, con.eta_var, interval, config.alpha)
         feats.append(
             FeatureInference(

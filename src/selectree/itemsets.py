@@ -33,12 +33,17 @@ __all__ = [
     "PRUNE_SLACK",
 ]
 
-# Relative safety slack for every subtree test: a subtree is skipped only when
-# its bound misses the incumbent by a margin that dwarfs accumulated rounding
-# (bounds come from a batched matmul, which may round differently from direct
-# evaluation).  Equal-score descendants are therefore never pruned, which
-# exact tie-breaking needs, and pruning can never drop a ratio that direct
-# evaluation would have kept.
+# Safety slack for every subtree test: a subtree is skipped only when its
+# bound misses the incumbent by PRUNE_SLACK * (sum(|y|) + |incumbent or bound|),
+# a margin that dwarfs accumulated rounding (bounds come from a batched
+# matmul, which may round differently from direct evaluation).  Equal-score
+# descendants are therefore never pruned, which exact tie-breaking needs, and
+# pruning can never drop a ratio that direct evaluation would have kept.
+# sum(|y|) bounds every |x'y| for x in [0,1]^n and sets the scale of the
+# matmul's rounding error, so the rule does not change when y is rescaled.
+# The truncation search's DENOM_TOL needs no such scale: its denominators are
+# inner products with c = Sigma eta / (eta' Sigma eta), which does not change
+# under (y, sigma) -> (a y, a sigma).
 PRUNE_SLACK = 1e-9
 
 

@@ -11,7 +11,8 @@ knows the sign-partitioned sums
 and max(sy_pos, sy_neg) bounds |x_l^T y| for every descendant l (descending
 multiplies the column by further [0,1] factors, so both sums can only
 shrink).  Once k candidates are on the heap, any subtree whose bound falls
-below the running k-th best absolute score cannot contribute and is skipped.
+below the running k-th best absolute score (by more than the scale-free
+``PRUNE_SLACK`` margin) cannot contribute and is skipped.
 
 Determinism contract: ties in |score| are broken lexicographically (smaller
 itemset wins), a zero score gets sign +1, and the selected scores are computed
@@ -89,6 +90,7 @@ def marginal_screen(
     y = data.y
     y_pos, y_neg = sign_split(y)
     W = np.stack([y_pos, y_neg], axis=1)  # (n, 2) for batched subtree bounds
+    ysum = float(np.abs(y).sum())
 
     # Min-heap of (|score|, tie_key, score, itemset); the root is the current
     # k-th best, i.e. the first to be evicted.
@@ -115,7 +117,7 @@ def marginal_screen(
             if prune and len(heap) == k:
                 thresh = heap[0][0]
                 bound = max(bounds[i, 0], bounds[i, 1])
-                if bound < thresh - PRUNE_SLACK * (1.0 + thresh):
+                if bound < thresh - PRUNE_SLACK * (ysum + thresh):
                     continue
             yield i, None
 

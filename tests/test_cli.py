@@ -258,8 +258,10 @@ class TestMainExitCodes:
 
     @pytest.mark.parametrize(
         "error", [np.linalg.LinAlgError("SVD did not converge"),
-                  FloatingPointError("truncated CDF denominator underflowed")],
-        ids=["LinAlgError", "FloatingPointError"],
+                  FloatingPointError("truncated CDF denominator underflowed"),
+                  inference.InternalConsistencyError("observation violates its own "
+                                                     "selection event")],
+        ids=["LinAlgError", "FloatingPointError", "InternalConsistencyError"],
     )
     def test_numeric_failure_in_infer_is_3(self, tmp_path, capsys, monkeypatch, error):
         def failing_infer(*args, **kwargs):

@@ -20,6 +20,7 @@ from selectree.inference import (
     trunc_norm_cdf,
     truncation_points,
 )
+from selectree.experiments import SyntheticSpec, gen_synthetic
 from selectree.itemsets import Dataset, ModelConfig, feature_column, total_feature_count
 from selectree.screening import marginal_screen
 
@@ -159,6 +160,38 @@ class TestTruncationRandom:
             else:
                 assert abs(got - want) <= 1e-9 * max(1.0, abs(got), abs(want))
         assert iv.v_minus <= con.eta_y <= iv.v_plus
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_reversed_contrast_mirrors_the_window(self, seed):
+        # Lee et al.'s polyhedral lemma along -c: v_plus(c) = -v_minus(-c).
+        # Negation is exact, so the reversed search must agree bit for bit,
+        # except that an endpoint at exactly zero is +0.0 both ways (IEEE
+        # rounds an exact cancellation eta_y + ratio = 0 to +0.0); "+ 0.0"
+        # maps -0.0 to +0.0 and leaves every other float as it is.
+        rng = np.random.default_rng(7100 + seed)
+        data = random_instance(rng)
+        r = int(rng.integers(1, 4))
+        k = int(rng.integers(1, min(5, total_feature_count(data.d, r)) + 1))
+        sel, _ = marginal_screen(data, k, r)
+        X = _design(sel, data.Z)
+        for j in range(1, k + 1):
+            try:
+                con = contrast_for_coefficient(X, data.y, j, sigma=1.0)
+            except SingularGramError:
+                return
+            rev = inference.Contrast(-con.eta, -con.eta_y, con.eta_var, -con.c)
+            for prune in (True, False):
+                try:
+                    iv = truncation_points(sel, data, con, r, prune=prune)
+                except (DegenerateTruncationError, InternalConsistencyError) as exc:
+                    with pytest.raises(type(exc)):
+                        truncation_points(sel, data, rev, r, prune=prune)
+                    continue
+                mirror = truncation_points(sel, data, rev, r, prune=prune)
+                assert float.hex(mirror.v_minus + 0.0) == float.hex(-iv.v_plus + 0.0)
+                assert float.hex(mirror.v_plus + 0.0) == float.hex(-iv.v_minus + 0.0)
+                assert mirror.argmin_info == iv.argmin_info[::-1]
+                assert mirror.metrics.nodes_visited == iv.metrics.nodes_visited
 
     def test_detects_foreign_observation(self, tiny):
         # Constraints built from one selection, evaluated on data whose
@@ -339,3 +372,26 @@ class TestInfer:
         with pytest.raises(ValueError, match="k = 2"):
             infer(tiny, ModelConfig(r=2, k=2, sigma=1.0),
                   screened=marginal_screen(tiny, 1, 2))
+
+
+class TestRescaling:
+    @pytest.mark.parametrize("n, d, sparsity", [(100, 50, 0.5), (400, 100, 0.9)],
+                             ids=["d50", "d100"])
+    def test_rescaled_response_prunes_and_reports_alike(self, n, d, sparsity):
+        # (y, sigma) -> (a y, a sigma) leaves the selection and the pivots
+        # unchanged and scales the windows; the pruning slack scales with y,
+        # so both walks must visit exactly the same nodes.
+        spec = SyntheticSpec(n=n, d=d, r=3, k=10, sparsity=sparsity, sigma=0.1, seed=11)
+        data = gen_synthetic(spec, 0)
+        a = 1e-11
+        ref = infer(data, ModelConfig(r=3, k=10, sigma=0.1))
+        small = infer(Dataset(data.Z, a * data.y), ModelConfig(r=3, k=10, sigma=a * 0.1))
+        assert small.screening.selected == ref.screening.selected
+        assert small.screen_metrics.nodes_visited == ref.screen_metrics.nodes_visited
+        assert [f.interval.metrics.nodes_visited for f in small.features] == [
+            f.interval.metrics.nodes_visited for f in ref.features
+        ]
+        assert_allclose([f.p_value for f in small.features],
+                        [f.p_value for f in ref.features], rtol=1e-9)
+        assert_allclose([(f.ci_low, f.ci_high) for f in small.features],
+                        [(a * f.ci_low, a * f.ci_high) for f in ref.features], rtol=1e-9)

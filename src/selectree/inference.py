@@ -25,11 +25,15 @@ IEEE negation is exact.  The search therefore carries an endpoint axis: e = 0
 looks for v_minus along c, e = 1 for v_minus along -c, and one offer rule,
 one subtree bound and one prune test serve both.
 
-The search is one pass per contrast of :func:`selectree.itemsets.walk_tree`,
-the depth-first walker screening runs on too, evaluating all k selected
-features, both constraint orientations ("C1" rows -s_j x_j + x_l, "C2"
-rows -s_j x_j - x_l) and both endpoints jointly at each node, with
-per-(endpoint, orientation, feature) activity masks as the walk state.
+All k contrasts share one pass of :func:`selectree.itemsets.walk_tree`,
+the depth-first walker screening runs on too.  At each node one batched
+matmul gives every contrast's sums, and all contrasts, both endpoints, both
+constraint orientations ("C1" rows -s_j x_j + x_l, "C2" rows
+-s_j x_j - x_l) and all k selected features are scored and gated in one
+broadcast, with per-(contrast, endpoint, orientation, feature) activity
+masks as the walk state.  A subtree is entered while it is alive for any
+contrast; every contrast gets exactly the window, active constraints and
+visit count that a walk for it alone would give.
 Pruning never changes the endpoints: the subtree tests use the same slack
 rule as screening (``PRUNE_SLACK``), which dwarfs floating-point noise, so
 any skipped ratio is strictly non-improving.
@@ -40,6 +44,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr
@@ -69,6 +74,7 @@ __all__ = [
     "beta_hat",
     "contrast_for_coefficient",
     "truncation_points",
+    "truncation_windows",
     "trunc_norm_cdf",
     "selective_pvalue",
     "selective_interval",
@@ -233,14 +239,15 @@ def contrast_for_coefficient(
 # truncation points by pruned tree search
 # ---------------------------------------------------------------------------
 
-def truncation_points(
+def truncation_windows(
     sel: ScreeningResult,
     data: Dataset,
-    con: Contrast,
+    contrasts: Sequence[Contrast],
     r: int,
     prune: bool = True,
-) -> TruncationInterval:
-    """Endpoints of the truncated support of eta^T y, by branch and bound.
+    columns: np.ndarray | None = None,
+) -> tuple[TruncationInterval, ...]:
+    """Every contrast's truncated support of eta^T y, from one branch-and-bound walk.
 
     Per (selected feature j, orientation) the quantities kappa_j = s_j x_j^T y
     (>= 0 by selection) and rho_j = -s_j x_j^T c reduce every pair ratio to
@@ -254,42 +261,62 @@ def truncation_points(
     denominator and ratio, and swaps the sums sc_pos and sc_neg.  The search
     therefore runs one rule over an endpoint axis e, where e = 0 finds
     v_minus along c and e = 1 finds v_minus along -c, and keeps one incumbent
-    ``best[e]`` per endpoint (the largest ratio so far, i.e. -hi for v_plus).
-    IEEE negation is exact, so both endpoints see bit for bit the ratios,
-    bounds and thresholds a mirrored min/max search would.
+    ``best[q, e]`` per contrast q and endpoint (the largest ratio so far,
+    i.e. -hi for v_plus).  IEEE negation is exact, so both endpoints see bit
+    for bit the ratios, bounds and thresholds a mirrored min/max search would.
 
     A node's sums bound x_l^T y in [-sy_neg, sy_pos] and x_l^T c in
-    [-sc_neg, sc_pos] over all descendants l, giving per-(endpoint,
+    [-sc_neg, sc_pos] over all descendants l, giving per-(contrast, endpoint,
     orientation, j) bounds on the best ratio below the node; subtrees whose
     bounds cannot beat the incumbents are skipped.  With prune=False the same
     walk visits everything and must produce identical endpoints.
+
+    All contrasts share one walk of the tree: a subtree is entered while it
+    is alive for any contrast, and a contrast whose activity mask is empty
+    there neither scores nor counts its nodes.  Each contrast's incumbents,
+    endpoints, ``argmin_info`` and ``nodes_visited`` are therefore exactly
+    those of a walk for that contrast alone.  The interval's
+    ``metrics.elapsed`` is the wall time of the whole shared walk, the same
+    for every contrast.  Errors are raised in contrast order, each with the
+    message a walk for that contrast alone would give.
+
+    ``columns`` optionally holds the selected features' columns as the
+    C-contiguous rows of a (k, n) array, e.g. ``np.ascontiguousarray(X_S.T)``
+    for a caller that already built them; they are formed with
+    ``feature_column`` otherwise.
     """
     k = len(sel.selected)
+    K = len(contrasts)
     D = total_feature_count(data.d, r)
     t0 = time.perf_counter()
 
-    Z = data.Z
     y = data.y
-    c = np.ascontiguousarray(con.c, dtype=np.float64)
-    ZT = np.ascontiguousarray(Z.T)
-    y_pos, y_neg = sign_split(y)
-    c_pos, c_neg = sign_split(c)
-    W = np.stack([y, c, y_pos, y_neg, c_pos, c_neg], axis=1)  # (n, 6)
+    if columns is None:
+        columns = np.stack([feature_column(it, data.Z) for it in sel.selected])
+    ZT = np.ascontiguousarray(data.Z.T)
+    C = np.stack([np.asarray(con.c, dtype=np.float64) for con in contrasts])
+    # One (n, 6) slice [y, c, y+, y-, c+, c-] per contrast.  The batched
+    # matmul below runs the same product per slice as a lone contrast's
+    # ``block @ W[q]``, so every contrast sees the same sums bit for bit; one
+    # wide (n, 3 + 3K) product would round differently.
+    W = np.empty((K, len(y), 6))
+    W[:, :, 0] = y
+    W[:, :, 1] = C
+    W[:, :, 2], W[:, :, 3] = sign_split(y)
+    W[:, :, 4], W[:, :, 5] = sign_split(C)
     ysum = float(np.abs(y).sum())
 
     kappa = np.abs(np.array(sel.scores, dtype=np.float64))
     rho = np.array(
-        [
-            -float(s) * column_score(feature_column(it, Z), c)
-            for it, s in zip(sel.selected, sel.signs)
-        ]
+        [[-float(s) * column_score(col, c) for col, s in zip(columns, sel.signs)] for c in C]
     )
-    # Axes of the search: endpoint e searches along s_e c with s = (1, -1),
-    # orientation o is C1 or C2 with t = (1, -1).  The pair ratio is
+    # Axes of the search: contrast q, endpoint e searches along s_e c with
+    # s = (1, -1), orientation o is C1 or C2 with t = (1, -1).  The pair ratio
+    # is
     #     (kappa - t_o x_l^T y) / (s_e rho + ec[e, o] x_l^T c),  ec = s t^T,
     # and below a node ec[e, o] x_l^T c reaches up to row ``up`` of the node's
     # sums M (sc_pos or sc_neg) and down to row 9 - up, the other one.
-    rho_e = np.stack([rho, -rho])  # (2, k)
+    rho_e = np.stack([rho, -rho], axis=1)  # (K, 2, k)
     ec = np.array([[1.0, -1.0], [-1.0, 1.0]])
     up = np.where(ec > 0, 4, 5)
 
@@ -298,33 +325,30 @@ def truncation_points(
     for it in sel.selected:
         sel_by_parent.setdefault(it.indices[:-1], set()).add(it.indices[-1])
 
-    best = np.full(2, -np.inf)
-    info: list[ActiveConstraint | None] = [None, None]
+    best = np.full((K, 2), -np.inf)
+    info: list[list[ActiveConstraint | None]] = [[None, None] for _ in range(K)]
 
     def offer(vals, constraint):
-        # Each endpoint takes its first largest candidate if strictly better.
-        flat = vals.reshape(2, -1)
-        for e, f in enumerate(flat.argmax(axis=1)):
-            if flat[e, f] > best[e]:
-                best[e] = flat[e, f]
-                info[e] = constraint(int(f))
+        # Each (contrast, endpoint) takes its first largest candidate if
+        # strictly better.
+        flat = vals.reshape(K, 2, -1)
+        arg = flat.argmax(axis=2)
+        top = np.take_along_axis(flat, arg[..., None], axis=2)[..., 0]
+        for q, e in zip(*np.nonzero(top > best)):
+            best[q, e] = top[q, e]
+            info[q][e] = constraint(int(arg[q, e]))
 
-    visits = np.zeros(k, dtype=np.int64)
+    visits = np.zeros((K, k), dtype=np.int64)
     half_tol = 0.5 * DENOM_TOL
+    rho5 = rho_e[:, :, None, None, :]
 
     def expand(parent, start, block, act, leaves):
-        # act: bool (2, 2, k) = (endpoint, orientation C1/C2, feature j)
+        # act: bool (K, 2, 2, k) = (contrast, endpoint, orientation C1/C2, feature j)
         m = block.shape[0]
-        M = (block @ W).T  # rows: xy, xc, sy_pos, sy_neg, sc_pos, sc_neg
+        # rows: xy, xc, sy_pos, sy_neg, sc_pos, sc_neg
+        M = np.matmul(block, W).transpose(0, 2, 1)  # (K, 6, m)
 
-        visits[act.any(axis=(0, 1))] += m
-
-        keep = np.ones(m, dtype=bool)
-        taken = sel_by_parent.get(parent)
-        if taken:
-            for idx in taken:
-                if start < idx <= start + m:
-                    keep[idx - 1 - start] = False
+        visits[act.any(axis=(1, 2))] += m
 
         def pair(f):
             o, f = divmod(f, m * k)
@@ -332,12 +356,16 @@ def truncation_points(
             child = Itemset(parent + (start + 1 + i,))
             return ActiveConstraint("pair", sel.selected[j], child, _CASES[o])
 
-        # (endpoint, orientation, child, feature)
-        rho4 = rho_e[:, None, None, :]
-        num = kappa - ec[0][:, None, None] * M[0][:, None]  # t_o = ec[0, o]
-        den = rho4 + (ec[:, :, None] * M[1])[..., None]
-        mask = keep[:, None] & act[:, :, None, :] & (den < -DENOM_TOL)
-        offer(np.where(mask, num / den, -np.inf), pair)
+        # (contrast, endpoint, orientation, child, feature)
+        act5 = act[:, :, :, None, :]
+        num = kappa - (ec[0][:, None] * M[:, None, None, 0])[..., None]  # t_o = ec[0, o]
+        den = rho5 + (ec[:, :, None] * M[:, None, None, 1])[..., None]
+        mask = den < -DENOM_TOL
+        mask &= act5
+        for idx in sel_by_parent.get(parent, ()):
+            if start < idx <= start + m:
+                mask[:, :, :, idx - 1 - start] = False
+        offer(np.divide(num, den, out=np.full(den.shape, -np.inf), where=mask), pair)
 
         if leaves:
             return
@@ -346,17 +374,28 @@ def truncation_points(
             return
         # For descendants of child i the denominator lives in [dlo, dhi] and
         # the numerator is at least kappa - sy_pos (C1) or kappa - sy_neg (C2).
-        dlo = rho4 - M[9 - up][..., None]
-        dhi = rho4 + M[up][..., None]
-        den = np.where(dhi < 0.0, np.abs(dlo), np.maximum(np.abs(dlo), np.abs(dhi)))
-        bound = -(kappa - M[2:4, :, None]) / den
-        thr = bound + PRUNE_SLACK * (ysum + np.abs(bound))
-        # No descendant can contribute at all when every reachable
-        # denominator sits inside the dead band around zero.
-        alive = act[:, :, None, :] & ~((den < half_tol) | (dlo > -half_tol))
+        # No descendant can contribute when even dlo sits above -DENOM_TOL/2
+        # (a contributing denominator is below -DENOM_TOL); otherwise dlo < 0
+        # and the largest reachable |denominator| is max(-dlo, dhi).
+        dlo = rho5 - M[:, 9 - up][..., None]
+        alive = dlo <= -half_tol
+        alive &= act5
+        den = np.maximum(-dlo, rho5 + M[:, up][..., None])
+        bound = (M[:, None, 2:4, :, None] - kappa) / den
+        # thr = bound + PRUNE_SLACK * (ysum + |bound|), in place
+        thr = np.abs(bound)
+        thr += ysum
+        thr *= PRUNE_SLACK
+        thr += bound
 
-        for i in range(m):
-            child_act = alive[:, :, i] & ~(best[:, None, None] >= thr[:, :, i])
+        # Gate all children at once against the incumbents as they stand.
+        # ``best`` only grows, so a child gated out here stays out; each
+        # survivor is re-tested against the live incumbents, which earlier
+        # siblings' subtrees may have raised, before the walk enters it.
+        gated = best[:, :, None, None, None] < thr
+        gated &= alive
+        for i in np.flatnonzero(gated.any(axis=(0, 1, 2, 4))).tolist():
+            child_act = alive[:, :, :, i] & (best[:, :, None, None] < thr[:, :, :, i])
             if child_act.any():
                 yield i, child_act
 
@@ -367,36 +406,54 @@ def truncation_points(
             np.where(rho_e <= -DENOM_TOL, kappa / rho_e, -np.inf),
             lambda j: ActiveConstraint("sign", sel.selected[j], None, None),
         )
-        walk_tree(ZT, r, expand, np.ones((2, 2, k), dtype=bool))
+        walk_tree(ZT, r, expand, np.ones((K, 2, 2, k), dtype=bool))
+    elapsed = time.perf_counter() - t0
 
-    eta_y = con.eta_y
-    slop = 1e-6 * (1.0 + abs(eta_y))
-    if (best > slop).any():
-        raise InternalConsistencyError(
-            f"observation violates its own selection event "
-            f"(lo={best[0]}, hi={-best[1]}); screening and contrast disagree"
+    intervals = []
+    for con, b, ends, seen in zip(contrasts, best, info, visits):
+        eta_y = con.eta_y
+        slop = 1e-6 * (1.0 + abs(eta_y))
+        if (b > slop).any():
+            raise InternalConsistencyError(
+                f"observation violates its own selection event "
+                f"(lo={b[0]}, hi={-b[1]}); screening and contrast disagree"
+            )
+        # v_minus = eta_y + b[0] and v_plus = eta_y - b[1], each moved out to
+        # eta_y if rounding put it on the wrong side.
+        v_minus, v_plus = (
+            s * min(s * (eta_y + s * be), s * eta_y) for s, be in zip((1.0, -1.0), b)
         )
-    # v_minus = eta_y + best[0] and v_plus = eta_y - best[1], each moved out
-    # to eta_y if rounding put it on the wrong side.
-    v_minus, v_plus = (
-        s * min(s * (eta_y + s * b), s * eta_y) for s, b in zip((1.0, -1.0), best)
-    )
-    if not v_minus < v_plus:
-        raise DegenerateTruncationError(
-            f"truncation interval collapsed: [{v_minus}, {v_plus}]"
+        if not v_minus < v_plus:
+            raise DegenerateTruncationError(
+                f"truncation interval collapsed: [{v_minus}, {v_plus}]"
+            )
+        intervals.append(
+            TruncationInterval(
+                v_minus=float(v_minus),
+                v_plus=float(v_plus),
+                argmin_info=tuple(ends),
+                metrics=TraversalMetrics(
+                    nodes_visited=int(seen.sum()), total_nodes=k * D, elapsed=elapsed
+                ),
+            )
         )
+    return tuple(intervals)
 
-    metrics = TraversalMetrics(
-        nodes_visited=int(visits.sum()),
-        total_nodes=k * D,
-        elapsed=time.perf_counter() - t0,
-    )
-    return TruncationInterval(
-        v_minus=float(v_minus),
-        v_plus=float(v_plus),
-        argmin_info=tuple(info),
-        metrics=metrics,
-    )
+
+def truncation_points(
+    sel: ScreeningResult,
+    data: Dataset,
+    con: Contrast,
+    r: int,
+    prune: bool = True,
+) -> TruncationInterval:
+    """Endpoints of one contrast's truncated support of eta^T y.
+
+    This is :func:`truncation_windows` run with the one contrast: the same
+    walk, bounds and tie rules, and the interval and metrics a joint walk
+    gives this contrast.
+    """
+    return truncation_windows(sel, data, [con], r, prune)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -600,17 +657,21 @@ def infer(
         )
     X_S = np.column_stack([feature_column(it, data.Z) for it in sel.selected])
 
+    cons = [
+        contrast_for_coefficient(X_S, data.y, j, sigma=config.sigma, covariance=config.covariance)
+        for j in range(1, config.k + 1)
+    ]
+    intervals = truncation_windows(
+        sel, data, cons, config.r, prune, np.ascontiguousarray(X_S.T)
+    )
+
     feats = []
-    for j in range(1, config.k + 1):
-        con = contrast_for_coefficient(
-            X_S, data.y, j, sigma=config.sigma, covariance=config.covariance
-        )
-        interval = truncation_points(sel, data, con, config.r, prune=prune)
+    for itemset, con, interval in zip(sel.selected, cons, intervals):
         pivot, p_value = _pivot_and_pvalue(con.eta_y, con.eta_var, interval)
         ci_low, ci_high = selective_interval(con.eta_y, con.eta_var, interval, config.alpha)
         feats.append(
             FeatureInference(
-                itemset=sel.selected[j - 1],
+                itemset=itemset,
                 # eta'y IS the least-squares coefficient; reporting the same
                 # scalar the window was built around keeps every row
                 # self-consistent (v_minus <= beta_hat <= v_plus bit-exactly)

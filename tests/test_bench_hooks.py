@@ -3,6 +3,7 @@ attribute and runs the oracle as its correctness gate; these checks keep the
 names and call shapes it relies on working.  The benchmark's files are only
 read, never changed."""
 
+import collections
 import importlib
 import importlib.util
 import os
@@ -10,8 +11,8 @@ import types
 
 import numpy as np
 
-from selectree import oracle
-from selectree.itemsets import Dataset
+from selectree import inference, oracle
+from selectree.itemsets import Dataset, feature_column
 from selectree.screening import marginal_screen
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
@@ -40,3 +41,17 @@ def test_oracle_screen_reads_only_z_y_d():
     ref = oracle.oracle_screen(data, 5, 3)
     sel, _ = marginal_screen(Dataset(Z, y), 5, 3)
     assert ref == sel
+
+
+def test_truncation_points_reports_the_traced_metrics(tiny):
+    # The tracer reads nodes_visited and total_nodes off the result of the
+    # traced inference.truncation_points.
+    sel, _ = marginal_screen(tiny, 2, 2)
+    X = np.column_stack([feature_column(it, tiny.Z) for it in sel.selected])
+    con = inference.contrast_for_coefficient(X, tiny.y, 1, sigma=1.0)
+    iv = inference.truncation_points(sel, tiny, con, 2)
+    counts = collections.Counter()
+    _load_tracer()._traversal_counts("inference.truncation", iv, counts)
+    assert counts["inference.truncation_calls"] == 1
+    assert counts["inference.truncation_nodes_visited"] == iv.metrics.nodes_visited > 0
+    assert counts["inference.truncation_total_nodes"] == iv.metrics.total_nodes == 2 * 6

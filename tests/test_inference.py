@@ -19,6 +19,7 @@ from selectree.inference import (
     selective_pvalue,
     trunc_norm_cdf,
     truncation_points,
+    truncation_windows,
 )
 from selectree.experiments import SyntheticSpec, gen_synthetic
 from selectree.itemsets import Dataset, ModelConfig, feature_column, total_feature_count
@@ -201,6 +202,123 @@ class TestTruncationRandom:
         con = contrast_for_coefficient(_design(sel, other.Z), other.y, 1, sigma=1.0)
         with pytest.raises(InternalConsistencyError):
             truncation_points(sel, other, con, r=2)
+
+
+def _window(iv):
+    """An interval's endpoints as float.hex, its active constraints and its
+    visit count: everything a shared walk must reproduce bit for bit."""
+    return (float.hex(iv.v_minus), float.hex(iv.v_plus), iv.argmin_info,
+            iv.metrics.nodes_visited)
+
+
+def _unconstrained(con):
+    # A zero slice direction makes every constraint's denominator zero, so
+    # nothing truncates: the window is (-inf, inf) on any data.
+    return inference.Contrast(con.eta, con.eta_y, con.eta_var, np.zeros_like(con.c))
+
+
+class TestJointWalk:
+    """One walk for all k contrasts gives every contrast exactly what a walk
+    for it alone gives."""
+
+    def _check(self, sel, data, cons, r, X):
+        columns = np.ascontiguousarray(X.T)
+        for prune in (True, False):
+            alone, first_error = [], None
+            for con in cons:
+                try:
+                    alone.append(_window(truncation_points(sel, data, con, r, prune=prune)))
+                except (DegenerateTruncationError, InternalConsistencyError) as exc:
+                    if first_error is None:
+                        first_error = exc
+            if first_error is not None:
+                with pytest.raises(type(first_error)) as err:
+                    truncation_windows(sel, data, cons, r, prune, columns)
+                assert str(err.value) == str(first_error)
+                continue
+            joint = truncation_windows(sel, data, cons, r, prune, columns)
+            assert [_window(iv) for iv in joint] == alone
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_instances(self, seed):
+        rng = np.random.default_rng(5300 + seed)
+        data = random_instance(rng)
+        r = int(rng.integers(1, 4))
+        k = int(rng.integers(1, min(5, total_feature_count(data.d, r)) + 1))
+        sel, _ = marginal_screen(data, k, r)
+        X = _design(sel, data.Z)
+        try:
+            cons = [contrast_for_coefficient(X, data.y, j, sigma=1.0) for j in range(1, k + 1)]
+        except SingularGramError:
+            return
+        self._check(sel, data, cons, r, X)
+
+    @pytest.mark.parametrize("n, d, sparsity", [(100, 50, 0.5), (400, 100, 0.9)],
+                             ids=["d50", "d100"])
+    def test_benchmark_shapes(self, n, d, sparsity):
+        spec = SyntheticSpec(n=n, d=d, r=3, k=10, sparsity=sparsity, sigma=0.1, seed=3)
+        data = gen_synthetic(spec, 0)
+        sel, _ = marginal_screen(data, 10, 3)
+        X = _design(sel, data.Z)
+        cons = [contrast_for_coefficient(X, data.y, j, sigma=0.1) for j in range(1, 11)]
+        self._check(sel, data, cons, 3, X)
+
+    def test_foreign_observation_second_raises_its_own_error(self, tiny):
+        sel, _ = marginal_screen(tiny, k=2, r=2)
+        other = Dataset(tiny.Z, -10.0 * tiny.y + 3.0)
+        X = _design(sel, other.Z)
+        first, second = (contrast_for_coefficient(X, other.y, j, sigma=1.0) for j in (1, 2))
+        # Both real contrasts fail, with different messages; the joint walk
+        # reports the first failing contrast's, as separate calls in order do.
+        for cons, failing in (
+            ([_unconstrained(first), second], second),
+            ([first, second], first),
+            ([second, first], second),
+        ):
+            with pytest.raises(InternalConsistencyError) as alone:
+                truncation_points(sel, other, failing, r=2)
+            with pytest.raises(InternalConsistencyError) as joint:
+                truncation_windows(sel, other, cons, r=2)
+            assert str(joint.value) == str(alone.value)
+
+    def test_degenerate_second_raises_its_own_error(self):
+        Z = np.array([[0.5, 0.0, 1.0], [0.5, 0.75, 0.25]])
+        data = Dataset(Z, np.array([0.5, 1.0]))
+        sel, _ = marginal_screen(data, k=1, r=1)
+        con = contrast_for_coefficient(_design(sel, data.Z), data.y, 1, sigma=1.0)
+        with pytest.raises(DegenerateTruncationError) as alone:
+            truncation_points(sel, data, con, r=1)
+        with pytest.raises(DegenerateTruncationError) as joint:
+            truncation_windows(sel, data, [_unconstrained(con), con], r=1)
+        assert str(joint.value) == str(alone.value)
+        first = truncation_points(sel, data, _unconstrained(con), r=1)
+        assert (first.v_minus, first.v_plus) == (-math.inf, math.inf)
+
+    def test_infer_walks_the_tree_once(self, monkeypatch):
+        walk, states = inference.walk_tree, []
+
+        def counting_walk(ZT, r, expand, state):
+            states.append(state.shape)
+            return walk(ZT, r, expand, state)
+
+        monkeypatch.setattr(inference, "walk_tree", counting_walk)
+        spec = SyntheticSpec(n=100, d=20, r=3, k=5, sparsity=0.5, sigma=0.1, seed=2)
+        report = infer(gen_synthetic(spec, 0), spec.config())
+        assert len(report.features) == 5
+        # one walk, carrying (contrast, endpoint, orientation, feature) masks
+        assert states == [(5, 2, 2, 5)]
+
+    def test_visit_counts_are_pinned(self):
+        # A walk that gates a child against an incumbent older than the live
+        # one still gets the windows right but enters more subtrees; these
+        # are the counts of one walk per contrast that re-tests every child
+        # against the live incumbents.
+        spec = SyntheticSpec(n=100, d=100, r=3, k=10, sparsity=0.9, sigma=0.1, seed=1)
+        report = infer(gen_synthetic(spec, 0), spec.config())
+        assert [f.interval.metrics.nodes_visited for f in report.features] == [
+            17627, 14046, 14359, 13828, 13595, 20111, 13395, 12473, 15570, 17737
+        ]
+        assert {f.interval.metrics.total_nodes for f in report.features} == {10 * 166_750}
 
 
 class TestTruncNormCdf:

@@ -11,6 +11,7 @@ violates its own selection event).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -297,12 +298,14 @@ def emit_screen(sel: ScreeningResult, names: list[str], fh, fmt: str) -> None:
                 f'"sign": {row["sign"]}}}'
             )
         fh.write("[\n" + ",\n".join(lines) + "\n]\n")
-    else:
+    elif fmt == "csv":
         fh.write("itemset,score,sign\n")
         for row in rows:
             fh.write(
                 f'{"*".join(row["itemset"])},{_fmt(row["score"])},{row["sign"]}\n'
             )
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -439,21 +442,18 @@ def _load_dataset(ns) -> tuple[list[str], Dataset]:
         raise DataError(f"{ns.input}: {exc}{hint}") from None
 
 
-def _open_output(ns):
+def _output(ns):
+    """The ``--output`` file, closed on exit, or stdout when it is unset."""
     if ns.output is None:
-        return sys.stdout, False
-    return open(ns.output, "w"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(ns.output, "w")
 
 
 def _cmd_screen(ns) -> int:
     names, data = _load_dataset(ns)
     sel, _ = marginal_screen(data, ns.topk, ns.order)
-    fh, close = _open_output(ns)
-    try:
+    with _output(ns) as fh:
         emit_screen(sel, names, fh, ns.format)
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -467,25 +467,17 @@ def _cmd_infer(ns) -> int:
         sigma = estimate_sigma(data, screened[0])
     config = ModelConfig(r=ns.order, k=ns.topk, sigma=sigma, alpha=ns.alpha)
     report = infer(data, config, prune=prune, screened=screened)
-    fh, close = _open_output(ns)
-    try:
+    with _output(ns) as fh:
         emit_report(report, names, fh, ns.format)
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
 def _write_rows(rows, ns) -> None:
-    fh = sys.stdout if ns.output is None else open(ns.output, "w")
-    try:
+    with _output(ns) as fh:
         if ns.format == "json":
             write_rows_json(rows, fh)
         else:
             write_rows_csv(rows, fh)
-    finally:
-        if ns.output is not None:
-            fh.close()
 
 
 def _cmd_synth(ns) -> int:

@@ -1,13 +1,17 @@
 """Synthetic studies: error-rate comparisons and pruning-rate measurements.
 
-Three inference routes share the screening stage:
+Three inference routes test a top-k marginal screening:
 
 * ``PSI``   -- selective inference conditional on the screening event
   (:func:`selectree.inference.infer`);
-* ``OLS``   -- the naive route: screen and z-test on the same data, no
-  selection adjustment (known to over-reject);
+* ``OLS``   -- the naive route: z-test the features PSI's screening selected,
+  on the same data, with no selection adjustment (known to over-reject);
 * ``SPLIT`` -- data splitting: screen on one half, z-test on the held-out
   half (valid but uses half the data twice over).
+
+An FPR trial screens its full data once and hands that selection to both PSI
+and OLS; only SPLIT screens again, on its own half.  The OLS and SPLIT routes
+return the itemsets they declare significant.
 
 Every trial draws its data from an independent counter-based RNG stream keyed
 by ``(seed, trial_index)``, so studies are reproducible bit-for-bit regardless
@@ -33,7 +37,7 @@ from .inference import (
     infer,
 )
 from .itemsets import Dataset, Itemset, ModelConfig, feature_column, total_feature_count
-from .screening import marginal_screen
+from .screening import ScreeningResult, marginal_screen
 
 METHODS = ("PSI", "OLS", "SPLIT")
 
@@ -90,19 +94,6 @@ class SyntheticSpec:
         )
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    method: str
-    selected: tuple[Itemset, ...]
-    significant: tuple[Itemset, ...]
-    elapsed: float
-    nodes_visited: int
-
-    def __post_init__(self) -> None:
-        if not set(self.significant) <= set(self.selected):
-            raise ValueError("significant features must be a subset of selected")
-
-
 def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
     """Independent counter-based stream for one trial."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(trial_index,))
@@ -141,38 +132,19 @@ def _z_test(
     return p, p < alpha
 
 
-def psi_inference(data: Dataset, config: ModelConfig, prune: bool = True) -> TrialOutcome:
-    """Selective inference; nodes_visited sums the screening walk and every
-    coefficient's truncation walk."""
-    t0 = time.perf_counter()
-    report = infer(data, config, prune=prune)
-    elapsed = time.perf_counter() - t0
-    selected = tuple(report.screening.selected)
-    significant = tuple(f.itemset for f in report.features if f.significant)
-    visited = report.screen_metrics.nodes_visited + sum(
-        f.interval.metrics.nodes_visited for f in report.features
-    )
-    return TrialOutcome("PSI", selected, significant, elapsed, visited)
-
-
-def naive_ols_inference(data: Dataset, config: ModelConfig) -> TrialOutcome:
-    """Screen and test on the same data with no selection adjustment."""
+def naive_ols_inference(
+    data: Dataset, config: ModelConfig, sel: ScreeningResult
+) -> tuple[Itemset, ...]:
+    """z-test the selection ``sel`` made on ``data``, on the same data, with
+    no selection adjustment."""
     if config.sigma is None:
         raise ValueError("naive_ols_inference requires a known sigma")
-    t0 = time.perf_counter()
-    sel, metrics = marginal_screen(data, config.k, config.r)
     X = np.column_stack([feature_column(it, data.Z) for it in sel.selected])
     _, sig_mask = _z_test(X, data.y, config.sigma, config.alpha)
-    elapsed = time.perf_counter() - t0
-    significant = tuple(
-        it for it, s in zip(sel.selected, sig_mask) if s
-    )
-    return TrialOutcome(
-        "OLS", tuple(sel.selected), significant, elapsed, metrics.nodes_visited
-    )
+    return tuple(it for it, s in zip(sel.selected, sig_mask) if s)
 
 
-def split_inference(data: Dataset, config: ModelConfig, seed) -> TrialOutcome:
+def split_inference(data: Dataset, config: ModelConfig, seed) -> tuple[Itemset, ...]:
     """Screen on a seeded half of the rows, z-test on the held-out half.
 
     The screening half gets ceil(n/2) rows of a seeded permutation.  ``seed``
@@ -182,24 +154,17 @@ def split_inference(data: Dataset, config: ModelConfig, seed) -> TrialOutcome:
         raise ValueError("data splitting needs at least two rows")
     if config.sigma is None:
         raise ValueError("split_inference requires a known sigma")
-    t0 = time.perf_counter()
     perm = np.random.default_rng(seed).permutation(data.n)
     cut = (data.n + 1) // 2
     screen_rows = np.sort(perm[:cut])
     test_rows = np.sort(perm[cut:])
     half = Dataset(data.Z[screen_rows], data.y[screen_rows])
-    sel, metrics = marginal_screen(half, config.k, config.r)
+    sel, _ = marginal_screen(half, config.k, config.r)
     X = np.column_stack(
         [feature_column(it, data.Z[test_rows]) for it in sel.selected]
     )
     _, sig_mask = _z_test(X, data.y[test_rows], config.sigma, config.alpha)
-    elapsed = time.perf_counter() - t0
-    significant = tuple(
-        it for it, s in zip(sel.selected, sig_mask) if s
-    )
-    return TrialOutcome(
-        "SPLIT", tuple(sel.selected), significant, elapsed, metrics.nodes_visited
-    )
+    return tuple(it for it, s in zip(sel.selected, sig_mask) if s)
 
 
 # ---------------------------------------------------------------------------
@@ -247,10 +212,10 @@ def _split_seed(spec: SyntheticSpec, trial_index: int) -> np.random.SeedSequence
 def _fpr_trial(spec: SyntheticSpec, t: int) -> dict:
     data = gen_synthetic(spec, t)
     config = spec.config()
+    screened = marginal_screen(data, config.k, config.r)
     out: dict = {}
     try:
-        psi_t0 = time.perf_counter()
-        report = infer(data, config)
+        report = infer(data, config, screened=screened)
         out["PSI"] = sum(f.significant for f in report.features) / spec.k
         # One pivot per trial, from the lexicographically smallest selected
         # itemset: that choice depends on y only through the selection event
@@ -258,16 +223,14 @@ def _fpr_trial(spec: SyntheticSpec, t: int) -> dict:
         # (The top-|score| feature's pivot is NOT uniform -- ranking within
         # the selected set is extra data-dependent selection.)
         out["pivot"] = min(report.features, key=lambda f: f.itemset).pivot
-        out["psi_elapsed"] = time.perf_counter() - psi_t0
     except (SingularGramError, DegenerateTruncationError):
         out["PSI"] = None
     try:
-        out["OLS"] = len(naive_ols_inference(data, config).significant) / spec.k
+        out["OLS"] = len(naive_ols_inference(data, config, screened[0])) / spec.k
     except SingularGramError:
         out["OLS"] = None
     try:
-        split = split_inference(data, config, _split_seed(spec, t))
-        out["SPLIT"] = len(split.significant) / spec.k
+        out["SPLIT"] = len(split_inference(data, config, _split_seed(spec, t))) / spec.k
     except SingularGramError:
         out["SPLIT"] = None
     return out
@@ -286,7 +249,7 @@ def _tpr_trial(spec: SyntheticSpec, t: int) -> dict:
         out["PSI"] = None
     try:
         split = split_inference(data, config, _split_seed(spec, t))
-        out["SPLIT"] = float(targets <= set(split.significant))
+        out["SPLIT"] = float(targets <= set(split))
     except SingularGramError:
         out["SPLIT"] = None
     return out

@@ -11,7 +11,7 @@ import types
 
 import numpy as np
 
-from selectree import inference, oracle
+from selectree import cli, experiments, inference, oracle
 from selectree.itemsets import Dataset, feature_column
 from selectree.screening import marginal_screen
 
@@ -55,3 +55,17 @@ def test_truncation_points_reports_the_traced_metrics(tiny):
     assert counts["inference.truncation_calls"] == 1
     assert counts["inference.truncation_nodes_visited"] == iv.metrics.nodes_visited > 0
     assert counts["inference.truncation_total_nodes"] == iv.metrics.total_nodes == 2 * 6
+
+
+def test_fpr_trial_is_traced_with_one_full_data_screening():
+    # null_study's operation: PSI and OLS share one screening, SPLIT screens
+    # its half, and the OLS and SPLIT routes still record their own spans.
+    tracer = _load_tracer().Tracer()
+    spec = experiments.SyntheticSpec(n=40, d=8, r=2, k=3, sparsity=0.5, sigma=0.3,
+                                     seed=5, trials=1)
+    modules = {"cli": cli, "inference": inference, "experiments": experiments}
+    with tracer.active(modules):
+        experiments.run_fpr_study(spec)
+    assert tracer.counts["screening.calls"] == 2
+    names = {span[0] for span in tracer.spans}
+    assert {"experiments.ols", "experiments.split"} <= names

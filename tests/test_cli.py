@@ -14,6 +14,7 @@ from selectree.cli import (
     binarize_continuous,
     binarize_table,
     emit_report,
+    emit_screen,
     estimate_sigma,
     ingest_csv,
     main,
@@ -22,6 +23,7 @@ from selectree.cli import (
 )
 from selectree.inference import infer
 from selectree.itemsets import Dataset, ModelConfig
+from selectree.oracle import oracle_screen
 from selectree.screening import marginal_screen
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "interactions.csv")
@@ -227,6 +229,57 @@ class TestReportRoundTrip:
         with open(pc, "w") as fh:
             emit_report(report, names, fh, "csv")
         assert parse_report(pj, "json") == parse_report(pc, "csv")
+
+    @pytest.mark.parametrize("emit", [emit_report, emit_screen])
+    def test_unknown_format_is_rejected(self, report, emit):
+        what = report if emit is emit_report else report.screening
+        fh = io.StringIO()
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            emit(what, ["a", "b", "c"], fh, "xml")
+        assert fh.getvalue() == ""
+
+
+class TestAllZeroResponse:
+    """y == 0: every score ties at 0 and every truncation window collapses."""
+
+    @pytest.fixture()
+    def data(self):
+        rng = np.random.default_rng(4)
+        return Dataset((rng.random((12, 4)) < 0.5).astype(np.float64), np.zeros(12))
+
+    @pytest.fixture()
+    def path(self, tmp_path, data):
+        lines = ["a,b,c,d,y"] + [
+            ",".join(f"{v:g}" for v in row) + ",0" for row in data.Z
+        ]
+        return _write(tmp_path, "\n".join(lines) + "\n")
+
+    def test_infer_raises_degenerate_truncation(self, data):
+        with pytest.raises(inference.DegenerateTruncationError):
+            infer(data, ModelConfig(r=2, k=3, sigma=1.0))
+
+    @pytest.mark.parametrize(
+        "sigma,reason", [("1", "collapsed"), ("estimate", "exact fit")]
+    )
+    def test_cli_infer_exits_3(self, path, capsys, sigma, reason):
+        rc = main(["infer", "--input", path, "--topk", "3", "--order", "2",
+                   "--sigma", sigma])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert "degenerate instance" in err and reason in err
+        assert "Traceback" not in err
+
+    def test_cli_screen_keeps_the_first_itemsets(self, path, data, tmp_path):
+        out = tmp_path / "sel.json"
+        rc = main(["screen", "--input", path, "--topk", "3", "--order", "2",
+                   "--output", str(out)])
+        assert rc == 0
+        ref = oracle_screen(data, 3, 2)
+        assert [it.indices for it in ref.selected] == [(1,), (1, 2), (1, 3)]
+        assert ref.scores == (0.0,) * 3 and ref.signs == (1,) * 3
+        rows = json.loads(out.read_text())
+        assert [row["itemset"] for row in rows] == [["a"], ["a", "b"], ["a", "c"]]
+        assert [(row["score"], row["sign"]) for row in rows] == [(0.0, 1)] * 3
 
 
 class TestMainExitCodes:

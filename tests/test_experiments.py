@@ -3,20 +3,21 @@ import pytest
 from numpy.testing import assert_array_equal
 from scipy.special import ndtr
 
+from selectree import experiments, inference
 from selectree.experiments import (
     SyntheticSpec,
-    TrialOutcome,
     _z_test,
     gen_synthetic,
     naive_ols_inference,
-    psi_inference,
     run_fpr_study,
     run_perf_study,
     run_tpr_study,
     split_inference,
     trial_rng,
 )
+from selectree.inference import infer
 from selectree.itemsets import Itemset, feature_column
+from selectree.screening import marginal_screen
 
 
 SMALL = SyntheticSpec(n=40, d=8, r=2, k=3, sparsity=0.5, sigma=0.3, seed=5, trials=6)
@@ -125,54 +126,85 @@ class TestZTest:
         assert p[0] == pytest.approx(p0[0], rel=1e-12)
 
 
-class TestTrialOutcome:
-    def test_significant_must_be_selected(self):
-        with pytest.raises(ValueError):
-            TrialOutcome(
-                method="PSI",
-                selected=(Itemset((1,)),),
-                significant=(Itemset((2,)),),
-                elapsed=0.0,
-                nodes_visited=0,
-            )
+def _recording_screen(monkeypatch):
+    """Route every screening the studies make, including the one ``infer``
+    makes when it gets none, through a recorder; returns the list of
+    (dataset, selection) pairs."""
+    calls = []
+
+    def screen(data, *args, **kwargs):
+        result = marginal_screen(data, *args, **kwargs)
+        calls.append((data, result[0]))
+        return result
+
+    monkeypatch.setattr(experiments, "marginal_screen", screen)
+    monkeypatch.setattr(inference, "marginal_screen", screen)
+    return calls
 
 
 class TestMethods:
     def test_psi_and_ols_share_the_screening_stage(self):
         data = gen_synthetic(SMALL, 0)
         cfg = SMALL.config()
-        assert psi_inference(data, cfg).selected == naive_ols_inference(data, cfg).selected
+        screened = marginal_screen(data, cfg.k, cfg.r)
+        sel = screened[0]
+        report = infer(data, cfg, screened=screened)
+        assert report.screening == sel
+        X = np.column_stack([feature_column(it, data.Z) for it in sel.selected])
+        _, mask = _z_test(X, data.y, cfg.sigma, cfg.alpha)
+        ols = naive_ols_inference(data, cfg, sel)
+        assert ols == tuple(it for it, s in zip(sel.selected, mask) if s)
 
     def test_psi_prune_toggle_is_invisible(self):
         data = gen_synthetic(SMALL, 1)
         cfg = SMALL.config()
-        fast = psi_inference(data, cfg, prune=True)
-        slow = psi_inference(data, cfg, prune=False)
-        assert fast.selected == slow.selected
-        assert fast.significant == slow.significant
-        assert fast.nodes_visited <= slow.nodes_visited
+        fast = infer(data, cfg, prune=True)
+        slow = infer(data, cfg, prune=False)
+        assert fast.screening == slow.screening
+        assert [f.significant for f in fast.features] == [
+            f.significant for f in slow.features
+        ]
+
+        def visited(report):
+            return report.screen_metrics.nodes_visited + sum(
+                f.interval.metrics.nodes_visited for f in report.features
+            )
+
+        assert visited(fast) <= visited(slow)
 
     def test_split_is_deterministic_in_seed(self):
         data = gen_synthetic(SMALL, 2)
         cfg = SMALL.config()
-        a = split_inference(data, cfg, seed=17)
-        b = split_inference(data, cfg, seed=17)
-        assert (a.selected, a.significant) == (b.selected, b.significant)
+        assert split_inference(data, cfg, seed=17) == split_inference(data, cfg, seed=17)
 
-    def test_split_screens_on_half_the_rows(self):
-        # with all rows identical, any half-sample selects the same features,
-        # so the split decision must match the full-data screen
+    def test_split_screens_on_half_the_rows(self, monkeypatch):
         spec = SyntheticSpec(n=30, d=4, r=1, k=2, sparsity=0.5, sigma=0.5, seed=8)
         data = gen_synthetic(spec, 0)
-        out = split_inference(data, spec.config(), seed=3)
-        assert len(out.selected) == 2
+        calls = _recording_screen(monkeypatch)
+        split_inference(data, spec.config(), seed=3)
+        [(half, sel)] = calls
+        assert half.n == 15
+        assert len(sel.selected) == 2
 
-    def test_methods_label_outcomes(self):
-        data = gen_synthetic(SMALL, 3)
-        cfg = SMALL.config()
-        assert psi_inference(data, cfg).method == "PSI"
-        assert naive_ols_inference(data, cfg).method == "OLS"
-        assert split_inference(data, cfg, seed=0).method == "SPLIT"
+    @pytest.mark.parametrize("trial", range(4))
+    def test_significant_is_a_subset_of_selected(self, monkeypatch, trial):
+        spec = SyntheticSpec(n=120, d=8, r=2, k=3, sparsity=0.3, sigma=0.05,
+                             truth={(1, 2): 2.0}, seed=2)
+        data = gen_synthetic(spec, trial)
+        cfg = spec.config()
+        sel, _ = marginal_screen(data, cfg.k, cfg.r)
+        ols = naive_ols_inference(data, cfg, sel)
+        assert ols and set(ols) <= set(sel.selected)
+        calls = _recording_screen(monkeypatch)
+        split = split_inference(data, cfg, seed=trial)
+        [(_, half_sel)] = calls
+        assert split and set(split) <= set(half_sel.selected)
+
+    def test_fpr_trial_screens_the_full_data_once(self, monkeypatch):
+        # one full-data screening shared by PSI and OLS, one on SPLIT's half
+        calls = _recording_screen(monkeypatch)
+        experiments._fpr_trial(SMALL, 0)
+        assert [data.n for data, _ in calls] == [SMALL.n, SMALL.n // 2]
 
 
 class TestStudies:

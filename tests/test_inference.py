@@ -513,3 +513,48 @@ class TestRescaling:
                         [f.p_value for f in ref.features], rtol=1e-9)
         assert_allclose([(f.ci_low, f.ci_high) for f in small.features],
                         [(a * f.ci_low, a * f.ci_high) for f in ref.features], rtol=1e-9)
+
+
+class TestRowPermutation:
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_permuted_rows_screen_and_infer_alike(self, seed):
+        # Row order is not part of the model.  The selection, its signs and
+        # the pruned walk's visits are the same.  The windows, p-values and
+        # CIs change only by summation order, so they agree to rtol=1e-9,
+        # except where rounding is amplified:
+        # * an endpoint that is 0 in exact arithmetic comes out as +-1e-16
+        #   either way; the pivot reads it only through (v - eta'y)/sd;
+        # * an upper-tail p-value is formed as 1 - pivot, good to ~1e-16;
+        # * thousands of sd from eta'y the pivot's log-space tails carry
+        #   ~1e-8 relative error, and bisection on the flat pivot passes it
+        #   to the CI endpoint.
+        rng = np.random.default_rng(seed)
+        data = random_instance(rng)
+        r = int(rng.integers(1, 4))
+        k = int(rng.integers(1, min(4, total_feature_count(data.d, r)) + 1))
+        perm = rng.permutation(data.n)
+        moved = Dataset(data.Z[perm], data.y[perm])
+        sel, metrics = marginal_screen(data, k, r)
+        moved_sel, moved_metrics = marginal_screen(moved, k, r)
+        assert moved_sel.selected == sel.selected
+        assert moved_sel.signs == sel.signs
+        assert moved_metrics.nodes_visited == metrics.nodes_visited
+        config = ModelConfig(r=r, k=k, sigma=1.0)
+        try:
+            ref = infer(data, config)
+        except (SingularGramError, DegenerateTruncationError) as exc:
+            with pytest.raises(type(exc)):
+                infer(moved, config)
+            return
+        got = infer(moved, config)
+        X = _design(sel, data.Z)
+        for j, (f, g) in enumerate(zip(ref.features, got.features), start=1):
+            sd = math.sqrt(contrast_for_coefficient(X, data.y, j, sigma=1.0).eta_var)
+            assert_allclose([g.interval.v_minus, g.interval.v_plus],
+                            [f.interval.v_minus, f.interval.v_plus],
+                            rtol=1e-9, atol=1e-9 * sd)
+            assert_allclose(g.p_value, f.p_value, rtol=1e-9, atol=1e-12)
+            for mine, theirs in ((g.ci_low, f.ci_low), (g.ci_high, f.ci_high)):
+                far = abs(theirs - f.beta_hat) > 1000 * sd
+                assert_allclose(mine, theirs, rtol=1e-6 if far else 1e-9)

@@ -26,14 +26,17 @@ looks for v_minus along c, e = 1 for v_minus along -c, and one offer rule,
 one subtree bound and one prune test serve both.
 
 All k contrasts share one pass of :func:`selectree.itemsets.walk_tree`,
-the depth-first walker screening runs on too.  At each node one batched
-matmul gives every contrast's sums, and all contrasts, both endpoints, both
-constraint orientations ("C1" rows -s_j x_j + x_l, "C2" rows
--s_j x_j - x_l) and all k selected features are scored and gated in one
-broadcast, with per-(contrast, endpoint, orientation, feature) activity
-masks as the walk state.  A subtree is entered while it is alive for any
-contrast; every contrast gets exactly the window, active constraints and
-visit count that a walk for it alone would give.
+the depth-first walker screening runs on too.  The walker forms each node's
+children on the node's support; the search scatters them back to full
+columns (``dense_columns``), and one batched matmul over all n rows gives
+every contrast's sums, so their bits do not depend on the support.  All
+contrasts, both endpoints, both constraint orientations ("C1" rows
+-s_j x_j + x_l, "C2" rows -s_j x_j - x_l) and all k selected features are
+scored and gated in one broadcast, with per-(contrast, endpoint,
+orientation, feature) activity masks as the walk state.  A subtree is
+entered while it is alive for any contrast; every contrast gets exactly the
+window, active constraints and visit count that a walk for it alone would
+give.
 Pruning never changes the endpoints: the subtree tests use the same slack
 rule as screening (``PRUNE_SLACK``), which dwarfs floating-point noise, so
 any skipped ratio is strictly non-improving.
@@ -55,6 +58,7 @@ from .itemsets import (
     Itemset,
     TraversalMetrics,
     column_score,
+    dense_columns,
     feature_column,
     sign_split,
     total_feature_count,
@@ -291,6 +295,7 @@ def truncation_windows(
     t0 = time.perf_counter()
 
     y = data.y
+    n = len(y)
     if columns is None:
         columns = np.stack([feature_column(it, data.Z) for it in sel.selected])
     ZT = np.ascontiguousarray(data.Z.T)
@@ -299,7 +304,7 @@ def truncation_windows(
     # matmul below runs the same product per slice as a lone contrast's
     # ``block @ W[q]``, so every contrast sees the same sums bit for bit; one
     # wide (n, 3 + 3K) product would round differently.
-    W = np.empty((K, len(y), 6))
+    W = np.empty((K, n, 6))
     W[:, :, 0] = y
     W[:, :, 1] = C
     W[:, :, 2], W[:, :, 3] = sign_split(y)
@@ -342,8 +347,11 @@ def truncation_windows(
     half_tol = 0.5 * DENOM_TOL
     rho5 = rho_e[:, :, None, None, :]
 
-    def expand(parent, start, block, act, leaves):
+    def expand(parent, start, rows, block, act, leaves):
         # act: bool (K, 2, 2, k) = (contrast, endpoint, orientation C1/C2, feature j)
+        # The sums come from the full columns, so that they and the windows
+        # keep the bits of a walk that forms every column over all n rows.
+        block = dense_columns(rows, block, n)
         m = block.shape[0]
         # rows: xy, xc, sy_pos, sy_neg, sc_pos, sc_neg
         M = np.matmul(block, W).transpose(0, 2, 1)  # (K, 6, m)

@@ -30,6 +30,7 @@ __all__ = [
     "total_feature_count",
     "TraversalMetrics",
     "walk_tree",
+    "dense_columns",
     "PRUNE_SLACK",
 ]
 
@@ -97,6 +98,10 @@ class Dataset:
             raise ValueError("covariate values must lie in [0, 1]")
         if not np.all(np.isfinite(y)):
             raise ValueError("response contains non-finite entries")
+        # Store -0.0 as +0.0, so that every feature column is +0.0 off its
+        # support, however it was formed (see ``dense_columns``).
+        if np.signbit(Z).any():
+            Z = Z + 0.0
         object.__setattr__(self, "Z", Z)
         object.__setattr__(self, "y", y)
 
@@ -142,11 +147,18 @@ class ModelConfig:
 
 @dataclass
 class TraversalMetrics:
-    """Workload counters for one tree search."""
+    """Workload counters for one tree search.
+
+    ``exact_scores`` counts the children that screening's gate sent to
+    :func:`column_score`; the other children were ruled out of the top k by
+    their approximate score alone.  The truncation search scores no
+    candidates this way and leaves it at 0.
+    """
 
     nodes_visited: int = 0
     total_nodes: int = 0
     elapsed: float = 0.0
+    exact_scores: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -163,10 +175,19 @@ def walk_tree(
 
     ``ZT`` is the transposed covariate matrix (d x n, C-contiguous).  A node's
     children append one index above the node's largest, so every itemset of
-    order 1..r is reached exactly once and in lexicographic order.  At each
-    node the walker forms all children's columns in one block,
-    ``block = ZT[start:] * parent_col`` (row i is child
-    ``parent + (start + 1 + i,)``), and hands it to ``expand`` together with
+    order 1..r is reached exactly once and in lexicographic order.
+
+    Each node carries its column's support: ``rows``, the sorted rows where
+    the column is nonzero, and ``vals``, its values there.  A row where a
+    column is zero stays zero in every descendant, so the walker forms all
+    children's columns on the support alone, as one compact block
+    ``block = ZT[start:, rows] * vals`` (row i is child
+    ``parent + (start + 1 + i,)``), and a child's support is
+    ``rows[block[i] != 0]``.  The root carries every row, with value one.
+    ``dense_columns(rows, block, n)`` rebuilds the children's full columns,
+    bit for bit those of :func:`feature_column`.
+
+    The walker hands ``expand(parent, start, rows, block, state, leaves)``
     the node's ``state`` and ``leaves`` (true when the children are at order
     ``r`` and have no subtrees).  ``expand`` scores the children and then
     lazily yields ``(i, child_state)`` for each child whose subtree must be
@@ -175,15 +196,32 @@ def walk_tree(
     """
     d, n = ZT.shape
 
-    def visit(parent: tuple[int, ...], parent_col: np.ndarray, state: Any) -> None:
+    def visit(parent: tuple[int, ...], rows: np.ndarray, vals: np.ndarray, state: Any) -> None:
         start = parent[-1] if parent else 0
-        block = ZT[start:] * parent_col
+        block = ZT[start:, rows]  # fancy indexing copies, so scale in place
+        block *= vals
         leaves = len(parent) + 1 == r
-        for i, child_state in expand(parent, start, block, state, leaves):
+        for i, child_state in expand(parent, start, rows, block, state, leaves):
             if not leaves and start + 1 + i < d:
-                visit(parent + (start + 1 + i,), block[i], child_state)
+                col = block[i]
+                nz = col.nonzero()[0]
+                visit(parent + (start + 1 + i,), rows[nz], col[nz], child_state)
 
-    visit((), np.ones(n, dtype=np.float64), state)
+    visit((), np.arange(n), np.ones(n, dtype=np.float64), state)
+
+
+def dense_columns(rows: np.ndarray, block: np.ndarray, n: int) -> np.ndarray:
+    """Scatter compact columns back to length ``n``: ``block``'s last axis
+    lands on ``rows`` and every other entry is +0.0.
+
+    For a block that :func:`walk_tree` formed, the result is bit-identical to
+    :func:`feature_column` of each child: the same products land on the same
+    rows, and the column is +0.0 everywhere else (``Dataset`` stores no
+    negative zeros).
+    """
+    out = np.zeros(block.shape[:-1] + (n,), dtype=np.float64)
+    out[..., rows] = block
+    return out
 
 
 def column_score(col: np.ndarray, v: np.ndarray) -> float:

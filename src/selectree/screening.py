@@ -3,16 +3,32 @@
 The screener returns the k features with the largest |x_j^T y| among all
 D = sum_{rho<=r} C(d,rho) interaction features without ever materializing the
 design matrix.  The search runs on :func:`selectree.itemsets.walk_tree`, the
-depth-first walker it shares with the truncation search; at each node it
-knows the sign-partitioned sums
+depth-first walker it shares with the truncation search, which hands each
+node its children's columns on the node's support only.  One product
+``block @ W[rows]`` with ``W = [y, y+, y-]`` gives every child an approximate
+score x^T y and the sign-partitioned sums
 
     sy_pos = sum_{i: y_i>0} x_i y_i,      sy_neg = -sum_{i: y_i<0} x_i y_i,
 
 and max(sy_pos, sy_neg) bounds |x_l^T y| for every descendant l (descending
 multiplies the column by further [0,1] factors, so both sums can only
-shrink).  Once k candidates are on the heap, any subtree whose bound falls
-below the running k-th best absolute score (by more than the scale-free
-``PRUNE_SLACK`` margin) cannot contribute and is skipped.
+shrink).
+
+Both uses of these sums are two-stage gates, and both are exact.  Once k
+candidates are on the heap, only a child whose approximate |score| reaches
+the k-th best absolute score, less the scale-free ``PRUNE_SLACK`` margin, is
+scored exactly (``column_score`` on its full column) and offered to the heap;
+and only a subtree whose bound reaches it is entered, each survivor of the
+vectorized test being re-tested against the live threshold first.  This
+cannot change the result:
+
+- the slack dwarfs the product's rounding, so a child the gate rules out
+  scores strictly below the threshold, and no descendant of a pruned
+  subtree reaches it;
+- the threshold only grows while a node is expanded, so gating against an
+  earlier one only admits more children;
+- ``np.dot`` on the full column, the kernel the brute-force enumeration
+  uses, still makes every heap decision.
 
 Determinism contract: ties in |score| are broken lexicographically (smaller
 itemset wins), a zero score gets sign +1, and the selected scores are computed
@@ -34,6 +50,7 @@ from .itemsets import (
     Itemset,
     TraversalMetrics,
     column_score,
+    dense_columns,
     sign_split,
     total_feature_count,
     walk_tree,
@@ -75,9 +92,10 @@ def marginal_screen(
 ) -> tuple[ScreeningResult, TraversalMetrics]:
     """Exact top-k screening by pruned depth-first search.
 
-    With ``prune=False`` the search degrades to full enumeration; the output
-    is identical either way (the bound is only ever used to skip subtrees
-    that provably cannot reach the current threshold).
+    With ``prune=False`` the search degrades to full enumeration and scores
+    every child exactly; the output is identical either way (the gates only
+    ever skip children and subtrees that provably cannot reach the current
+    threshold).  ``metrics.exact_scores`` counts the children scored exactly.
     """
     D = total_feature_count(data.d, r)
     if k < 1:
@@ -88,22 +106,36 @@ def marginal_screen(
     t0 = time.perf_counter()
     ZT = np.ascontiguousarray(data.Z.T)
     y = data.y
-    y_pos, y_neg = sign_split(y)
-    W = np.stack([y_pos, y_neg], axis=1)  # (n, 2) for batched subtree bounds
+    n = len(y)
+    W = np.stack([y, *sign_split(y)], axis=1)  # (n, 3): [y, y+, y-]
     ysum = float(np.abs(y).sum())
+
+    def cut(thresh: float) -> float:
+        # Below this, a score or bound provably misses the k-th best |score|.
+        return thresh - PRUNE_SLACK * (ysum + thresh)
 
     # Min-heap of (|score|, tie_key, score, itemset); the root is the current
     # k-th best, i.e. the first to be evicted.
     heap: list[tuple[float, tuple[int, ...], float, tuple[int, ...]]] = []
     visited = 0
+    exact = 0
 
-    def expand(parent, start, block, state, leaves):
-        nonlocal visited
+    def expand(parent, start, rows, block, state, leaves):
+        nonlocal visited, exact
         m = block.shape[0]
         visited += m
-        for i in range(m):
+        # Per child: approximate x'y, then sy_pos and sy_neg for the bound.
+        sums = block @ W[rows]
+
+        # Only a child whose approximate |score| reaches the k-th best (less
+        # the slack) can enter the heap; it gets the exact score.
+        cand = range(m)
+        if prune and len(heap) == k:
+            cand = np.flatnonzero(np.abs(sums[:, 0]) >= cut(heap[0][0])).tolist()
+        exact += len(cand)
+        for i in cand:
             child = parent + (start + 1 + i,)
-            s = column_score(block[i], y)
+            s = column_score(dense_columns(rows, block[i], n), y)
             entry = (abs(s), _tie_key(child), s, child)
             if len(heap) < k:
                 heapq.heappush(heap, entry)
@@ -112,13 +144,19 @@ def marginal_screen(
 
         if leaves:
             return
-        bounds = block @ W  # (m, 2): per-child sy_pos, sy_neg
-        for i in range(m):
-            if prune and len(heap) == k:
-                thresh = heap[0][0]
-                bound = max(bounds[i, 0], bounds[i, 1])
-                if bound < thresh - PRUNE_SLACK * (ysum + thresh):
-                    continue
+        if not prune:
+            yield from ((i, None) for i in range(m))
+            return
+        bounds = np.maximum(sums[:, 1], sums[:, 2])
+        # Gate all children against the threshold as it stands, then re-test
+        # each survivor against the live one, which earlier siblings'
+        # subtrees may have raised, before the walk enters it.
+        keep = range(m)
+        if len(heap) == k:
+            keep = np.flatnonzero(bounds >= cut(heap[0][0])).tolist()
+        for i in keep:
+            if len(heap) == k and bounds[i] < cut(heap[0][0]):
+                continue
             yield i, None
 
     walk_tree(ZT, r, expand, None)
@@ -137,5 +175,6 @@ def marginal_screen(
         nodes_visited=visited,
         total_nodes=D,
         elapsed=time.perf_counter() - t0,
+        exact_scores=exact,
     )
     return result, metrics

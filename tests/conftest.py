@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from selectree.itemsets import Dataset, column_score, walk_tree
+from selectree.itemsets import Dataset, column_score, dense_columns, walk_tree
 
 
 @pytest.fixture
@@ -32,17 +32,37 @@ def random_instance(rng: np.random.Generator, n_max=30, d_max=10):
     return Dataset(Z, y)
 
 
+def degenerate_designs():
+    """Inputs handed straight to ``Dataset`` whose top 3 (r=2) includes
+    identical columns, so the selected Gram matrix is singular: duplicate
+    covariate columns, a constant all-ones column (so {1,3} equals {1}), and
+    a single row."""
+    rng = np.random.default_rng(3)
+    Z = (rng.random((30, 5)) < 0.5).astype(np.float64)
+    y = 2.0 * Z[:, 0] + 0.1 * rng.standard_normal(30)
+    dup, ones = Z.copy(), Z.copy()
+    dup[:, 1] = Z[:, 0]
+    ones[:, 2] = 1.0
+    return {
+        "duplicate_columns": Dataset(dup, y),
+        "all_ones_column": Dataset(ones, y),
+        "single_row": Dataset(np.array([[1.0, 0.0, 1.0]]), np.array([0.7])),
+    }
+
+
 def walk_every_node(Z, r, W, y):
     """Run ``walk_tree`` over the whole tree (no pruning) and record, per
-    itemset: its column as the walk formed it, its row of the walk's own
-    ``block @ W`` sums, and its ``column_score`` against y.  Insertion order
-    is the walk's visiting order."""
+    itemset: its full column, rebuilt from the walk's compact block, its row
+    of the walk's own ``block @ W[rows]`` sums, and its ``column_score``
+    against y.  Insertion order is the walk's visiting order."""
     nodes = {}
+    n = Z.shape[0]
 
-    def expand(parent, start, block, state, leaves):
-        sums = block @ W
+    def expand(parent, start, rows, block, state, leaves):
+        cols = dense_columns(rows, block, n)
+        sums = block @ W[rows]
         for i in range(block.shape[0]):
-            nodes[parent + (start + 1 + i,)] = (block[i], sums[i], column_score(block[i], y))
+            nodes[parent + (start + 1 + i,)] = (cols[i], sums[i], column_score(cols[i], y))
             yield i, None
 
     walk_tree(np.ascontiguousarray(Z.T), r, expand, None)

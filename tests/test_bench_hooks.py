@@ -43,6 +43,17 @@ def test_oracle_screen_reads_only_z_y_d():
     assert ref == sel
 
 
+def test_marginal_screen_reports_the_traced_metrics(tiny):
+    # The tracer reads nodes_visited and total_nodes off the metrics half of
+    # the traced screening.marginal_screen's (result, metrics) pair.
+    result = marginal_screen(tiny, 2, 2)
+    counts = collections.Counter()
+    _load_tracer()._traversal_counts("screening.marginal_screen", result, counts)
+    assert counts["screening.calls"] == 1
+    assert counts["screening.nodes_visited"] == result[1].nodes_visited > 0
+    assert counts["screening.total_nodes"] == result[1].total_nodes == 6
+
+
 def test_truncation_points_reports_the_traced_metrics(tiny):
     # The tracer reads nodes_visited and total_nodes off the result of the
     # traced inference.truncation_points.

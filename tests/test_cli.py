@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
+from conftest import degenerate_designs
 from selectree import cli, inference
 from selectree.cli import (
     DataError,
@@ -280,6 +281,21 @@ class TestAllZeroResponse:
         rows = json.loads(out.read_text())
         assert [row["itemset"] for row in rows] == [["a"], ["a", "b"], ["a", "c"]]
         assert [(row["score"], row["sign"]) for row in rows] == [(0.0, 1)] * 3
+
+
+@pytest.mark.parametrize("name", sorted(degenerate_designs()))
+def test_degenerate_design_infer_exits_3(tmp_path, capsys, name):
+    data = degenerate_designs()[name]
+    lines = [",".join(f"z{j}" for j in range(1, data.d + 1)) + ",y"] + [
+        ",".join(repr(float(v)) for v in row) + "," + repr(float(t))
+        for row, t in zip(data.Z, data.y)
+    ]
+    path = _write(tmp_path, "\n".join(lines) + "\n")
+    rc = main(["infer", "--input", path, "--topk", "3", "--order", "2", "--sigma", "1"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert "singular Gram matrix" in err
+    assert "Traceback" not in err
 
 
 class TestMainExitCodes:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import random_instance
+from conftest import degenerate_designs, random_instance
 from selectree import inference, oracle
 from selectree.inference import (
     DegenerateTruncationError,
@@ -490,6 +490,19 @@ class TestInfer:
         with pytest.raises(ValueError, match="k = 2"):
             infer(tiny, ModelConfig(r=2, k=2, sigma=1.0),
                   screened=marginal_screen(tiny, 1, 2))
+
+
+class TestDegenerateDesigns:
+    @pytest.mark.parametrize("name", sorted(degenerate_designs()))
+    def test_screening_matches_oracle_and_infer_raises(self, name):
+        data = degenerate_designs()[name]
+        ref = oracle.oracle_screen(data, 3, 2)
+        for prune in (True, False):
+            sel, _ = marginal_screen(data, 3, 2, prune=prune)
+            assert sel == ref
+            assert [s.hex() for s in sel.scores] == [s.hex() for s in ref.scores]
+        with pytest.raises(SingularGramError, match="singular Gram matrix"):
+            infer(data, ModelConfig(r=2, k=3, sigma=1.0))
 
 
 class TestRescaling:

@@ -12,6 +12,7 @@ from selectree.itemsets import (
     Dataset,
     Itemset,
     ModelConfig,
+    dense_columns,
     feature_column,
     sign_split,
     total_feature_count,
@@ -50,7 +51,7 @@ def _children(d, r):
     everywhere; a node it never expands has no children."""
     kids = {}
 
-    def expand(parent, start, block, state, leaves):
+    def expand(parent, start, rows, block, state, leaves):
         kids[parent] = [Itemset(parent + (start + 1 + i,)) for i in range(block.shape[0])]
         yield from ((i, None) for i in range(block.shape[0]))
 
@@ -76,10 +77,11 @@ class TestChildren:
         # itemset once, in lexicographic (= depth-first) order.
         seen = []
 
-        def expand(parent, start, block, state, leaves):
+        def expand(parent, start, rows, block, state, leaves):
             assert state == len(parent)
             assert leaves == (len(parent) + 1 == r)
             assert block.shape == (d - start, 2)
+            assert rows.tolist() == [0, 1]
             for i in range(block.shape[0]):
                 seen.append(parent + (start + 1 + i,))
                 yield i, state + 1
@@ -170,9 +172,9 @@ class TestModelConfig:
 
 
 class TestNodeStats:
-    """The per-node statistics the truncation walk forms: each child's column
-    as a row of ``block``, and its sign-partitioned sums as a row of
-    ``block @ W``."""
+    """The per-node statistics the walks form: each child's full column,
+    rebuilt from a row of the compact ``block``, and its sign-partitioned
+    sums as a row of ``block @ W[rows]`` (with the truncation's ``W``)."""
 
     @staticmethod
     def _W(y, c):
@@ -190,19 +192,38 @@ class TestNodeStats:
             assert sums[4] - sums[5] == pytest.approx(sums[1])
             assert (sums[2:] >= 0).all()
 
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=20, deadline=None)
-    def test_descend_equals_from_scratch(self, seed):
-        # The walk builds each column by one multiplication of its parent's;
-        # the result is bit-identical to materializing it from scratch.
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 12),
+        d=st.integers(1, 6),
+        density=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+        binary=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_descend_equals_from_scratch(self, seed, n, d, density, binary):
+        # The walk builds each column by one multiplication of its parent's,
+        # on the parent's support only.  Rebuilt to full length, the column
+        # is bit-identical to materializing it from scratch, and the rows a
+        # node carries are exactly its column's nonzero support.
         rng = np.random.default_rng(seed)
-        Z = rng.random((9, 5))
-        y = rng.standard_normal(9)
-        nodes = walk_every_node(Z, 3, self._W(y, y), y)
-        for itemset, (col, _, score) in nodes.items():
-            direct = feature_column(itemset, Z)
-            assert np.array_equal(col, direct)
-            assert score == float(np.dot(direct, y))
+        Z = rng.random((n, d)) * (rng.random((n, d)) < density)
+        if binary:
+            Z = (Z > 0).astype(np.float64)
+        Z = Dataset(Z, np.zeros(n)).Z
+        supports = {}
+
+        def expand(parent, start, rows, block, state, leaves):
+            supports[parent] = rows
+            cols = dense_columns(rows, block, n)
+            for i in range(block.shape[0]):
+                child = parent + (start + 1 + i,)
+                assert cols[i].tobytes() == feature_column(child, Z).tobytes()
+                yield i, None
+
+        walk_tree(np.ascontiguousarray(Z.T), 4, expand, None)
+        assert supports[()].tolist() == list(range(n))
+        for node, rows in supports.items():
+            assert rows.tolist() == np.flatnonzero(feature_column(node, Z)).tolist()
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

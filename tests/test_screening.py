@@ -5,8 +5,36 @@ from hypothesis import strategies as st
 
 from conftest import random_instance, walk_every_node
 from selectree import oracle
-from selectree.itemsets import Dataset, Itemset, sign_split, total_feature_count
+from selectree.cli import binarize_table
+from selectree.experiments import SyntheticSpec, gen_synthetic
+from selectree.inference import contrast_for_coefficient, truncation_points
+from selectree.itemsets import Dataset, Itemset, feature_column, sign_split, total_feature_count
 from selectree.screening import marginal_screen
+
+
+def _benchmark_shape(name, seed):
+    """A seeded instance shaped like one of the benchmark's workloads, and
+    its k (r is 3 for all three)."""
+    rng = np.random.default_rng(seed)
+    if name == "wide_sparse":  # n=400, d=100, sparsity 0.9, noise response
+        Z = (rng.random((400, 100)) < 0.1).astype(np.float64)
+        return Dataset(Z, 0.1 * rng.standard_normal(400)), 10
+    if name == "tall_noise":  # 12,500 rows, 20 columns binarized into 40
+        Z = rng.standard_normal((12_500, 20))
+        y = rng.standard_normal(12_500)
+        _, Zb = binarize_table([f"x{j}" for j in range(20)], Z)
+        return Dataset(Zb, y), 30
+    spec = SyntheticSpec(n=100, d=50, r=3, k=10, sparsity=0.5, sigma=0.1, seed=seed)
+    return gen_synthetic(spec, 0), 10
+
+
+def _assert_matches_oracle(data, k, r):
+    ref = oracle.oracle_screen(data, k, r)
+    for prune in (True, False):
+        sel, _ = marginal_screen(data, k, r, prune=prune)
+        assert sel.selected == ref.selected
+        assert [s.hex() for s in sel.scores] == [s.hex() for s in ref.scores]
+        assert sel.signs == ref.signs
 
 
 class TestTinyExample:
@@ -72,6 +100,105 @@ class TestBound:
             for other, (_, _, score) in nodes.items():
                 if other[: len(itemset)] == itemset:
                     assert abs(score) <= bound
+
+
+class TestBenchmarkShapes:
+    @pytest.mark.parametrize(
+        "name,visits",
+        [("wide_sparse", 5011), ("tall_noise", 10320), ("null_study", 10211)],
+    )
+    def test_visit_counts_are_pinned(self, name, visits):
+        # These are the counts of the walk that scored every child exactly
+        # and bounded it from sums over all n rows.  A gate that let the
+        # approximate scores or the support-compacted bounds decide a prune
+        # the exact walk would not make moves them.
+        data, k = _benchmark_shape(name, seed=1)
+        _, metrics = marginal_screen(data, k, 3)
+        assert (data.n, data.d) == {
+            "wide_sparse": (400, 100), "tall_noise": (12_500, 40), "null_study": (100, 50)
+        }[name]
+        assert metrics.nodes_visited == visits
+
+
+class TestGateHazards:
+    """Inputs where the score gate and the subtree gate meet exact ties."""
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_ternary_response_on_binary_covariates(self, seed):
+        # y in {-1, 0, 1} on 0/1 columns: scores are small integers, so many
+        # tie at the k-th score, on both sides of the prune threshold.
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(1, 16)), int(rng.integers(1, 7))
+        Z = (rng.random((n, d)) < rng.uniform(0.2, 0.9)).astype(np.float64)
+        y = rng.integers(-1, 2, n).astype(np.float64)
+        r = int(rng.integers(1, 4))
+        k = int(rng.integers(1, min(8, total_feature_count(d, r)) + 1))
+        _assert_matches_oracle(Dataset(Z, y), k, r)
+
+    @pytest.mark.parametrize("k", [1, 4, 9])
+    def test_zero_response_with_zero_column(self, k):
+        # Every score and bound is 0, so the threshold stays 0 and the
+        # zero-support subtrees below column 1 must still be walked: their
+        # itemsets come first lexicographically.
+        Z = (np.random.default_rng(2).random((8, 4)) < 0.5).astype(np.float64)
+        Z[:, 0] = 0.0
+        data = Dataset(Z, np.zeros(8))
+        _assert_matches_oracle(data, k, 3)
+        sel, _ = marginal_screen(data, k, 3)
+        assert [it.indices for it in sel.selected[:3]] == [(1,), (1, 2), (1, 2, 3)][:k]
+
+    @pytest.mark.parametrize("y", [0.7, -2.0, 0.0])
+    def test_single_row(self, y):
+        Z = np.array([[1.0, 0.0, 0.5, 1.0]])
+        for k in (1, 3, 6):
+            _assert_matches_oracle(Dataset(Z, np.array([y])), k, 3)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_ties_at_the_kth_score(self, k):
+        # Columns 1-3 are copies, so every itemset over them (and over them
+        # with the all-ones column 4) scores 3, as does {4}; {5} scores 2.
+        # Each k cuts the tie group at a different place.
+        base = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+        Z = np.column_stack([base, base, base, np.ones(6), [1, 1, 0, 0, 0, 0]])
+        y = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+        _assert_matches_oracle(Dataset(Z, y), k, 3)
+
+    def test_negative_zero_covariates(self):
+        # -0.0 is stored as +0.0.  Otherwise np.dot over the one row would
+        # score {1,2} as -0.0 from the full column [-0.0] but as +0.0 from the
+        # column rebuilt off the empty support of {1}.
+        data = Dataset(np.array([[-0.0, 1.0]]), np.array([1.0]))
+        _assert_matches_oracle(data, 3, 2)
+        sel, _ = marginal_screen(data, 3, 2)
+        assert [(it.indices, s.hex()) for it, s in zip(sel.selected, sel.scores)] == [
+            ((2,), "0x1.0000000000000p+0"), ((1,), "0x0.0p+0"), ((1, 2), "0x0.0p+0")
+        ]
+
+
+class TestGateCounter:
+    def test_zero_response_scores_every_child(self):
+        # Every child ties with the k-th best at 0, so the gate admits all.
+        Z = (np.random.default_rng(5).random((10, 6)) < 0.5).astype(np.float64)
+        _, metrics = marginal_screen(Dataset(Z, np.zeros(10)), 4, 3)
+        assert metrics.exact_scores == metrics.nodes_visited == total_feature_count(6, 3)
+
+    def test_noise_response_scores_few_children(self):
+        data, k = _benchmark_shape("tall_noise", seed=1)
+        _, metrics = marginal_screen(data, k, 3)
+        assert k <= metrics.exact_scores < metrics.nodes_visited
+
+    def test_unpruned_walk_scores_every_child(self, tiny):
+        _, metrics = marginal_screen(tiny, 2, 2, prune=False)
+        assert metrics.exact_scores == metrics.nodes_visited == 6
+
+    def test_truncation_leaves_it_at_zero(self, tiny):
+        sel, _ = marginal_screen(tiny, 2, 2)
+        X = np.column_stack([feature_column(it, tiny.Z) for it in sel.selected])
+        con = contrast_for_coefficient(X, tiny.y, 1, sigma=1.0)
+        iv = truncation_points(sel, tiny, con, 2)
+        assert iv.metrics.nodes_visited > 0
+        assert iv.metrics.exact_scores == 0
 
 
 class TestOracleAgreement:

@@ -69,12 +69,12 @@ def _parse_cell(cell: str, line_no: int, col_no: int) -> float:
         ) from None
 
 
-def ingest_csv(path, has_header: bool | None = None) -> tuple[list[str], np.ndarray, np.ndarray]:
+def ingest_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Parse a CSV of covariate columns with the response last.
 
-    Returns (covariate names, Z raw, y).  With ``has_header=None`` the header
-    is auto-detected: a first row with any non-numeric cell is treated as
-    names.  Headerless files get default names z1..zd.
+    Returns (covariate names, Z raw, y).  The header is auto-detected: a
+    first row with any non-numeric cell is treated as names.  Headerless
+    files get default names z1..zd.
     """
     import csv
 
@@ -87,15 +87,12 @@ def ingest_csv(path, has_header: bool | None = None) -> tuple[list[str], np.ndar
     if not rows:
         raise DataError(f"{path}: empty file")
 
-    first_line, first = rows[0]
-    if has_header is None:
-        try:
-            [float(cell) for cell in first]
-            has_header = False
-        except ValueError:
-            has_header = True
-    names = [cell.strip() for cell in first[:-1]] if has_header else None
-    if has_header:
+    first = rows[0][1]
+    try:
+        [float(cell) for cell in first]
+        names = None
+    except ValueError:
+        names = [cell.strip() for cell in first[:-1]]
         rows = rows[1:]
         if not rows:
             raise DataError(f"{path}: header but no data rows")
@@ -193,62 +190,46 @@ def estimate_sigma(data: Dataset, sel: ScreeningResult) -> float:
 # report emission
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"
-
-
-def _report_records(report: InferenceReport, names: list[str]) -> list[dict]:
-    records = []
-    for f in report.features:
-        records.append(
-            {
-                "itemset": [names[i - 1] for i in f.itemset.indices],
-                "beta_hat": f.beta_hat,
-                "v_minus": f.interval.v_minus,
-                "v_plus": f.interval.v_plus,
-                "pivot": f.pivot,
-                "p_value": f.p_value,
-                "ci_low": f.ci_low,
-                "ci_high": f.ci_high,
-                "significant": f.significant,
-            }
-        )
-    return records
-
-
-def _json_scalar(value) -> str:
+def _cell(value, fmt: str) -> str:
+    """One report value as text: numbers at 17 significant digits,
+    infinities as inf/-inf (a JSON string in JSON), booleans as true/false."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return f'"{_fmt(value)}"' if math.isinf(value) else _fmt(value)
-    raise TypeError(f"unexpected report value {value!r}")
+    if math.isinf(value):
+        word = "inf" if value > 0 else "-inf"
+        return f'"{word}"' if fmt == "json" else word
+    return f"{value:.17g}"
+
+
+def _write_records(fh, fmt: str, fields: tuple[str, ...], records) -> None:
+    """Write ``(itemset names, values of fields[1:])`` records as a JSON array
+    of one-line objects or as CSV with the itemset joined by "*"."""
+    if fmt == "json":
+        lines = []
+        for items, values in records:
+            cells = [f'"{fields[0]}": [' + ", ".join(f'"{n}"' for n in items) + "]"]
+            cells += [f'"{key}": {_cell(v, fmt)}' for key, v in zip(fields[1:], values)]
+            lines.append("  {" + ", ".join(cells) + "}")
+        fh.write("[\n" + ",\n".join(lines) + "\n]\n")
+    elif fmt == "csv":
+        fh.write(",".join(fields) + "\n")
+        for items, values in records:
+            fh.write(",".join(["*".join(items)] + [_cell(v, fmt) for v in values]) + "\n")
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
 
 
 def emit_report(report: InferenceReport, names: list[str], fh, fmt: str) -> None:
     """Write one record per selected feature, floats at 17 significant
     digits, infinities as "inf"/"-inf" strings."""
-    records = _report_records(report, names)
-    if fmt == "json":
-        lines = []
-        for rec in records:
-            items = ", ".join(f'"{n}"' for n in rec["itemset"])
-            body = ", ".join(
-                f'"{key}": {_json_scalar(rec[key])}' for key in REPORT_FIELDS[1:]
-            )
-            lines.append(f'  {{"itemset": [{items}], {body}}}')
-        fh.write("[\n" + ",\n".join(lines) + "\n]\n")
-    elif fmt == "csv":
-        fh.write(",".join(REPORT_FIELDS) + "\n")
-        for rec in records:
-            cells = ["*".join(rec["itemset"])]
-            for key in REPORT_FIELDS[1:-1]:
-                cells.append(_fmt(rec[key]))
-            cells.append("true" if rec["significant"] else "false")
-            fh.write(",".join(cells) + "\n")
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    _write_records(fh, fmt, REPORT_FIELDS, [
+        (
+            [names[i - 1] for i in f.itemset.indices],
+            (f.beta_hat, f.interval.v_minus, f.interval.v_plus, f.pivot,
+             f.p_value, f.ci_low, f.ci_high, f.significant),
+        )
+        for f in report.features
+    ])
 
 
 def parse_report(path, fmt: str) -> list[dict]:
@@ -281,31 +262,11 @@ def parse_report(path, fmt: str) -> list[dict]:
 
 
 def emit_screen(sel: ScreeningResult, names: list[str], fh, fmt: str) -> None:
-    rows = [
-        {
-            "itemset": [names[i - 1] for i in it.indices],
-            "score": score,
-            "sign": sign,
-        }
+    """Write one record per selected feature: its score and sign."""
+    _write_records(fh, fmt, ("itemset", "score", "sign"), [
+        ([names[i - 1] for i in it.indices], (score, sign))
         for it, score, sign in zip(sel.selected, sel.scores, sel.signs)
-    ]
-    if fmt == "json":
-        lines = []
-        for row in rows:
-            items = ", ".join(f'"{n}"' for n in row["itemset"])
-            lines.append(
-                f'  {{"itemset": [{items}], "score": {_fmt(row["score"])}, '
-                f'"sign": {row["sign"]}}}'
-            )
-        fh.write("[\n" + ",\n".join(lines) + "\n]\n")
-    elif fmt == "csv":
-        fh.write("itemset,score,sign\n")
-        for row in rows:
-            fh.write(
-                f'{"*".join(row["itemset"])},{_fmt(row["score"])},{row["sign"]}\n'
-            )
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    ])
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,10 @@ looks for v_minus along c, e = 1 for v_minus along -c, and one offer rule,
 one subtree bound and one prune test serve both.
 
 All k contrasts share one pass of :func:`selectree.itemsets.walk_tree`,
-the depth-first walker screening runs on too.  The walker forms each node's
-children on the node's support; the search scatters them back to full
-columns (``dense_columns``), and one batched matmul over all n rows gives
-every contrast's sums, so their bits do not depend on the support.  All
+the depth-first walker screening runs on too.  The walker hands each node
+its own column ``col``; the search forms the children's full columns
+``ZT[start:] * col``, and one batched matmul over all n rows gives every
+contrast's sums, so their bits do not depend on the support.  All
 contrasts, both endpoints, both constraint orientations ("C1" rows
 -s_j x_j + x_l, "C2" rows -s_j x_j - x_l) and all k selected features are
 scored and gated in one broadcast, with per-(contrast, endpoint,
@@ -58,7 +58,6 @@ from .itemsets import (
     Itemset,
     TraversalMetrics,
     column_score,
-    dense_columns,
     feature_column,
     sign_split,
     total_feature_count,
@@ -338,7 +337,7 @@ def truncation_windows(
         # strictly better.
         flat = vals.reshape(K, 2, -1)
         arg = flat.argmax(axis=2)
-        top = np.take_along_axis(flat, arg[..., None], axis=2)[..., 0]
+        top = flat.max(axis=2)
         for q, e in zip(*np.nonzero(top > best)):
             best[q, e] = top[q, e]
             info[q][e] = constraint(int(arg[q, e]))
@@ -347,11 +346,9 @@ def truncation_windows(
     half_tol = 0.5 * DENOM_TOL
     rho5 = rho_e[:, :, None, None, :]
 
-    def expand(parent, start, rows, block, act, leaves):
+    def expand(parent, start, rows, col, act, leaves):
         # act: bool (K, 2, 2, k) = (contrast, endpoint, orientation C1/C2, feature j)
-        # The sums come from the full columns, so that they and the windows
-        # keep the bits of a walk that forms every column over all n rows.
-        block = dense_columns(rows, block, n)
+        block = ZT[start:] * col
         m = block.shape[0]
         # rows: xy, xc, sy_pos, sy_neg, sc_pos, sc_neg
         M = np.matmul(block, W).transpose(0, 2, 1)  # (K, 6, m)

@@ -30,7 +30,6 @@ __all__ = [
     "total_feature_count",
     "TraversalMetrics",
     "walk_tree",
-    "dense_columns",
     "PRUNE_SLACK",
 ]
 
@@ -98,8 +97,8 @@ class Dataset:
             raise ValueError("covariate values must lie in [0, 1]")
         if not np.all(np.isfinite(y)):
             raise ValueError("response contains non-finite entries")
-        # Store -0.0 as +0.0, so that every feature column is +0.0 off its
-        # support, however it was formed (see ``dense_columns``).
+        # Store -0.0 as +0.0: every feature column is then +0.0 off its
+        # support, so a block formed on the support omits only +0.0 entries.
         if np.signbit(Z).any():
             Z = Z + 0.0
         object.__setattr__(self, "Z", Z)
@@ -177,18 +176,18 @@ def walk_tree(
     children append one index above the node's largest, so every itemset of
     order 1..r is reached exactly once and in lexicographic order.
 
-    Each node carries its column's support: ``rows``, the sorted rows where
-    the column is nonzero, and ``vals``, its values there.  A row where a
-    column is zero stays zero in every descendant, so the walker forms all
-    children's columns on the support alone, as one compact block
-    ``block = ZT[start:, rows] * vals`` (row i is child
-    ``parent + (start + 1 + i,)``), and a child's support is
-    ``rows[block[i] != 0]``.  The root carries every row, with value one.
-    ``dense_columns(rows, block, n)`` rebuilds the children's full columns,
-    bit for bit those of :func:`feature_column`.
+    Each node carries its own feature column ``col`` (full length n) and that
+    column's support ``rows`` (its sorted nonzero rows).  The root is
+    ``np.ones(n)`` on every row.  Child ``parent + (start + 1 + i,)`` has
+    column ``ZT[start + i] * col``, bit for bit :func:`feature_column`'s
+    product (IEEE multiplication commutes), and support
+    ``rows[child[rows] != 0]``: a row where a column is zero stays zero in
+    every descendant.  ``expand`` forms the children's block it scores from
+    these two arrays, e.g. ``ZT[start:, rows] * col[rows]`` on the support or
+    ``ZT[start:] * col`` over all n rows.
 
-    The walker hands ``expand(parent, start, rows, block, state, leaves)``
-    the node's ``state`` and ``leaves`` (true when the children are at order
+    The walker hands ``expand(parent, start, rows, col, state, leaves)`` the
+    node's ``state`` and ``leaves`` (true when the children are at order
     ``r`` and have no subtrees).  ``expand`` scores the children and then
     lazily yields ``(i, child_state)`` for each child whose subtree must be
     searched; the walker descends into it before asking for the next one, so
@@ -196,32 +195,15 @@ def walk_tree(
     """
     d, n = ZT.shape
 
-    def visit(parent: tuple[int, ...], rows: np.ndarray, vals: np.ndarray, state: Any) -> None:
+    def visit(parent: tuple[int, ...], rows: np.ndarray, col: np.ndarray, state: Any) -> None:
         start = parent[-1] if parent else 0
-        block = ZT[start:, rows]  # fancy indexing copies, so scale in place
-        block *= vals
         leaves = len(parent) + 1 == r
-        for i, child_state in expand(parent, start, rows, block, state, leaves):
+        for i, child_state in expand(parent, start, rows, col, state, leaves):
             if not leaves and start + 1 + i < d:
-                col = block[i]
-                nz = col.nonzero()[0]
-                visit(parent + (start + 1 + i,), rows[nz], col[nz], child_state)
+                child = ZT[start + i] * col
+                visit(parent + (start + 1 + i,), rows[child[rows] != 0], child, child_state)
 
     visit((), np.arange(n), np.ones(n, dtype=np.float64), state)
-
-
-def dense_columns(rows: np.ndarray, block: np.ndarray, n: int) -> np.ndarray:
-    """Scatter compact columns back to length ``n``: ``block``'s last axis
-    lands on ``rows`` and every other entry is +0.0.
-
-    For a block that :func:`walk_tree` formed, the result is bit-identical to
-    :func:`feature_column` of each child: the same products land on the same
-    rows, and the column is +0.0 everywhere else (``Dataset`` stores no
-    negative zeros).
-    """
-    out = np.zeros(block.shape[:-1] + (n,), dtype=np.float64)
-    out[..., rows] = block
-    return out
 
 
 def column_score(col: np.ndarray, v: np.ndarray) -> float:

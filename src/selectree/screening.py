@@ -4,9 +4,10 @@ The screener returns the k features with the largest |x_j^T y| among all
 D = sum_{rho<=r} C(d,rho) interaction features without ever materializing the
 design matrix.  The search runs on :func:`selectree.itemsets.walk_tree`, the
 depth-first walker it shares with the truncation search, which hands each
-node its children's columns on the node's support only.  One product
-``block @ W[rows]`` with ``W = [y, y+, y-]`` gives every child an approximate
-score x^T y and the sign-partitioned sums
+node its own column ``col`` and that column's support ``rows``.  The
+children's columns on the support, ``block = ZT[start:, rows] * col[rows]``,
+and one product ``block @ W[rows]`` with ``W = [y, y+, y-]`` give every child
+an approximate score x^T y and the sign-partitioned sums
 
     sy_pos = sum_{i: y_i>0} x_i y_i,      sy_neg = -sum_{i: y_i<0} x_i y_i,
 
@@ -17,10 +18,10 @@ shrink).
 Both uses of these sums are two-stage gates, and both are exact.  Once k
 candidates are on the heap, only a child whose approximate |score| reaches
 the k-th best absolute score, less the scale-free ``PRUNE_SLACK`` margin, is
-scored exactly (``column_score`` on its full column) and offered to the heap;
-and only a subtree whose bound reaches it is entered, each survivor of the
-vectorized test being re-tested against the live threshold first.  This
-cannot change the result:
+scored exactly (``column_score`` on its full column ``ZT[start + i] * col``)
+and offered to the heap; and only a subtree whose bound reaches it is
+entered, each survivor of the vectorized test being re-tested against the
+live threshold first.  This cannot change the result:
 
 - the slack dwarfs the product's rounding, so a child the gate rules out
   scores strictly below the threshold, and no descendant of a pruned
@@ -50,7 +51,6 @@ from .itemsets import (
     Itemset,
     TraversalMetrics,
     column_score,
-    dense_columns,
     sign_split,
     total_feature_count,
     walk_tree,
@@ -106,7 +106,6 @@ def marginal_screen(
     t0 = time.perf_counter()
     ZT = np.ascontiguousarray(data.Z.T)
     y = data.y
-    n = len(y)
     W = np.stack([y, *sign_split(y)], axis=1)  # (n, 3): [y, y+, y-]
     ysum = float(np.abs(y).sum())
 
@@ -120,8 +119,10 @@ def marginal_screen(
     visited = 0
     exact = 0
 
-    def expand(parent, start, rows, block, state, leaves):
+    def expand(parent, start, rows, col, state, leaves):
         nonlocal visited, exact
+        block = ZT[start:, rows]  # fancy indexing copies, so scale in place
+        block *= col[rows]
         m = block.shape[0]
         visited += m
         # Per child: approximate x'y, then sy_pos and sy_neg for the bound.
@@ -135,7 +136,7 @@ def marginal_screen(
         exact += len(cand)
         for i in cand:
             child = parent + (start + 1 + i,)
-            s = column_score(dense_columns(rows, block[i], n), y)
+            s = column_score(ZT[start + i] * col, y)
             entry = (abs(s), _tie_key(child), s, child)
             if len(heap) < k:
                 heapq.heappush(heap, entry)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from selectree.itemsets import Dataset, column_score, dense_columns, walk_tree
+from selectree.itemsets import Dataset, column_score, walk_tree
 
 
 @pytest.fixture
@@ -52,18 +52,19 @@ def degenerate_designs():
 
 def walk_every_node(Z, r, W, y):
     """Run ``walk_tree`` over the whole tree (no pruning) and record, per
-    itemset: its full column, rebuilt from the walk's compact block, its row
-    of the walk's own ``block @ W[rows]`` sums, and its ``column_score``
-    against y.  Insertion order is the walk's visiting order."""
+    itemset: its full column, formed from its parent's ``col`` as the
+    searches form it, its row of screening's ``block @ W[rows]`` sums on the
+    parent's support, and its ``column_score`` against y.  Insertion order is
+    the walk's visiting order."""
     nodes = {}
-    n = Z.shape[0]
+    ZT = np.ascontiguousarray(Z.T)
 
-    def expand(parent, start, rows, block, state, leaves):
-        cols = dense_columns(rows, block, n)
-        sums = block @ W[rows]
-        for i in range(block.shape[0]):
+    def expand(parent, start, rows, col, state, leaves):
+        cols = ZT[start:] * col
+        sums = (ZT[start:, rows] * col[rows]) @ W[rows]
+        for i in range(cols.shape[0]):
             nodes[parent + (start + 1 + i,)] = (cols[i], sums[i], column_score(cols[i], y))
             yield i, None
 
-    walk_tree(np.ascontiguousarray(Z.T), r, expand, None)
+    walk_tree(ZT, r, expand, None)
     return nodes

@@ -12,7 +12,6 @@ from selectree.itemsets import (
     Dataset,
     Itemset,
     ModelConfig,
-    dense_columns,
     feature_column,
     sign_split,
     total_feature_count,
@@ -51,9 +50,9 @@ def _children(d, r):
     everywhere; a node it never expands has no children."""
     kids = {}
 
-    def expand(parent, start, rows, block, state, leaves):
-        kids[parent] = [Itemset(parent + (start + 1 + i,)) for i in range(block.shape[0])]
-        yield from ((i, None) for i in range(block.shape[0]))
+    def expand(parent, start, rows, col, state, leaves):
+        kids[parent] = [Itemset(parent + (start + 1 + i,)) for i in range(d - start)]
+        yield from ((i, None) for i in range(d - start))
 
     walk_tree(np.ones((d, 1)), r, expand, None)
     return lambda node: kids.get(node.indices, [])
@@ -77,12 +76,12 @@ class TestChildren:
         # itemset once, in lexicographic (= depth-first) order.
         seen = []
 
-        def expand(parent, start, rows, block, state, leaves):
+        def expand(parent, start, rows, col, state, leaves):
             assert state == len(parent)
             assert leaves == (len(parent) + 1 == r)
-            assert block.shape == (d - start, 2)
+            assert col.tolist() == [1.0, 1.0]
             assert rows.tolist() == [0, 1]
-            for i in range(block.shape[0]):
+            for i in range(d - start):
                 seen.append(parent + (start + 1 + i,))
                 yield i, state + 1
 
@@ -173,8 +172,9 @@ class TestModelConfig:
 
 class TestNodeStats:
     """The per-node statistics the walks form: each child's full column,
-    rebuilt from a row of the compact ``block``, and its sign-partitioned
-    sums as a row of ``block @ W[rows]`` (with the truncation's ``W``)."""
+    formed from its parent's ``col``, and its sign-partitioned sums as a row
+    of ``block @ W[rows]`` on the parent's support (with the truncation's
+    ``W``)."""
 
     @staticmethod
     def _W(y, c):
@@ -201,26 +201,29 @@ class TestNodeStats:
     )
     @settings(max_examples=60, deadline=None)
     def test_descend_equals_from_scratch(self, seed, n, d, density, binary):
-        # The walk builds each column by one multiplication of its parent's,
-        # on the parent's support only.  Rebuilt to full length, the column
-        # is bit-identical to materializing it from scratch, and the rows a
-        # node carries are exactly its column's nonzero support.
+        # The walk builds each column by one multiplication of its parent's.
+        # The column every node carries, and each child's column formed from
+        # it, is bit-identical to materializing it from scratch, and the rows
+        # a node carries are exactly its column's nonzero support.
         rng = np.random.default_rng(seed)
         Z = rng.random((n, d)) * (rng.random((n, d)) < density)
         if binary:
             Z = (Z > 0).astype(np.float64)
         Z = Dataset(Z, np.zeros(n)).Z
+        ZT = np.ascontiguousarray(Z.T)
         supports = {}
 
-        def expand(parent, start, rows, block, state, leaves):
+        def expand(parent, start, rows, col, state, leaves):
             supports[parent] = rows
-            cols = dense_columns(rows, block, n)
-            for i in range(block.shape[0]):
+            assert col.tobytes() == feature_column(parent, Z).tobytes()
+            assert rows.tolist() == np.flatnonzero(col).tolist()
+            cols = ZT[start:] * col
+            for i in range(cols.shape[0]):
                 child = parent + (start + 1 + i,)
                 assert cols[i].tobytes() == feature_column(child, Z).tobytes()
                 yield i, None
 
-        walk_tree(np.ascontiguousarray(Z.T), 4, expand, None)
+        walk_tree(ZT, 4, expand, None)
         assert supports[()].tolist() == list(range(n))
         for node, rows in supports.items():
             assert rows.tolist() == np.flatnonzero(feature_column(node, Z)).tolist()

@@ -1,3 +1,6 @@
+import hashlib
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +8,17 @@ from hypothesis import strategies as st
 
 from conftest import random_instance, walk_every_node
 from selectree import oracle
-from selectree.cli import binarize_table
+from selectree.cli import binarize_table, emit_report, emit_screen
 from selectree.experiments import SyntheticSpec, gen_synthetic
-from selectree.inference import contrast_for_coefficient, truncation_points
-from selectree.itemsets import Dataset, Itemset, feature_column, sign_split, total_feature_count
+from selectree.inference import contrast_for_coefficient, infer, truncation_points
+from selectree.itemsets import (
+    Dataset,
+    Itemset,
+    ModelConfig,
+    feature_column,
+    sign_split,
+    total_feature_count,
+)
 from selectree.screening import marginal_screen
 
 
@@ -26,6 +36,24 @@ def _benchmark_shape(name, seed):
         return Dataset(Zb, y), 30
     spec = SyntheticSpec(n=100, d=50, r=3, k=10, sparsity=0.5, sigma=0.1, seed=seed)
     return gen_synthetic(spec, 0), 10
+
+
+# sha256 of the JSON and CSV reports of the seed-1 benchmark shapes (see
+# ``TestBenchmarkShapes.test_report_bytes_are_pinned``).
+_REPORT_SHA256 = {
+    "wide_sparse": (
+        "c5010f4722365f52772e274b38460ff47608bdc1ca4139fa245c0a17552a2b39",
+        "bf62ec9eb964021781f2bd8f7309d05752a6cdcccec03b381b5e2f830a374b21",
+    ),
+    "tall_noise": (
+        "511ea7060cbbe4965f180b039a42427c81881e17101a99744220dc85dc6d13c5",
+        "6e5838797356d7e030055587ec065fea102879b2e202d2d5f02d55ae1ec48902",
+    ),
+    "null_study": (
+        "e1e2d91ee2184e4da89a72f221ad3e78b7921d5d7ce47ed52c19815d82b64fe8",
+        "a575115601dccce123aa6b0f3de58e49d13d5518647b9185599e1f8bbbf7d90b",
+    ),
+}
 
 
 def _assert_matches_oracle(data, k, r):
@@ -118,6 +146,24 @@ class TestBenchmarkShapes:
             "wide_sparse": (400, 100), "tall_noise": (12_500, 40), "null_study": (100, 50)
         }[name]
         assert metrics.nodes_visited == visits
+
+    @pytest.mark.parametrize("prune", [True, False])
+    @pytest.mark.parametrize("name", ["wide_sparse", "tall_noise", "null_study"])
+    def test_report_bytes_are_pinned(self, name, prune):
+        # The bytes a refactor of the walks or of the writers must keep:
+        # ``emit_report`` of ``infer`` (sigma 0.1, the shapes' noise level),
+        # or ``emit_screen`` for the screening-only workload, in both formats.
+        data, k = _benchmark_shape(name, seed=1)
+        names = [f"z{j}" for j in range(1, data.d + 1)]
+        if name == "tall_noise":
+            result, emit = marginal_screen(data, k, 3, prune=prune)[0], emit_screen
+        else:
+            result = infer(data, ModelConfig(r=3, k=k, sigma=0.1), prune=prune)
+            emit = emit_report
+        for fmt, sha in zip(("json", "csv"), _REPORT_SHA256[name]):
+            buf = io.StringIO()
+            emit(result, names, buf, fmt)
+            assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == sha
 
 
 class TestGateHazards:

@@ -1,17 +1,21 @@
 """Command-line interface: CSV ingestion, real-data preprocessing, and the
 screen/infer/synth/perf commands.
 
-Exit codes: 0 success, 1 usage error, 2 data error (unreadable or malformed
-input), 3 numeric degeneracy (collapsed truncation window, singular Gram
-matrix, zero residual variance, a linear-algebra routine that did not
-converge, an underflowed truncated-Normal CDF, or an observation that
-violates its own selection event).
+Exit codes: 0 success, 1 usage error (including an ``--output`` path that
+cannot be written), 2 data error (unreadable or malformed input), 3 numeric
+degeneracy (collapsed truncation window, singular Gram matrix, zero residual
+variance, a linear-algebra routine that did not converge, an underflowed
+truncated-Normal CDF, or an observation that violates its own selection
+event).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
+import io
+import itertools
 import math
 import sys
 
@@ -69,30 +73,57 @@ def _parse_cell(cell: str, line_no: int, col_no: int) -> float:
         ) from None
 
 
-def ingest_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Parse a CSV of covariate columns with the response last.
-
-    Returns (covariate names, Z raw, y).  The header is auto-detected: a
-    first row with any non-numeric cell is treated as names.  Headerless
-    files get default names z1..zd.
-    """
-    import csv
-
+def _header_names(first: list[str]) -> list[str] | None:
+    """Covariate names when the first row has a non-numeric cell, else None."""
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    with fh:
-        rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
+        [float(cell) for cell in first]
+        return None
+    except ValueError:
+        return [cell.strip() for cell in first[:-1]]
+
+
+# float() rejects these four ASCII separators around a number, while numpy's
+# parser strips them as whitespace.  In UTF-8 their bytes mean nothing else.
+_NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _loadtxt_rows(fh) -> tuple[list[str] | None, np.ndarray] | None:
+    """(names, table) from one C-level ``np.loadtxt`` pass over the lines
+    after the header, or None when the file needs the per-cell loop."""
+    first = next((row for row in csv.reader(fh) if row), None)
+    if first is None:
+        return None
+    names = _header_names(first)
+    if names is None:
+        fh.seek(0)
+        lines = fh
+    else:
+        # loadtxt warns when it finds no rows, so a header followed only by
+        # empty lines goes to the loop.  On either branch loadtxt meets a
+        # non-empty line: it gives at least one row or raises.
+        line = next((line for line in fh if line.strip("\r\n")), None)
+        if line is None:
+            return None
+        lines = itertools.chain([line], fh)
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, quotechar='"',
+                           ndmin=2, dtype=np.float64)
+    except UnicodeDecodeError:
+        raise  # the loop's re-read would stop at the same byte
+    except ValueError:
+        return None
+    return (names, table) if table.shape[1] >= 2 else None
+
+
+def _parse_rows(fh, path) -> tuple[list[str] | None, np.ndarray]:
+    """(names, table) by ``csv.reader`` and ``float()`` on every cell, raising
+    DataError with the line and column of the first bad cell."""
+    rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
     if not rows:
         raise DataError(f"{path}: empty file")
 
-    first = rows[0][1]
-    try:
-        [float(cell) for cell in first]
-        names = None
-    except ValueError:
-        names = [cell.strip() for cell in first[:-1]]
+    names = _header_names(rows[0][1])
+    if names is not None:
         rows = rows[1:]
         if not rows:
             raise DataError(f"{path}: header but no data rows")
@@ -108,13 +139,49 @@ def ingest_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
             )
         for j, cell in enumerate(row):
             table[i, j] = _parse_cell(cell, line_no, j + 1)
+    return names, table
+
+
+def ingest_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Parse a UTF-8 CSV of covariate columns with the response last.
+
+    Returns (covariate names, Z raw, y).  The header is auto-detected: a
+    first row with any non-numeric cell is treated as names.  Headerless
+    files get default names z1..zd.  A leading byte-order mark is skipped.
+
+    One ``np.loadtxt`` pass parses the table.  When it rejects the file, or
+    the file holds a character the two parsers read differently, the
+    per-cell loop reads it again from the start: it accepts the number forms
+    only ``float()`` knows (``1_000``, non-ASCII digits) and raises every
+    DataError with its line and column.  Both paths give the same floats.
+    """
+    try:
+        raw = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+    with raw:
+        fast = not any(
+            sep in chunk
+            for chunk in iter(lambda: raw.read(1 << 20), b"")
+            for sep in _NUMPY_ONLY_SPACE
+        )
+        raw.seek(0)
+        fh = io.TextIOWrapper(raw, encoding="utf-8-sig", newline="")
+        try:
+            parsed = _loadtxt_rows(fh) if fast else None
+            if parsed is None:
+                fh.seek(0)
+                parsed = _parse_rows(fh, path)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
+    names, table = parsed
     if not np.isfinite(table).all():
         bad = np.argwhere(~np.isfinite(table))[0]
         raise DataError(
             f"non-finite value at data row {bad[0] + 1}, column {bad[1] + 1}"
         )
     if names is None:
-        names = [f"z{j}" for j in range(1, width)]
+        names = [f"z{j}" for j in range(1, table.shape[1])]
     return names, table[:, :-1], table[:, -1]
 
 
@@ -234,7 +301,6 @@ def emit_report(report: InferenceReport, names: list[str], fh, fmt: str) -> None
 
 def parse_report(path, fmt: str) -> list[dict]:
     """Read back an emitted report; inverse of emit_report."""
-    import csv
     import json
 
     def scalar(text: str):
@@ -310,6 +376,16 @@ def _truth_arg(text: str) -> dict:
     return truth
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",")]
 
@@ -322,7 +398,7 @@ def _add_data_flags(sub, k_default: int) -> None:
     sub.add_argument("--input", required=True, help="CSV: covariates, response last")
     sub.add_argument("--order", type=int, default=3, metavar="R")
     sub.add_argument("--topk", type=int, default=k_default, metavar="K")
-    sub.add_argument("--max-rows", type=int, default=None, metavar="N")
+    sub.add_argument("--max-rows", type=_positive_int, default=None, metavar="N")
     sub.add_argument("--binarize", action="store_true",
                      help="standardize each covariate and recode as >1 / <-1 indicators")
 
@@ -407,7 +483,11 @@ def _output(ns):
     """The ``--output`` file, closed on exit, or stdout when it is unset."""
     if ns.output is None:
         return contextlib.nullcontext(sys.stdout)
-    return open(ns.output, "w")
+    try:
+        return open(ns.output, "w")
+    except OSError as exc:
+        # main reports a ValueError as a usage error (exit 1)
+        raise ValueError(f"cannot write {ns.output}: {exc.strerror}") from None
 
 
 def _cmd_screen(ns) -> int:

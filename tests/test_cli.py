@@ -1,10 +1,14 @@
+import contextlib
 import io
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from conftest import degenerate_designs
@@ -32,7 +36,7 @@ FIXTURE = os.path.join(os.path.dirname(__file__), "data", "interactions.csv")
 
 def _write(tmp_path, text, name="t.csv"):
     p = tmp_path / name
-    p.write_text(text)
+    p.write_text(text, encoding="utf-8")
     return str(p)
 
 
@@ -77,6 +81,144 @@ class TestIngest:
         # need at least one covariate beside the response
         with pytest.raises(DataError):
             ingest_csv(_write(tmp_path, "1\n2\n"))
+
+
+def _ingest_by_loop(path):
+    """ingest_csv with the loadtxt pass switched off: the per-cell loop alone."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_loadtxt_rows", lambda fh: None)
+        return ingest_csv(path)
+
+
+@contextlib.contextmanager
+def _counting_loop():
+    """Record each file the per-cell loop reads inside the block."""
+    calls = []
+    parse_rows = cli._parse_rows
+
+    def counting(fh, path):
+        calls.append(path)
+        return parse_rows(fh, path)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_parse_rows", counting)
+        yield calls
+
+
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1.7976931348623157e308]),
+)
+
+
+@st.composite
+def _csv_text(draw):
+    """A finite table written with repr, optionally with a header, CRLF line
+    ends, blank lines, quoted cells and space- or tab-padded cells."""
+    width = draw(st.integers(2, 5))
+    rows = draw(st.lists(st.lists(_FINITE, min_size=width, max_size=width),
+                         min_size=1, max_size=6))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(f"v{j}" for j in range(width))] if draw(st.booleans()) else []
+    for row in rows:
+        cells = []
+        for value in row:
+            cell = repr(value)
+            style = draw(st.sampled_from(["plain", "quoted", "padded"]))
+            if style == "quoted":
+                cell = f'"{cell}"'
+            elif style == "padded":
+                cell = draw(st.sampled_from([" ", "\t", "  "])) + cell + draw(
+                    st.sampled_from(["", " ", "\t"]))
+            cells.append(cell)
+        if draw(st.booleans()):
+            lines.append("")
+        lines.append(",".join(cells))
+    return eol.join(lines) + eol
+
+
+class TestIngestPaths:
+    """ingest_csv parses with one np.loadtxt pass and falls back to the
+    per-cell loop for Python-only number forms and for every error."""
+
+    @given(text=_csv_text())
+    @settings(max_examples=150, deadline=None)
+    def test_loadtxt_pass_matches_the_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("ingest") / "t.csv"
+        path.write_bytes(text.encode())
+        with _counting_loop() as loops:
+            names, Z, y = ingest_csv(path)
+        ref_names, ref_Z, ref_y = _ingest_by_loop(path)
+        assert loops == []
+        assert names == ref_names
+        assert Z.shape == ref_Z.shape and Z.tobytes() == ref_Z.tobytes()
+        assert y.tobytes() == ref_y.tobytes()
+
+    @pytest.mark.parametrize("text, value", [
+        ("a,b,y\n1_000,0,2\n", 1000.0),
+        ("a,b,y\n١,0,2\n", 1.0),
+        ("﻿1_000,0,2\n", 1000.0),
+    ], ids=["underscore", "arabic-indic digit", "bom"])
+    def test_python_only_number_forms_are_read_by_the_loop(self, tmp_path, text, value):
+        with _counting_loop() as loops:
+            _, Z, _ = ingest_csv(_write(tmp_path, text))
+        assert len(loops) == 1
+        assert Z[0, 0] == value
+
+    @pytest.mark.parametrize("text, match", [
+        ("a,b,y\n1,0,2\n   \n0,1,1\n", "line 3: expected 3 cells, got 1"),
+        ("a,b,y\n#1,0,2\n", "line 2, column 1: non-numeric cell '#1'"),
+        ("a,b,y\n1,0,2\n1,0,2,\n", "line 3: expected 3 cells, got 4"),
+        ("a,b,y\n1,0,2\n1,0\n", "line 3: expected 3 cells, got 2"),
+        ("a,b,y\n1,oops,2\n", "line 2, column 2: non-numeric cell 'oops'"),
+        ("a,b,y\n1,0\x1c,2\n", "line 2, column 2: non-numeric cell"),
+        ("", "empty file"),
+        ("\n\r\n", "empty file"),
+        ("a,b,y\n", "header but no data rows"),
+        ("a,b,y\n\n\r\n", "header but no data rows"),
+        ("1\n2\n", "need at least one covariate"),
+    ], ids=["whitespace line", "hash line", "trailing comma", "ragged row",
+            "non-numeric", "separator padding", "empty", "blank lines only",
+            "header only", "header and blank lines", "one column"])
+    def test_errors_come_from_the_loop(self, tmp_path, text, match):
+        path = _write(tmp_path, text)
+        with warnings.catch_warnings(record=True) as caught, _counting_loop() as loops:
+            warnings.simplefilter("always")
+            with pytest.raises(DataError, match=match):
+                ingest_csv(path)
+        assert len(loops) == 1
+        assert caught == []
+
+    def test_non_finite_value_is_caught_after_the_loadtxt_pass(self, tmp_path):
+        path = _write(tmp_path, "a,b,y\n1,0,2\n1,inf,2\n")
+        with _counting_loop() as loops:
+            with pytest.raises(DataError, match="data row 2, column 2"):
+                ingest_csv(path)
+        assert loops == []
+
+    @pytest.mark.parametrize("text, names", [
+        ("﻿1,2,3\n4,5,6\n", ["z1", "z2"]),
+        ("﻿a,b,y\n1,2,3\n4,5,6\n", ["a", "b"]),
+    ], ids=["headerless", "header"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, text, names):
+        got_names, Z, y = ingest_csv(_write(tmp_path, text))
+        assert got_names == names
+        assert_array_equal(Z, [[1.0, 2.0], [4.0, 5.0]])
+        assert_array_equal(y, [3.0, 6.0])
+
+    @pytest.mark.parametrize("data, loops", [
+        (bytes(range(256)) * 4, 1),
+        ("café,b,y\n1,0,2\n".encode("latin-1"), 0),
+        (b"a,b,y\n" + b"1,0,2\n" * 20_000 + "é,0,2\n".encode("latin-1"), 0),
+        (b"a,b,y\n1_000,0,2\n" + b"1,0,2\n" * 20_000 + b"\xff,0,2\n", 1),
+    ], ids=["binary", "latin-1 header", "latin-1 in loadtxt", "invalid byte in loop"])
+    def test_non_utf8_is_a_data_error(self, tmp_path, data, loops):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(data)
+        with _counting_loop() as calls:
+            with pytest.raises(DataError, match="not UTF-8"):
+                ingest_csv(p)
+        assert len(calls) == loops
 
 
 class TestBinarize:
@@ -304,6 +446,30 @@ class TestMainExitCodes:
 
     def test_missing_file_is_2(self, capsys):
         assert main(["screen", "--input", "/nonexistent/x.csv"]) == 2
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_rows_below_one_is_1(self, tmp_path, capsys, value):
+        p = _write(tmp_path, "a,b,y\n1,0,2\n0,1,1\n")
+        assert main(["screen", "--input", p, "--max-rows", value]) == 1
+        err = capsys.readouterr().err
+        assert "--max-rows: must be at least 1" in err and "Traceback" not in err
+
+    def test_unwritable_output_is_1(self, tmp_path, capsys):
+        p = _write(tmp_path, "a,b,y\n1,0,2\n0,1,1\n")
+        out = tmp_path / "no" / "such" / "dir.json"
+        assert main(["screen", "--input", p, "--topk", "1", "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"selectree: error: cannot write {out}")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("data", [bytes(range(256)), "é,b,y\n1,0,2\n".encode("latin-1")],
+                             ids=["binary", "latin-1"])
+    def test_non_utf8_file_is_2(self, tmp_path, capsys, data):
+        p = tmp_path / "bad.csv"
+        p.write_bytes(data)
+        assert main(["screen", "--input", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: cannot read {p}: not UTF-8 text" in err
 
     def test_bad_k_is_1(self, tmp_path, capsys):
         p = _write(tmp_path, "a,b,y\n1,0,2\n0,1,1\n")

@@ -16,6 +16,7 @@ import contextlib
 import csv
 import io
 import itertools
+import json
 import math
 import sys
 
@@ -73,6 +74,15 @@ def _parse_cell(cell: str, line_no: int, col_no: int) -> float:
         ) from None
 
 
+def _csv_rows(fh):
+    """``csv.reader`` rows; a line it cannot split is a DataError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"line {reader.line_num}: {exc}") from None
+
+
 def _header_names(first: list[str]) -> list[str] | None:
     """Covariate names when the first row has a non-numeric cell, else None."""
     try:
@@ -90,7 +100,7 @@ _NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 def _loadtxt_rows(fh) -> tuple[list[str] | None, np.ndarray] | None:
     """(names, table) from one C-level ``np.loadtxt`` pass over the lines
     after the header, or None when the file needs the per-cell loop."""
-    first = next((row for row in csv.reader(fh) if row), None)
+    first = next((row for row in _csv_rows(fh) if row), None)
     if first is None:
         return None
     names = _header_names(first)
@@ -118,7 +128,7 @@ def _loadtxt_rows(fh) -> tuple[list[str] | None, np.ndarray] | None:
 def _parse_rows(fh, path) -> tuple[list[str] | None, np.ndarray]:
     """(names, table) by ``csv.reader`` and ``float()`` on every cell, raising
     DataError with the line and column of the first bad cell."""
-    rows = [(i + 1, row) for i, row in enumerate(csv.reader(fh)) if row]
+    rows = [(i + 1, row) for i, row in enumerate(_csv_rows(fh)) if row]
     if not rows:
         raise DataError(f"{path}: empty file")
 
@@ -175,6 +185,9 @@ def ingest_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
         except UnicodeDecodeError as exc:
             raise DataError(f"cannot read {path}: not UTF-8 text ({exc.reason})") from None
     names, table = parsed
+    if names is not None and len(names) + 1 != table.shape[1]:
+        raise DataError(f"{path}: header has {len(names) + 1} cells, data rows have "
+                        f"{table.shape[1]}")
     if not np.isfinite(table).all():
         bad = np.argwhere(~np.isfinite(table))[0]
         raise DataError(
@@ -270,18 +283,21 @@ def _cell(value, fmt: str) -> str:
 
 def _write_records(fh, fmt: str, fields: tuple[str, ...], records) -> None:
     """Write ``(itemset names, values of fields[1:])`` records as a JSON array
-    of one-line objects or as CSV with the itemset joined by "*"."""
+    of one-line objects or as CSV with the itemset joined by "*"; names are
+    escaped by JSON rules and the CSV cells quoted by CSV rules."""
     if fmt == "json":
         lines = []
         for items, values in records:
-            cells = [f'"{fields[0]}": [' + ", ".join(f'"{n}"' for n in items) + "]"]
+            names = (json.dumps(name, ensure_ascii=False) for name in items)
+            cells = [f'"{fields[0]}": [' + ", ".join(names) + "]"]
             cells += [f'"{key}": {_cell(v, fmt)}' for key, v in zip(fields[1:], values)]
             lines.append("  {" + ", ".join(cells) + "}")
         fh.write("[\n" + ",\n".join(lines) + "\n]\n")
     elif fmt == "csv":
-        fh.write(",".join(fields) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fields)
         for items, values in records:
-            fh.write(",".join(["*".join(items)] + [_cell(v, fmt) for v in values]) + "\n")
+            writer.writerow(["*".join(items)] + [_cell(v, fmt) for v in values])
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
@@ -301,8 +317,6 @@ def emit_report(report: InferenceReport, names: list[str], fh, fmt: str) -> None
 
 def parse_report(path, fmt: str) -> list[dict]:
     """Read back an emitted report; inverse of emit_report."""
-    import json
-
     def scalar(text: str):
         return float(text) if text not in ("true", "false") else text == "true"
 
@@ -316,7 +330,7 @@ def parse_report(path, fmt: str) -> list[dict]:
                     rec[key] = float(val) if isinstance(val, str) else val
                 records.append(rec)
     elif fmt == "csv":
-        with open(path) as fh:
+        with open(path, newline="") as fh:
             for raw in csv.DictReader(fh):
                 rec = {"itemset": raw["itemset"].split("*")}
                 for key in REPORT_FIELDS[1:]:

@@ -33,7 +33,7 @@ from scipy.special import ndtr
 from .inference import (
     DegenerateTruncationError,
     SingularGramError,
-    _check_gram,
+    _gram,
     infer,
 )
 from .itemsets import Dataset, Itemset, ModelConfig, feature_column, total_feature_count
@@ -123,8 +123,7 @@ def _z_test(
     Returns (p_values, significant mask).  Raises SingularGramError when the
     Gram matrix is not invertible to working precision.
     """
-    G = X.T @ X
-    _check_gram(G, X)
+    G = _gram(X)
     coef = np.linalg.solve(G, X.T @ y)
     variances = sigma * sigma * np.linalg.inv(G).diagonal()
     z = coef / np.sqrt(variances)

@@ -37,9 +37,9 @@ orientation, feature) activity masks as the walk state.  A subtree is
 entered while it is alive for any contrast; every contrast gets exactly the
 window, active constraints and visit count that a walk for it alone would
 give.
-Pruning never changes the endpoints: the subtree tests use the same slack
-rule as screening (``PRUNE_SLACK``), which dwarfs floating-point noise, so
-any skipped ratio is strictly non-improving.
+Pruning never changes the endpoints: a subtree is kept iff its bound
+reaches the incumbent's ``prune_floor``, screening's rule too, whose slack
+dwarfs floating-point noise, so any skipped ratio is strictly non-improving.
 """
 
 from __future__ import annotations
@@ -53,12 +53,12 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr
 
 from .itemsets import (
-    PRUNE_SLACK,
     Dataset,
     Itemset,
     TraversalMetrics,
     column_score,
     feature_column,
+    prune_floor,
     sign_split,
     total_feature_count,
     walk_tree,
@@ -169,10 +169,13 @@ class InferenceReport:
 # least squares on the selected design
 # ---------------------------------------------------------------------------
 
-def _check_gram(G: np.ndarray, X: np.ndarray) -> None:
+def _gram(X: np.ndarray) -> np.ndarray:
+    """X^T X, or SingularGramError when it is not invertible to working
+    precision."""
+    G = X.T @ X
     cond = np.linalg.cond(G)
     if np.isfinite(cond) and cond <= _COND_LIMIT:
-        return
+        return G
     # Name the offending columns to make the (common) duplicate-binary-column
     # failure mode diagnosable.
     norms = np.sqrt(np.diag(G))
@@ -199,9 +202,7 @@ def _check_gram(G: np.ndarray, X: np.ndarray) -> None:
 def beta_hat(X_S: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least-squares coefficients on the k selected columns."""
     X = np.asarray(X_S, dtype=np.float64)
-    G = X.T @ X
-    _check_gram(G, X)
-    return np.linalg.solve(G, X.T @ np.asarray(y, dtype=np.float64))
+    return np.linalg.solve(_gram(X), X.T @ np.asarray(y, dtype=np.float64))
 
 
 def contrast_for_coefficient(
@@ -218,11 +219,9 @@ def contrast_for_coefficient(
         raise ValueError(f"coefficient index {j} out of range 1..{k}")
     if (sigma is None) == (covariance is None):
         raise ValueError("supply exactly one of sigma or covariance")
-    G = X.T @ X
-    _check_gram(G, X)
     e = np.zeros(k)
     e[j - 1] = 1.0
-    eta = X @ np.linalg.solve(G, e)
+    eta = X @ np.linalg.solve(_gram(X), e)
     if covariance is None:
         sig_eta = (sigma * sigma) * eta
     else:
@@ -270,9 +269,10 @@ def truncation_windows(
 
     A node's sums bound x_l^T y in [-sy_neg, sy_pos] and x_l^T c in
     [-sc_neg, sc_pos] over all descendants l, giving per-(contrast, endpoint,
-    orientation, j) bounds on the best ratio below the node; subtrees whose
-    bounds cannot beat the incumbents are skipped.  With prune=False the same
-    walk visits everything and must produce identical endpoints.
+    orientation, j) bounds on the best ratio below the node; a subtree is
+    entered only where a bound reaches its incumbent's ``prune_floor``.  With
+    prune=False the same walk visits everything and must produce identical
+    endpoints.
 
     All contrasts share one walk of the tree: a subtree is entered while it
     is alive for any contrast, and a contrast whose activity mask is empty
@@ -387,20 +387,15 @@ def truncation_windows(
         alive &= act5
         den = np.maximum(-dlo, rho5 + M[:, up][..., None])
         bound = (M[:, None, 2:4, :, None] - kappa) / den
-        # thr = bound + PRUNE_SLACK * (ysum + |bound|), in place
-        thr = np.abs(bound)
-        thr += ysum
-        thr *= PRUNE_SLACK
-        thr += bound
-
-        # Gate all children at once against the incumbents as they stand.
-        # ``best`` only grows, so a child gated out here stays out; each
-        # survivor is re-tested against the live incumbents, which earlier
+        # Gate all children at once against the incumbents' floors as they
+        # stand.  ``best`` only grows, so a child gated out here stays out;
+        # each survivor is re-tested against the live floors, which earlier
         # siblings' subtrees may have raised, before the walk enters it.
-        gated = best[:, :, None, None, None] < thr
+        gated = bound >= prune_floor(best, ysum)[:, :, None, None, None]
         gated &= alive
         for i in np.flatnonzero(gated.any(axis=(0, 1, 2, 4))).tolist():
-            child_act = alive[:, :, :, i] & (best[:, :, None, None] < thr[:, :, :, i])
+            floor = prune_floor(best, ysum)[:, :, None, None]
+            child_act = alive[:, :, :, i] & (bound[:, :, :, i] >= floor)
             if child_act.any():
                 yield i, child_act
 

@@ -31,20 +31,25 @@ __all__ = [
     "TraversalMetrics",
     "walk_tree",
     "PRUNE_SLACK",
+    "prune_floor",
 ]
 
-# Safety slack for every subtree test: a subtree is skipped only when its
-# bound misses the incumbent by PRUNE_SLACK * (sum(|y|) + |incumbent or bound|),
-# a margin that dwarfs accumulated rounding (bounds come from a batched
-# matmul, which may round differently from direct evaluation).  Equal-score
-# descendants are therefore never pruned, which exact tie-breaking needs, and
-# pruning can never drop a ratio that direct evaluation would have kept.
-# sum(|y|) bounds every |x'y| for x in [0,1]^n and sets the scale of the
-# matmul's rounding error, so the rule does not change when y is rescaled.
-# The truncation search's DENOM_TOL needs no such scale: its denominators are
-# inner products with c = Sigma eta / (eta' Sigma eta), which does not change
-# under (y, sigma) -> (a y, a sigma).
+# The one prune rule: a score or subtree bound is kept iff it reaches
+# prune_floor(incumbent, sum(|y|)), the incumbent less PRUNE_SLACK *
+# (sum(|y|) + |incumbent|).  The margin dwarfs the rounding of the batched
+# matmuls the bounds come from, so ties are kept (exact tie-breaking needs
+# them) and no score or ratio that direct evaluation keeps is ever dropped.
+# sum(|y|) bounds every |x'y| for x in [0,1]^n, so the rule does not change
+# when y is rescaled.  The truncation search's DENOM_TOL needs no such scale:
+# its denominators are inner products with c = Sigma eta / (eta' Sigma eta),
+# which does not change under (y, sigma) -> (a y, a sigma).
 PRUNE_SLACK = 1e-9
+
+
+def prune_floor(incumbent, ysum: float):
+    """The least score or bound kept against ``incumbent``, a float or an
+    array; an incumbent of -inf keeps everything."""
+    return incumbent - PRUNE_SLACK * (ysum + abs(incumbent))
 
 
 @dataclass(frozen=True, order=True)

@@ -22,7 +22,7 @@ from .itemsets import (
     feature_column,
     total_feature_count,
 )
-from .screening import ScreeningResult
+from .screening import ScreeningResult, rank
 from .inference import (
     Contrast,
     TruncationInterval,
@@ -52,8 +52,8 @@ def _enumerate_itemsets(d: int, r: int) -> list[Itemset]:
 def oracle_screen(data: Dataset, k: int, r: int) -> ScreeningResult:
     """Top-k features by |x^T y| via full enumeration and a stable sort.
 
-    Ties in |score| are broken lexicographically (smaller itemset wins),
-    matching the production convention.  Scores use the same one-column-at-a-
+    Features are sorted by the production ranking key
+    :func:`selectree.screening.rank`.  Scores use the same one-column-at-a-
     time score kernel as the tree search so the two routes agree bit for bit.
     Only ``data.Z``, ``data.y`` and ``data.d`` are read.
     """
@@ -68,16 +68,11 @@ def oracle_screen(data: Dataset, k: int, r: int) -> ScreeningResult:
     for it in items:
         col = feature_column(it, data.Z)
         scored.append((column_score(col, data.y), it))
-    scored.sort(key=lambda sc: (-abs(sc[0]), sc[1].indices))
+    scored.sort(key=lambda sc: rank(sc[0], sc[1].indices))
     top = scored[:k]
-    selected = tuple(it for _, it in top)
-    scores = tuple(s for s, _ in top)
-    signs = tuple(1 if s >= 0 else -1 for s in scores)
     return ScreeningResult(
-        selected=selected,
-        signs=signs,
-        scores=scores,
-        kth_abs_score=abs(scores[-1]),
+        selected=tuple(it for _, it in top),
+        scores=tuple(s for s, _ in top),
     )
 
 

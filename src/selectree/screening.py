@@ -15,73 +15,75 @@ and max(sy_pos, sy_neg) bounds |x_l^T y| for every descendant l (descending
 multiplies the column by further [0,1] factors, so both sums can only
 shrink).
 
-Both uses of these sums are two-stage gates, and both are exact.  Once k
-candidates are on the heap, only a child whose approximate |score| reaches
-the k-th best absolute score, less the scale-free ``PRUNE_SLACK`` margin, is
-scored exactly (``column_score`` on its full column ``ZT[start + i] * col``)
-and offered to the heap; and only a subtree whose bound reaches it is
-entered, each survivor of the vectorized test being re-tested against the
-live threshold first.  This cannot change the result:
+The best k so far form a list sorted by :func:`rank`.  Once it is full,
+both uses of the sums are two-stage gates against the ``prune_floor`` of its
+last (k-th best) |score|, and both are exact.  Only a child whose
+approximate |score| reaches the floor is scored exactly (``column_score`` on
+its full column ``ZT[start + i] * col``) and offered to the list; and only a
+subtree whose bound reaches it is entered, each survivor of the vectorized
+test being re-tested against the live floor first.  This cannot change the
+result:
 
-- the slack dwarfs the product's rounding, so a child the gate rules out
-  scores strictly below the threshold, and no descendant of a pruned
+- the floor's slack dwarfs the product's rounding, so a child the gate rules
+  out scores strictly below the threshold, and no descendant of a pruned
   subtree reaches it;
 - the threshold only grows while a node is expanded, so gating against an
   earlier one only admits more children;
 - ``np.dot`` on the full column, the kernel the brute-force enumeration
-  uses, still makes every heap decision.
+  uses, still makes every selection decision.
 
-Determinism contract: ties in |score| are broken lexicographically (smaller
-itemset wins), a zero score gets sign +1, and the selected scores are computed
-with the exact same column construction and dot-product kernel as the naive
-enumeration, so pruned, unpruned and brute-force runs agree bit for bit.
+Determinism contract: features are ordered by :func:`rank` (ties in |score|
+go to the smaller itemset), a zero score gets sign +1, and the selected
+scores are computed with the exact same column construction and dot-product
+kernel as the naive enumeration, so pruned, unpruned and brute-force runs
+agree bit for bit.
 """
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .itemsets import (
-    PRUNE_SLACK,
     Dataset,
     Itemset,
     TraversalMetrics,
     column_score,
+    prune_floor,
     sign_split,
     total_feature_count,
     walk_tree,
 )
 
-__all__ = ["ScreeningResult", "marginal_screen"]
+__all__ = ["ScreeningResult", "marginal_screen", "rank"]
 
 
 @dataclass(frozen=True)
 class ScreeningResult:
-    """The selection event: k itemsets, their signs and scores.
-
-    ``selected`` is ordered by (|score| descending, itemset ascending); signs
-    are sign(x_j^T y) with +1 on a zero score; ``kth_abs_score`` is the
-    smallest selected |score| (the screening threshold).
-    """
+    """The selection event: k itemsets, ordered by :func:`rank`, and their
+    scores x_j^T y, from which ``signs`` and ``kth_abs_score`` derive."""
 
     selected: tuple[Itemset, ...]
-    signs: tuple[int, ...]
     scores: tuple[float, ...]
-    kth_abs_score: float
+
+    @property
+    def signs(self) -> tuple[int, ...]:
+        """sign(x_j^T y) per selected feature, +1 on a zero score."""
+        return tuple(1 if s >= 0 else -1 for s in self.scores)
+
+    @property
+    def kth_abs_score(self) -> float:
+        """The smallest selected |score|: the screening threshold."""
+        return abs(self.scores[-1])
 
 
-def _tie_key(itemset: tuple[int, ...]) -> tuple[int, ...]:
-    """Heap tie key: larger key = lexicographically smaller itemset.
-
-    Negating the indices reverses the order; the trailing sentinel (greater
-    than any negated index) makes a proper prefix beat its extensions, e.g.
-    (1,2) over (1,2,3).
-    """
-    return tuple(-i for i in itemset) + (1,)
+def rank(score: float, indices: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
+    """The selection order's sort key: |score| descending (0.0 ties -0.0),
+    then the indices ascending, so a proper prefix precedes its extensions."""
+    return -abs(score), indices
 
 
 def marginal_screen(
@@ -109,15 +111,13 @@ def marginal_screen(
     W = np.stack([y, *sign_split(y)], axis=1)  # (n, 3): [y, y+, y-]
     ysum = float(np.abs(y).sum())
 
-    def cut(thresh: float) -> float:
-        # Below this, a score or bound provably misses the k-th best |score|.
-        return thresh - PRUNE_SLACK * (ysum + thresh)
-
-    # Min-heap of (|score|, tie_key, score, itemset); the root is the current
-    # k-th best, i.e. the first to be evicted.
-    heap: list[tuple[float, tuple[int, ...], float, tuple[int, ...]]] = []
+    # The best k so far, as (rank key..., score) sorted by rank.
+    top: list[tuple[float, tuple[int, ...], float]] = []
     visited = 0
     exact = 0
+
+    def floor() -> float:
+        return prune_floor(abs(top[-1][2]), ysum)
 
     def expand(parent, start, rows, col, state, leaves):
         nonlocal visited, exact
@@ -128,20 +128,17 @@ def marginal_screen(
         # Per child: approximate x'y, then sy_pos and sy_neg for the bound.
         sums = block @ W[rows]
 
-        # Only a child whose approximate |score| reaches the k-th best (less
-        # the slack) can enter the heap; it gets the exact score.
+        # Only a child whose approximate |score| reaches the floor can enter
+        # the top k; it gets the exact score.
         cand = range(m)
-        if prune and len(heap) == k:
-            cand = np.flatnonzero(np.abs(sums[:, 0]) >= cut(heap[0][0])).tolist()
+        if prune and len(top) == k:
+            cand = np.flatnonzero(np.abs(sums[:, 0]) >= floor()).tolist()
         exact += len(cand)
         for i in cand:
             child = parent + (start + 1 + i,)
             s = column_score(ZT[start + i] * col, y)
-            entry = (abs(s), _tie_key(child), s, child)
-            if len(heap) < k:
-                heapq.heappush(heap, entry)
-            elif entry[:2] > heap[0][:2]:
-                heapq.heapreplace(heap, entry)
+            bisect.insort(top, (*rank(s, child), s))
+            del top[k:]
 
         if leaves:
             return
@@ -149,28 +146,22 @@ def marginal_screen(
             yield from ((i, None) for i in range(m))
             return
         bounds = np.maximum(sums[:, 1], sums[:, 2])
-        # Gate all children against the threshold as it stands, then re-test
+        # Gate all children against the floor as it stands, then re-test
         # each survivor against the live one, which earlier siblings'
         # subtrees may have raised, before the walk enters it.
         keep = range(m)
-        if len(heap) == k:
-            keep = np.flatnonzero(bounds >= cut(heap[0][0])).tolist()
+        if len(top) == k:
+            keep = np.flatnonzero(bounds >= floor()).tolist()
         for i in keep:
-            if len(heap) == k and bounds[i] < cut(heap[0][0]):
+            if len(top) == k and bounds[i] < floor():
                 continue
             yield i, None
 
     walk_tree(ZT, r, expand, None)
 
-    ranked = sorted(heap, key=lambda e: (e[0], e[1]), reverse=True)
-    selected = tuple(Itemset(e[3]) for e in ranked)
-    scores = tuple(e[2] for e in ranked)
-    signs = tuple(1 if s >= 0 else -1 for s in scores)
     result = ScreeningResult(
-        selected=selected,
-        signs=signs,
-        scores=scores,
-        kth_abs_score=abs(scores[-1]),
+        selected=tuple(Itemset(e[1]) for e in top),
+        scores=tuple(e[2] for e in top),
     )
     metrics = TraversalMetrics(
         nodes_visited=visited,

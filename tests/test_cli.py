@@ -196,6 +196,33 @@ class TestIngestPaths:
                 ingest_csv(path)
         assert loops == []
 
+    @pytest.mark.parametrize("text, match, loops", [
+        ("a,b,y\n1,0,1,2\n0,1,1,3\n", "header has 3 cells, data rows have 4", 0),
+        ("a,b,y\n1_000,0,1,2\n0,1,1,3\n", "header has 3 cells, data rows have 4", 1),
+        ("a,b,c,y\n1,0,2\n0,1,3\n", "header has 4 cells, data rows have 3", 0),
+        ("a,b,c,y\n1_000,0,2\n0,1,3\n", "header has 4 cells, data rows have 3", 1),
+    ], ids=["short header", "short header in loop", "long header", "long header in loop"])
+    def test_header_width_must_match_the_rows(self, tmp_path, text, match, loops):
+        with _counting_loop() as calls:
+            with pytest.raises(DataError, match=match):
+                ingest_csv(_write(tmp_path, text))
+        assert len(calls) == loops
+
+    _HUGE = '"' + "1" * 200_000 + '"'
+
+    @pytest.mark.parametrize("text, match, loops", [
+        (f"a,{_HUGE},y\n1,0,2\n", "line 1: field larger than field limit", 0),
+        (f"a,b,y\n1_000,0,2\n0,{_HUGE},2\n", "line 3: field larger than field limit", 1),
+    ], ids=["header", "data row in loop"])
+    def test_oversized_field_is_a_data_error(self, tmp_path, text, match, loops):
+        path = _write(tmp_path, text)
+        with _counting_loop() as calls:
+            with pytest.raises(DataError, match=match):
+                ingest_csv(path)
+        assert len(calls) == loops
+        with pytest.raises(DataError, match=match):
+            _ingest_by_loop(path)
+
     @pytest.mark.parametrize("text, names", [
         ("﻿1,2,3\n4,5,6\n", ["z1", "z2"]),
         ("﻿a,b,y\n1,2,3\n4,5,6\n", ["a", "b"]),
@@ -322,16 +349,18 @@ class TestReportRoundTrip:
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_round_trip(self, tmp_path, report, fmt):
-        names = ["a", "b", "c"]
-        path = tmp_path / f"r.{fmt}"
-        with open(path, "w") as fh:
-            emit_report(report, names, fh, fmt)
-        rows = parse_report(path, fmt)
-        assert len(rows) == len(report.features)
-        for row, feat in zip(rows, report.features):
-            assert row["beta_hat"] == feat.beta_hat
-            assert row["pivot"] == feat.pivot
-            assert row["significant"] == feat.significant
+        # The second set needs JSON escapes and CSV quoting.
+        for names in (["a", "b", "c"], ['a"b\\', "x,1\n", "c"]):
+            path = tmp_path / f"r.{fmt}"
+            with open(path, "w") as fh:
+                emit_report(report, names, fh, fmt)
+            rows = parse_report(path, fmt)
+            assert len(rows) == len(report.features)
+            for row, feat in zip(rows, report.features):
+                assert row["itemset"] == [names[i - 1] for i in feat.itemset.indices]
+                assert row["beta_hat"] == feat.beta_hat
+                assert row["pivot"] == feat.pivot
+                assert row["significant"] == feat.significant
 
     def test_infinite_endpoints_serialized_as_words(self, tmp_path, report):
         # force one infinite CI endpoint through the writer
@@ -470,6 +499,16 @@ class TestMainExitCodes:
         assert main(["screen", "--input", str(p)]) == 2
         err = capsys.readouterr().err
         assert f"data error: cannot read {p}: not UTF-8 text" in err
+
+    @pytest.mark.parametrize("text, match", [
+        ("a,b,y\n1,0,1,2\n0,1,1,3\n", "header has 3 cells, data rows have 4"),
+        ('a,"' + "1" * 200_000 + '",y\n1,0,2\n', "line 1: field larger than field limit"),
+    ], ids=["header width", "oversized field"])
+    def test_malformed_csv_is_2(self, tmp_path, capsys, text, match):
+        p = _write(tmp_path, text)
+        assert main(["screen", "--input", p, "--topk", "3", "--order", "2"]) == 2
+        err = capsys.readouterr().err
+        assert match in err and "Traceback" not in err
 
     def test_bad_k_is_1(self, tmp_path, capsys):
         p = _write(tmp_path, "a,b,y\n1,0,2\n0,1,1\n")

@@ -13,6 +13,7 @@ from selectree.itemsets import (
     Itemset,
     ModelConfig,
     feature_column,
+    prune_floor,
     sign_split,
     total_feature_count,
     walk_tree,
@@ -118,6 +119,38 @@ def test_total_feature_count_matches_binomials():
     assert total_feature_count(4, 9) == 15  # r clipped at d
     # exact big integers, no overflow
     assert total_feature_count(5000, 3) == 5000 + math.comb(5000, 2) + math.comb(5000, 3)
+
+
+class TestPruneFloor:
+    """A score or bound is kept iff it reaches ``prune_floor(incumbent, ysum)``."""
+
+    @pytest.mark.parametrize("incumbent", [0.0, 3.0, 1e-300, 1e300])
+    def test_a_tie_is_kept(self, incumbent):
+        assert incumbent >= prune_floor(incumbent, 0.0)
+        np.testing.assert_array_equal(
+            np.array([incumbent]) >= prune_floor(np.array([incumbent]), 0.0), [True]
+        )
+
+    def test_minus_infinity_keeps_everything(self):
+        assert prune_floor(-math.inf, 5.0) == -math.inf
+        floors = prune_floor(np.array([[-np.inf, 1.0]]), 5.0)
+        assert floors[0, 0] == -np.inf and floors[0, 1] < 1.0
+        assert -np.inf >= floors[0, 0] and -1e308 >= floors[0, 0]
+
+    @given(
+        incumbent=st.floats(-1e6, 1e6).filter(lambda v: v == 0.0 or abs(v) >= 1e-6),
+        ysum=st.floats(0.0, 1e6).filter(lambda v: v == 0.0 or v >= 1e-6),
+        e=st.integers(-60, 60),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_power_of_two_scaling_is_exact(self, incumbent, ysum, e):
+        # Every operand stays a normal float, so scaling by 2**e is exact.
+        scale = 2.0 ** e
+        assert prune_floor(incumbent * scale, ysum * scale) == prune_floor(incumbent, ysum) * scale
+        arr = np.array([incumbent, -incumbent, -np.inf])
+        np.testing.assert_array_equal(
+            prune_floor(arr * scale, ysum * scale), prune_floor(arr, ysum) * scale
+        )
 
 
 def test_sign_split_partitions():

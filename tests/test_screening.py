@@ -19,7 +19,7 @@ from selectree.itemsets import (
     sign_split,
     total_feature_count,
 )
-from selectree.screening import marginal_screen
+from selectree.screening import ScreeningResult, marginal_screen, rank
 
 
 def _benchmark_shape(name, seed):
@@ -112,6 +112,23 @@ class TestTieBreaking:
         sel, _ = marginal_screen(Dataset(Z, y), k=1, r=1)
         assert sel.scores == (0.0,)
         assert sel.signs == (1,)
+
+
+    def test_rank_orders_by_abs_score_then_itemset(self):
+        entries = [(1.0, (3,)), (-3.0, (2,)), (3.0, (1, 2, 3)), (3.0, (1, 3)),
+                   (-3.0, (1, 2)), (-0.0, (1,)), (0.0, (4,))]
+        got = sorted(entries, key=lambda e: rank(*e))
+        assert got == [(-3.0, (1, 2)), (3.0, (1, 2, 3)), (3.0, (1, 3)), (-3.0, (2,)),
+                       (1.0, (3,)), (-0.0, (1,)), (0.0, (4,))]
+        assert rank(0.0, (1,)) == rank(-0.0, (1,))
+
+    def test_signs_and_threshold_derive_from_scores(self):
+        sel = ScreeningResult(
+            selected=tuple(Itemset((j,)) for j in (1, 2, 3)), scores=(3.0, -2.0, -0.0)
+        )
+        assert sel.signs == (1, -1, 1)
+        assert sel.kth_abs_score == 0.0 and not np.signbit(sel.kth_abs_score)
+        assert ScreeningResult(sel.selected[:2], (3.0, -2.0)).kth_abs_score == 2.0
 
 
 class TestBound:

@@ -75,10 +75,15 @@ def _parse_cell(cell: str, line_no: int, col_no: int) -> float:
 
 
 def _csv_rows(fh):
-    """``csv.reader`` rows; a line it cannot split is a DataError."""
+    """``(line, row)`` per ``csv.reader`` row, numbered by the file line the
+    row starts on (a quoted cell may span lines); a line it cannot split is a
+    DataError."""
     reader = csv.reader(fh)
+    line = 1
     try:
-        yield from reader
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
     except csv.Error as exc:
         raise DataError(f"line {reader.line_num}: {exc}") from None
 
@@ -100,7 +105,7 @@ _NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 def _loadtxt_rows(fh) -> tuple[list[str] | None, np.ndarray] | None:
     """(names, table) from one C-level ``np.loadtxt`` pass over the lines
     after the header, or None when the file needs the per-cell loop."""
-    first = next((row for row in _csv_rows(fh) if row), None)
+    first = next((row for _, row in _csv_rows(fh) if row), None)
     if first is None:
         return None
     names = _header_names(first)
@@ -128,7 +133,7 @@ def _loadtxt_rows(fh) -> tuple[list[str] | None, np.ndarray] | None:
 def _parse_rows(fh, path) -> tuple[list[str] | None, np.ndarray]:
     """(names, table) by ``csv.reader`` and ``float()`` on every cell, raising
     DataError with the line and column of the first bad cell."""
-    rows = [(i + 1, row) for i, row in enumerate(_csv_rows(fh)) if row]
+    rows = [(line, row) for line, row in _csv_rows(fh) if row]
     if not rows:
         raise DataError(f"{path}: empty file")
 

@@ -40,6 +40,25 @@ give.
 Pruning never changes the endpoints: a subtree is kept iff its bound
 reaches the incumbent's ``prune_floor``, screening's rule too, whose slack
 dwarfs floating-point noise, so any skipped ratio is strictly non-improving.
+
+The leaf level is gated on BLAS and decided exactly, as screening's scores
+are.  Most nodes the pruned walk expands are parents of leaves, and few of
+them move an incumbent.  So a node whose children are parents of leaves does
+not hand them to the walker one by one.  For a chunk of those children, one
+product of their columns, weighted by y and by each c, against the
+grandchildren's factors gives every grandchild's approximate x'y and x'c.  A
+test that is linear in each incumbent then flags the children with a
+grandchild ratio that could beat it.  Only a flagged child is expanded, by
+the per-node code.  The visits of the cleared children between two flagged
+ones are counted in one step against the live floors.  This is exact:
+
+- the test's margin is the ``prune_floor`` slack, which dwarfs both the
+  error of the approximate sums and the rounding of the exact ratio, so a
+  cleared child has no ratio above its incumbent as the test saw it;
+- incumbents only grow, so that child's offers would change nothing, and
+  the floors stand still between flagged children;
+- a flagged child is re-tested against the live floors and expanded by
+  the per-node code, as the walker would.
 """
 
 from __future__ import annotations
@@ -94,6 +113,11 @@ DENOM_TOL = 1e-12
 _COND_LIMIT = 1e12
 
 _CASES = ("C1", "C2")
+
+# The leaf gate takes a node's children in chunks holding at most this many
+# grandchildren (or one child), so that its (contrast, endpoint, child,
+# grandchild) arrays stay small.
+_LEAF_GATE_CELLS = 256
 
 
 class SingularGramError(ValueError):
@@ -274,6 +298,27 @@ def truncation_windows(
     prune=False the same walk visits everything and must produce identical
     endpoints.
 
+    With prune=True the children of a node at depth r - 2, the parents of
+    leaves, go through a gate first.  With lam = best[q, e], a grandchild
+    ratio whose denominator is negative beats lam iff P - Q < 0, where
+
+        P[q, e, j] = kappa_j - lam s_e rho_qj,
+        Q[q, e, o] = t_o (x'y + lam s_e x'c_q).
+
+    P does not depend on the grandchild and Q does not depend on j.  So a
+    child is flagged iff, for some (q, e, o), the largest Q over its
+    grandchildren reaches ``prune_floor(min P, scale)``, with the minimum
+    over the features j active for it and scale = max kappa + sum|y| +
+    |lam| (max|rho_q| + sum|c_q|).  An incumbent of -inf flags every child
+    active for it.  Q comes from one BLAS product per chunk of at most
+    ``_LEAF_GATE_CELLS`` grandchildren; its error (about n eps sum|w| per
+    sum) and the rounding of num / den are both a few n eps * scale, far
+    below the floor's slack for any n up to ~10^6.  A cleared child is
+    not expanded; its visits are counted against the live floors, as the
+    walker would count them, and a flagged child is re-tested and expanded
+    as any other node.  Windows, ``argmin_info`` and ``nodes_visited`` are
+    those of the per-node walk bit for bit.
+
     All contrasts share one walk of the tree: a subtree is entered while it
     is alive for any contrast, and a contrast whose activity mask is empty
     there neither scores nor counts its nodes.  Each contrast's incumbents,
@@ -346,7 +391,9 @@ def truncation_windows(
     half_tol = 0.5 * DENOM_TOL
     rho5 = rho_e[:, :, None, None, :]
 
-    def expand(parent, start, rows, col, act, leaves):
+    def score(parent, start, col, act):
+        # Offer the pair ratios of the node's children and count them as
+        # visited; return their sums.
         # act: bool (K, 2, 2, k) = (contrast, endpoint, orientation C1/C2, feature j)
         block = ZT[start:] * col
         m = block.shape[0]
@@ -371,9 +418,13 @@ def truncation_windows(
             if start < idx <= start + m:
                 mask[:, :, :, idx - 1 - start] = False
         offer(np.divide(num, den, out=np.full(den.shape, -np.inf), where=mask), pair)
+        return M
 
+    def expand(parent, start, rows, col, act, leaves):
+        M = score(parent, start, col, act)
         if leaves:
             return
+        m = M.shape[2]
         if not prune:
             yield from ((i, act) for i in range(m))
             return
@@ -384,7 +435,7 @@ def truncation_windows(
         # and the largest reachable |denominator| is max(-dlo, dhi).
         dlo = rho5 - M[:, 9 - up][..., None]
         alive = dlo <= -half_tol
-        alive &= act5
+        alive &= act[:, :, :, None, :]
         den = np.maximum(-dlo, rho5 + M[:, up][..., None])
         bound = (M[:, None, 2:4, :, None] - kappa) / den
         # Gate all children at once against the incumbents' floors as they
@@ -393,11 +444,81 @@ def truncation_windows(
         # siblings' subtrees may have raised, before the walk enters it.
         gated = bound >= prune_floor(best, ysum)[:, :, None, None, None]
         gated &= alive
-        for i in np.flatnonzero(gated.any(axis=(0, 1, 2, 4))).tolist():
+        entered = gated.any(axis=(0, 1, 2, 4))
+        if len(parent) + 2 == r:
+            # The children are parents of leaves; the last one, index d, has
+            # no children at all.
+            leaf_parents(parent, start, col, alive, bound, np.flatnonzero(entered[:-1]))
+            return
+        for i in np.flatnonzero(entered).tolist():
             floor = prune_floor(best, ysum)[:, :, None, None]
             child_act = alive[:, :, :, i] & (bound[:, :, :, i] >= floor)
             if child_act.any():
                 yield i, child_act
+
+    # The leaf gate's sums x'y and x'c_q, and the scale of its margin.
+    WG = np.vstack([y, C])  # (K + 1, n)
+    kmax = float(kappa.max())
+    rcsum = (np.abs(rho).max(axis=1) + np.abs(C).sum(axis=1))[:, None]  # (K, 1)
+
+    def leaf_parents(parent, start, col, alive, bound, sibs):
+        # The leaf level of the walk, in chunks of siblings with at most
+        # _LEAF_GATE_CELLS grandchildren between them.
+        m = alive.shape[3]
+        lo = 0
+        while lo < len(sibs):
+            hi, cells = lo + 1, m - 1 - sibs[lo]
+            while hi < len(sibs) and cells + m - 1 - sibs[hi] <= _LEAF_GATE_CELLS:
+                cells += m - 1 - sibs[hi]
+                hi += 1
+            chunk = sibs[lo:hi]
+            lo = hi
+            floor = prune_floor(best, ysum)[:, :, None, None, None]
+            act = alive[:, :, :, chunk] & (bound[:, :, :, chunk] >= floor)  # (K, 2, 2, S, k)
+            flagged = np.flatnonzero(leaf_gate(start, col, chunk, act)).tolist()
+            # Replay the chunk in walk order.  Only a flagged sibling can move
+            # an incumbent, so the floors stand still across each run of
+            # cleared ones: count their visits in one step, then walk the
+            # flagged one as the walker would, re-tested first.
+            pos = 0
+            for f in flagged + [len(chunk)]:
+                if f > pos:
+                    if pos:  # the flagged sibling before may have raised the floors
+                        floor = prune_floor(best, ysum)[:, :, None, None, None]
+                        act[:, :, :, pos:f] &= bound[:, :, :, chunk[pos:f]] >= floor
+                    seen = act[:, :, :, pos:f].any(axis=(1, 2))  # (K, run, k)
+                    visits[:] += (seen * (m - 1 - chunk[pos:f])[:, None]).sum(axis=1)
+                if f < len(chunk):
+                    i = int(chunk[f])
+                    floor = prune_floor(best, ysum)[:, :, None, None]
+                    child_act = alive[:, :, :, i] & (bound[:, :, :, i] >= floor)
+                    if child_act.any():
+                        child = start + 1 + i
+                        score(parent + (child,), child, ZT[start + i] * col, child_act)
+                pos = f + 1
+
+    def leaf_gate(start, col, chunk, act):
+        # Which siblings in ``chunk`` have a grandchild ratio that could beat
+        # an incumbent?  The P - Q test of the docstring, on approximate sums.
+        i0 = chunk[0]
+        A = ZT[start + chunk] * col  # the siblings' columns, (S, n)
+        grand = ZT[start + 1 + i0:]  # every sibling's grandchildren lie in here
+        sums = ((A * WG[:, None]).reshape(-1, n) @ grand.T).reshape(K + 1, len(chunk), -1)
+        valid = np.arange(len(grand)) >= (chunk - i0)[:, None]  # (S, G)
+        fin = np.isfinite(best)
+        lam = np.where(fin, best, 0.0)
+        # U = x'y + lam s_e x'c_q, with s_e = ec[e, 0]; Q is t_o U.
+        U = sums[0] + (lam * ec[:, 0])[:, :, None, None] * sums[1:, None]  # (K, 2, S, G)
+        Q = np.stack(
+            [np.where(valid, U, -np.inf).max(axis=3), -np.where(valid, U, np.inf).min(axis=3)],
+            axis=2,
+        )  # (K, 2, 2, S)
+        P = np.where(fin[:, :, None], kappa - lam[:, :, None] * rho_e, -np.inf)  # (K, 2, k)
+        minP = np.where(act, P[:, :, None, None], np.inf).min(axis=4)  # (K, 2, 2, S)
+        scale = kmax + ysum + np.abs(lam) * rcsum
+        flag = Q >= prune_floor(minP, scale[:, :, None, None])
+        flag &= act.any(axis=4)  # minP is +inf, its floor NaN, where no j is active
+        return flag.any(axis=(0, 1, 2))
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # Sign rows kappa_j / rho_j seed the incumbents, so pruning has teeth

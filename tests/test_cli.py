@@ -172,13 +172,16 @@ class TestIngestPaths:
         ("a,b,y\n1,0,2\n1,0\n", "line 3: expected 3 cells, got 2"),
         ("a,b,y\n1,oops,2\n", "line 2, column 2: non-numeric cell 'oops'"),
         ("a,b,y\n1,0\x1c,2\n", "line 2, column 2: non-numeric cell"),
+        ('a,b,y\n"1\n",0,2\n1,x,2\n', "line 4, column 2: non-numeric cell 'x'"),
+        ('a,b,y\n"1\n",0,2\n1,0\n', "line 4: expected 3 cells, got 2"),
         ("", "empty file"),
         ("\n\r\n", "empty file"),
         ("a,b,y\n", "header but no data rows"),
         ("a,b,y\n\n\r\n", "header but no data rows"),
         ("1\n2\n", "need at least one covariate"),
     ], ids=["whitespace line", "hash line", "trailing comma", "ragged row",
-            "non-numeric", "separator padding", "empty", "blank lines only",
+            "non-numeric", "separator padding", "after a two-line cell",
+            "ragged after a two-line cell", "empty", "blank lines only",
             "header only", "header and blank lines", "one column"])
     def test_errors_come_from_the_loop(self, tmp_path, text, match):
         path = _write(tmp_path, text)

@@ -321,6 +321,94 @@ class TestJointWalk:
         assert {f.interval.metrics.total_nodes for f in report.features} == {10 * 166_750}
 
 
+    def test_visit_counts_are_pinned_on_the_criterion_5_shape(self):
+        # At sparsity 0.5 most expanded nodes are parents of leaves, so these
+        # counts pin the leaf gate's replay: a cleared sibling's visits must
+        # be counted against the live floors, as the per-node walk does.
+        spec = SyntheticSpec(n=100, d=50, r=3, k=10, sparsity=0.5, sigma=0.1, seed=1)
+        report = infer(gen_synthetic(spec, 0), spec.config())
+        assert [f.interval.metrics.nodes_visited for f in report.features] == [
+            78132, 64352, 93059, 76285, 67926, 72339, 66373, 85150, 78188, 64941
+        ]
+
+
+def _ternary_instance(seed):
+    """Binary Z and y in {-1, 0, 1}, heavy with ties, and r = 2, 3 or 4, so
+    that the leaf gate runs at the root, at depth 1 or at depth 2."""
+    rng = np.random.default_rng(seed)
+    r = 2 + seed % 3
+    n = int(rng.integers(6, 25))
+    d = int(rng.integers(r + 1, 9))
+    Z = (rng.random((n, d)) < rng.uniform(0.3, 0.8)).astype(np.float64)
+    y = rng.integers(-1, 2, n).astype(np.float64)
+    return Dataset(Z, y), r, int(rng.integers(1, 5))
+
+
+def _windows_or_error(sel, data, cons, r, prune):
+    try:
+        ivs = truncation_windows(sel, data, cons, r, prune)
+    except (DegenerateTruncationError, InternalConsistencyError) as exc:
+        return type(exc), str(exc)
+    return [(float.hex(iv.v_minus), float.hex(iv.v_plus), iv.argmin_info) for iv in ivs]
+
+
+class TestLeafGate:
+    """The pruned walk expands a parent of leaves only where its gate says an
+    incumbent can move; that must change no window, active constraint or
+    error."""
+
+    @pytest.mark.parametrize("seed", range(6100, 6130))
+    def test_matches_the_unpruned_walk_and_the_oracle(self, seed):
+        data, r, k = _ternary_instance(seed)
+        sel, _ = marginal_screen(data, k, r)
+        try:
+            cons = [contrast_for_coefficient(_design(sel, data.Z), data.y, j, sigma=1.0)
+                    for j in range(1, k + 1)]
+        except SingularGramError:
+            cons = []
+        # An integer slice direction keeps every sum and denominator exact,
+        # so the oracle's ratios are the walk's bit for bit.
+        c = np.random.default_rng(seed).integers(-2, 3, data.n).astype(np.float64)
+        lattice = inference.Contrast(c, 0.0, 1.0, c)
+        for group in (cons, [lattice]):
+            if not group:
+                continue
+            pruned = _windows_or_error(sel, data, group, r, True)
+            assert pruned == _windows_or_error(sel, data, group, r, False)
+            if isinstance(pruned, tuple):
+                continue
+            for con, (lo, hi, _) in zip(group, pruned):
+                ref = oracle.oracle_truncation(sel, data, con, r)
+                want = (float.hex(ref.v_minus), float.hex(ref.v_plus))
+                if con is lattice:
+                    assert (lo, hi) == want
+                else:
+                    for got, w in zip((lo, hi), want):
+                        got, w = float.fromhex(got), float.fromhex(w)
+                        assert got == w or abs(got - w) <= 1e-9 * max(1.0, abs(got), abs(w))
+
+    def test_gate_under_an_unset_incumbent(self):
+        # At r = 2 the gate runs at the root right after the singletons'
+        # offers, which is where an r = 1 walk ends.  Here an endpoint that
+        # is still infinite at r = 1 is set by a pair at r = 2, so the gate
+        # ran while that incumbent was -inf and had to flag its sibling.
+        data, r, k = _ternary_instance(6105)
+        assert r == 2
+        sel, _ = marginal_screen(data, k, r)
+        X = _design(sel, data.Z)
+        cons = [contrast_for_coefficient(X, data.y, j, sigma=1.0) for j in range(1, k + 1)]
+        at_gate = truncation_windows(sel, data, cons, 1)
+        final = truncation_windows(sel, data, cons, 2)
+        assert any(
+            math.isinf(a) and math.isfinite(b)
+            for before, after in zip(at_gate, final)
+            for a, b in ((before.v_minus, after.v_minus), (before.v_plus, after.v_plus))
+        )
+        assert _windows_or_error(sel, data, cons, r, True) == _windows_or_error(
+            sel, data, cons, r, False
+        )
+
+
 class TestTruncNormCdf:
     def test_endpoints(self):
         assert trunc_norm_cdf(-1.0, 0.0, 1.0, -1.0, 1.0) == 0.0

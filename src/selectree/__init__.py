@@ -33,7 +33,6 @@ from .inference import (
     InternalConsistencyError,
     SingularGramError,
     TruncationInterval,
-    beta_hat,
     contrast_for_coefficient,
     infer,
     selective_interval,
@@ -73,7 +72,6 @@ __all__ = [
     "InternalConsistencyError",
     "SingularGramError",
     "TruncationInterval",
-    "beta_hat",
     "contrast_for_coefficient",
     "infer",
     "selective_interval",

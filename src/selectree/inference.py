@@ -41,22 +41,35 @@ Pruning never changes the endpoints: a subtree is kept iff its bound
 reaches the incumbent's ``prune_floor``, screening's rule too, whose slack
 dwarfs floating-point noise, so any skipped ratio is strictly non-improving.
 
-The leaf level is gated on BLAS and decided exactly, as screening's scores
-are.  Most nodes the pruned walk expands are parents of leaves, and few of
-them move an incumbent.  So a node whose children are parents of leaves does
-not hand them to the walker one by one.  For a chunk of those children, one
-product of their columns, weighted by y and by each c, against the
-grandchildren's factors gives every grandchild's approximate x'y and x'c.  A
-test that is linear in each incumbent then flags the children with a
-grandchild ratio that could beat it.  Only a flagged child is expanded, by
-the per-node code.  The visits of the cleared children between two flagged
-ones are counted in one step against the live floors.  This is exact:
+Every node of the pruned walk runs one two-stage rule, the way screening
+exact-scores only the children that can enter its top k: a cheap test on an
+axis without the selected feature j names the children that can matter, and
+only those get the per-(contrast, endpoint, orientation, child, feature)
+arithmetic.  Few children at a node can move an incumbent or earn a
+descent.  Three gates run this rule:
 
-- the test's margin is the ``prune_floor`` slack, which dwarfs both the
-  error of the approximate sums and the rounding of the exact ratio, so a
-  cleared child has no ratio above its incumbent as the test saw it;
-- incumbents only grow, so that child's offers would change nothing, and
-  the floors stand still between flagged children;
+- the offer gate: the node's own sums pick the children with a ratio that
+  could beat an incumbent, and only their ratios are formed and offered;
+- the subtree gate: the same sums pick the children whose subtree bound
+  could reach its floor, and only their bounds are formed;
+- the leaf gate: a node whose children are parents of leaves does not hand
+  them to the walker one by one.  For a chunk of those children, one
+  product of their columns, weighted by y and by each c, against the
+  grandchildren's factors gives every grandchild's approximate x'y and x'c,
+  and the offer gate's test on these sums flags the children to expand.
+  The visits of the cleared children between two flagged ones are counted
+  in one step against the live floors.
+
+This is exact:
+
+- each test's margin is a ``prune_floor`` slack, which dwarfs the rounding
+  of its rearranged expression and the error of the leaf gate's
+  approximate sums, so a child ruled out has no ratio above its incumbent
+  and no bound at its floor as the per-node code would compute them;
+- such a child can neither win an offer nor tie the winner, and the
+  survivors keep their walk order, so ties break as before;
+- incumbents only grow, so a cleared child's offers would change nothing,
+  and the floors stand still between flagged children;
 - a flagged child is re-tested against the live floors and expanded by
   the per-node code, as the walker would.
 """
@@ -93,7 +106,6 @@ __all__ = [
     "SingularGramError",
     "InternalConsistencyError",
     "DegenerateTruncationError",
-    "beta_hat",
     "contrast_for_coefficient",
     "truncation_points",
     "truncation_windows",
@@ -223,12 +235,6 @@ def _gram(X: np.ndarray) -> np.ndarray:
     )
 
 
-def beta_hat(X_S: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares coefficients on the k selected columns."""
-    X = np.asarray(X_S, dtype=np.float64)
-    return np.linalg.solve(_gram(X), X.T @ np.asarray(y, dtype=np.float64))
-
-
 def contrast_for_coefficient(
     X_S: np.ndarray,
     y: np.ndarray,
@@ -298,26 +304,52 @@ def truncation_windows(
     prune=False the same walk visits everything and must produce identical
     endpoints.
 
-    With prune=True the children of a node at depth r - 2, the parents of
-    leaves, go through a gate first.  With lam = best[q, e], a grandchild
-    ratio whose denominator is negative beats lam iff P - Q < 0, where
+    With prune=True each node runs two stages: a test on the (contrast,
+    endpoint, orientation, child) axes, without the feature axis j, picks
+    the children that can matter, and only those get the (K, 2, 2, m, k)
+    arithmetic.  With lam = best[q, e], a ratio whose denominator is
+    negative beats lam iff P - Q < 0, where
 
         P[q, e, j] = kappa_j - lam s_e rho_qj,
         Q[q, e, o] = t_o (x'y + lam s_e x'c_q).
 
-    P does not depend on the grandchild and Q does not depend on j.  So a
-    child is flagged iff, for some (q, e, o), the largest Q over its
-    grandchildren reaches ``prune_floor(min P, scale)``, with the minimum
-    over the features j active for it and scale = max kappa + sum|y| +
-    |lam| (max|rho_q| + sum|c_q|).  An incumbent of -inf flags every child
-    active for it.  Q comes from one BLAS product per chunk of at most
-    ``_LEAF_GATE_CELLS`` grandchildren; its error (about n eps sum|w| per
-    sum) and the rounding of num / den are both a few n eps * scale, far
-    below the floor's slack for any n up to ~10^6.  A cleared child is
-    not expanded; its visits are counted against the live floors, as the
-    walker would count them, and a flagged child is re-tested and expanded
-    as any other node.  Windows, ``argmin_info`` and ``nodes_visited`` are
-    those of the per-node walk bit for bit.
+    P does not depend on the child and Q does not depend on j.  Let scale =
+    max kappa + sum|y| + |lam| (max|rho_q| + sum|c_q|), which bounds every
+    term above, since |x'y| <= sum|y| and |x'c_q| <= sum|c_q|.
+
+    - Offer gate.  A child's ratios are formed and offered only if, for
+      some (q, e, o), its Q reaches the least prune_floor(P_j, scale) over
+      the features j active for it.  Q comes from the node's own sums, the
+      ones the ratio divides, so the test only rearranges the ratio's
+      arithmetic: a ratio that rounds above lam has P - Q below c eps *
+      scale for a small constant c, P and Q round by as much, and the
+      margin is at least PRUNE_SLACK * scale.  An incumbent of -inf reads
+      as lam = 0 with P = -inf, which keeps every child active for it.
+    - Subtree gate.  Let f = prune_floor(best, ysum), the floor a bound
+      must reach.  For f <= 0 and den > 0, (sy_o - kappa_j) / den >= f iff
+      sy_o + |f| den >= kappa_j, and den <= |rho_qj| + max(sc_pos, sc_neg).
+      So a child's bounds are formed only if, for some (q, e, o), sy_o +
+      |f| max(sc_pos, sc_neg) reaches the least prune_floor(kappa_j - |f|
+      |rho_qj|, scale) over the active j, with |f| in place of |lam| in
+      scale.  The rearrangement again rounds by a few eps * scale.  While
+      an incumbent is -inf or a floor is above 0 every child is bounded.
+    - Leaf gate.  The children of a node at depth r - 2, the parents of
+      leaves, are taken in chunks of at most ``_LEAF_GATE_CELLS``
+      grandchildren.  One BLAS product per chunk gives each grandchild's
+      approximate x'y and x'c, and a child is expanded only if the largest
+      Q over its grandchildren passes the offer gate's test.  That
+      product's error, about n eps sum|w| per sum, stays far below the
+      margin for any n up to ~10^6.  A cleared child is not expanded; its
+      visits are counted against the live floors, as the walker would count
+      them, and a flagged child is re-tested and expanded as any other
+      node.
+
+    A child a gate rules out has every ratio strictly below its incumbent,
+    or every bound below its floor, so it can neither win an offer nor tie
+    the winner, nor be entered.  The survivors keep their walk order, so
+    the first argmax over (o, child, j) names the same constraint.
+    Windows, ``argmin_info`` and ``nodes_visited`` are those of the
+    per-node walk bit for bit.
 
     All contrasts share one walk of the tree: a subtree is entered while it
     is alive for any contrast, and a contrast whose activity mask is empty
@@ -377,15 +409,54 @@ def truncation_windows(
     best = np.full((K, 2), -np.inf)
     info: list[list[ActiveConstraint | None]] = [[None, None] for _ in range(K)]
 
+    # The terms of the gates that depend on the incumbents alone, refreshed
+    # whenever an offer moves one: ``floor`` = prune_floor(best, ysum), the
+    # floor every bound is kept against; ``lam_s`` = lam s_e, with lam =
+    # best read as 0 where it is -inf; ``offer_floor`` = prune_floor(P,
+    # scale) per feature j, -inf where best is -inf, so that the offer and
+    # leaf gates flag every child active for it; and ``subtree_gate`` =
+    # (|f|, prune_floor(kappa - |f| |rho|, scale)) for the subtree gate,
+    # None where some floor f is -inf or above 0.
+    kmax = float(kappa.max())
+    rcsum = (np.abs(rho).max(axis=1) + np.abs(C).sum(axis=1))[:, None]  # (K, 1)
+    arho = np.abs(rho)[:, None]  # (K, 1, k)
+
+    def incumbents_moved():
+        nonlocal floor, lam_s, offer_floor, subtree_gate
+        floor = prune_floor(best, ysum)
+        fin = np.isfinite(best)
+        lam = np.where(fin, best, 0.0)
+        lam_s = lam * ec[:, 0]
+        P = np.where(fin[:, :, None], kappa - lam[:, :, None] * rho_e, -np.inf)
+        offer_floor = prune_floor(P, (kmax + ysum + np.abs(lam) * rcsum)[:, :, None])
+        subtree_gate = None
+        if ((floor > -np.inf) & (floor <= 0)).all():
+            af = np.abs(floor)
+            scale = (kmax + ysum + af * rcsum)[:, :, None]
+            subtree_gate = af, prune_floor(kappa - af[:, :, None] * arho, scale)
+
+    floor = lam_s = offer_floor = subtree_gate = None
+    incumbents_moved()
+
     def offer(vals, constraint):
         # Each (contrast, endpoint) takes its first largest candidate if
         # strictly better.
         flat = vals.reshape(K, 2, -1)
         arg = flat.argmax(axis=2)
         top = flat.max(axis=2)
-        for q, e in zip(*np.nonzero(top > best)):
+        better = np.nonzero(top > best)
+        for q, e in zip(*better):
             best[q, e] = top[q, e]
             info[q][e] = constraint(int(arg[q, e]))
+        if len(better[0]):
+            incumbents_moved()
+
+    def reaches(Q, F, act):
+        # Which children have, for some (contrast, endpoint, orientation), a
+        # Q that reaches the least floor F_j over the features j active for
+        # it?  Q: (K, 2, 2, S), F: (K, 2, k), act: (K, 2, 2, S or 1, k).
+        # Where no j is active that floor is +inf, which no finite Q reaches.
+        return (Q >= np.where(act, F[:, :, None, None], np.inf).min(axis=4)).any(axis=(0, 1, 2))
 
     visits = np.zeros((K, k), dtype=np.int64)
     half_tol = 0.5 * DENOM_TOL
@@ -402,21 +473,34 @@ def truncation_windows(
 
         visits[act.any(axis=(1, 2))] += m
 
+        # Stage one of the offer gate: the P - Q test of the docstring on
+        # the node's own sums picks the children, in walk order, whose
+        # ratios could beat an incumbent.
+        kids, Mk = np.arange(m), M
+        if prune:
+            U = M[:, None, 0] + lam_s[:, :, None] * M[:, None, 1]  # (K, 2, m)
+            Q = np.stack([U, -U], axis=2)  # t_o U
+            kids = np.flatnonzero(reaches(Q, offer_floor, act[:, :, :, None]))
+            if not len(kids):
+                return M
+            Mk = M[:, :, kids]
+
         def pair(f):
-            o, f = divmod(f, m * k)
+            o, f = divmod(f, len(kids) * k)
             i, j = divmod(f, k)
-            child = Itemset(parent + (start + 1 + i,))
+            child = Itemset(parent + (start + 1 + int(kids[i]),))
             return ActiveConstraint("pair", sel.selected[j], child, _CASES[o])
 
         # (contrast, endpoint, orientation, child, feature)
         act5 = act[:, :, :, None, :]
-        num = kappa - (ec[0][:, None] * M[:, None, None, 0])[..., None]  # t_o = ec[0, o]
-        den = rho5 + (ec[:, :, None] * M[:, None, None, 1])[..., None]
+        num = kappa - (ec[0][:, None] * Mk[:, None, None, 0])[..., None]  # t_o = ec[0, o]
+        den = rho5 + (ec[:, :, None] * Mk[:, None, None, 1])[..., None]
         mask = den < -DENOM_TOL
         mask &= act5
         for idx in sel_by_parent.get(parent, ()):
-            if start < idx <= start + m:
-                mask[:, :, :, idx - 1 - start] = False
+            p = np.searchsorted(kids, idx - 1 - start)
+            if p < len(kids) and kids[p] == idx - 1 - start:
+                mask[:, :, :, p] = False
         offer(np.divide(num, den, out=np.full(den.shape, -np.inf), where=mask), pair)
         return M
 
@@ -428,6 +512,17 @@ def truncation_windows(
         if not prune:
             yield from ((i, act) for i in range(m))
             return
+        # Stage one of the subtree gate: the superset test of the docstring
+        # picks the children, in walk order, that can pass the gate below.
+        kids = np.arange(m)
+        if subtree_gate is not None:
+            af, F = subtree_gate
+            sc = np.maximum(M[:, 4], M[:, 5])[:, None, None]
+            Q = M[:, None, 2:4] + af[:, :, None, None] * sc  # (K, 2, 2, m)
+            kids = np.flatnonzero(reaches(Q, F, act[:, :, :, None]))
+            if not len(kids):
+                return
+            M = M[:, :, kids]
         # For descendants of child i the denominator lives in [dlo, dhi] and
         # the numerator is at least kappa - sy_pos (C1) or kappa - sy_neg (C2).
         # No descendant can contribute when even dlo sits above -DENOM_TOL/2
@@ -442,60 +537,60 @@ def truncation_windows(
         # stand.  ``best`` only grows, so a child gated out here stays out;
         # each survivor is re-tested against the live floors, which earlier
         # siblings' subtrees may have raised, before the walk enters it.
-        gated = bound >= prune_floor(best, ysum)[:, :, None, None, None]
+        gated = bound >= floor[:, :, None, None, None]
         gated &= alive
-        entered = gated.any(axis=(0, 1, 2, 4))
+        entered = np.flatnonzero(gated.any(axis=(0, 1, 2, 4)))
         if len(parent) + 2 == r:
-            # The children are parents of leaves; the last one, index d, has
-            # no children at all.
-            leaf_parents(parent, start, col, alive, bound, np.flatnonzero(entered[:-1]))
+            # The children are parents of leaves; the last one, index m - 1,
+            # has no children at all.
+            entered = entered[kids[entered] < m - 1]
+            leaf_parents(parent, start, col, alive[:, :, :, entered], bound[:, :, :, entered],
+                         kids[entered])
             return
-        for i in np.flatnonzero(entered).tolist():
-            floor = prune_floor(best, ysum)[:, :, None, None]
-            child_act = alive[:, :, :, i] & (bound[:, :, :, i] >= floor)
+        for i in entered.tolist():
+            child_act = alive[:, :, :, i] & (bound[:, :, :, i] >= floor[:, :, None, None])
             if child_act.any():
-                yield i, child_act
+                yield int(kids[i]), child_act
 
-    # The leaf gate's sums x'y and x'c_q, and the scale of its margin.
+    # The leaf gate's sums x'y and x'c_q.
     WG = np.vstack([y, C])  # (K + 1, n)
-    kmax = float(kappa.max())
-    rcsum = (np.abs(rho).max(axis=1) + np.abs(C).sum(axis=1))[:, None]  # (K, 1)
 
-    def leaf_parents(parent, start, col, alive, bound, sibs):
-        # The leaf level of the walk, in chunks of siblings with at most
-        # _LEAF_GATE_CELLS grandchildren between them.
-        m = alive.shape[3]
+    def leaf_parents(parent, start, col, alive, bound, kids):
+        # The leaf level of the walk: the entered children ``kids`` of a node
+        # at depth r - 2, with their ``alive`` and ``bound`` on axis 3, in
+        # chunks of siblings with at most _LEAF_GATE_CELLS grandchildren
+        # between them.
+        grand = len(ZT) - 1 - start - kids  # each sibling's number of children
         lo = 0
-        while lo < len(sibs):
-            hi, cells = lo + 1, m - 1 - sibs[lo]
-            while hi < len(sibs) and cells + m - 1 - sibs[hi] <= _LEAF_GATE_CELLS:
-                cells += m - 1 - sibs[hi]
+        while lo < len(kids):
+            hi, cells = lo + 1, grand[lo]
+            while hi < len(kids) and cells + grand[hi] <= _LEAF_GATE_CELLS:
+                cells += grand[hi]
                 hi += 1
-            chunk = sibs[lo:hi]
-            lo = hi
-            floor = prune_floor(best, ysum)[:, :, None, None, None]
-            act = alive[:, :, :, chunk] & (bound[:, :, :, chunk] >= floor)  # (K, 2, 2, S, k)
-            flagged = np.flatnonzero(leaf_gate(start, col, chunk, act)).tolist()
+            act = alive[:, :, :, lo:hi] & (bound[:, :, :, lo:hi] >= floor[:, :, None, None, None])
+            flagged = np.flatnonzero(leaf_gate(start, col, kids[lo:hi], act)).tolist()
             # Replay the chunk in walk order.  Only a flagged sibling can move
             # an incumbent, so the floors stand still across each run of
             # cleared ones: count their visits in one step, then walk the
             # flagged one as the walker would, re-tested first.
             pos = 0
-            for f in flagged + [len(chunk)]:
+            for f in flagged + [hi - lo]:
                 if f > pos:
                     if pos:  # the flagged sibling before may have raised the floors
-                        floor = prune_floor(best, ysum)[:, :, None, None, None]
-                        act[:, :, :, pos:f] &= bound[:, :, :, chunk[pos:f]] >= floor
+                        act[:, :, :, pos:f] &= (
+                            bound[:, :, :, lo + pos:lo + f] >= floor[:, :, None, None, None]
+                        )
                     seen = act[:, :, :, pos:f].any(axis=(1, 2))  # (K, run, k)
-                    visits[:] += (seen * (m - 1 - chunk[pos:f])[:, None]).sum(axis=1)
-                if f < len(chunk):
-                    i = int(chunk[f])
-                    floor = prune_floor(best, ysum)[:, :, None, None]
-                    child_act = alive[:, :, :, i] & (bound[:, :, :, i] >= floor)
+                    visits[:] += (seen * grand[lo + pos:lo + f, None]).sum(axis=1)
+                if f < hi - lo:
+                    child_act = alive[:, :, :, lo + f] & (
+                        bound[:, :, :, lo + f] >= floor[:, :, None, None]
+                    )
                     if child_act.any():
-                        child = start + 1 + i
-                        score(parent + (child,), child, ZT[start + i] * col, child_act)
+                        child = start + 1 + int(kids[lo + f])
+                        score(parent + (child,), child, ZT[child - 1] * col, child_act)
                 pos = f + 1
+            lo = hi
 
     def leaf_gate(start, col, chunk, act):
         # Which siblings in ``chunk`` have a grandchild ratio that could beat
@@ -505,20 +600,13 @@ def truncation_windows(
         grand = ZT[start + 1 + i0:]  # every sibling's grandchildren lie in here
         sums = ((A * WG[:, None]).reshape(-1, n) @ grand.T).reshape(K + 1, len(chunk), -1)
         valid = np.arange(len(grand)) >= (chunk - i0)[:, None]  # (S, G)
-        fin = np.isfinite(best)
-        lam = np.where(fin, best, 0.0)
-        # U = x'y + lam s_e x'c_q, with s_e = ec[e, 0]; Q is t_o U.
-        U = sums[0] + (lam * ec[:, 0])[:, :, None, None] * sums[1:, None]  # (K, 2, S, G)
+        # U = x'y + lam s_e x'c_q; Q is t_o U.
+        U = sums[0] + lam_s[:, :, None, None] * sums[1:, None]  # (K, 2, S, G)
         Q = np.stack(
             [np.where(valid, U, -np.inf).max(axis=3), -np.where(valid, U, np.inf).min(axis=3)],
             axis=2,
         )  # (K, 2, 2, S)
-        P = np.where(fin[:, :, None], kappa - lam[:, :, None] * rho_e, -np.inf)  # (K, 2, k)
-        minP = np.where(act, P[:, :, None, None], np.inf).min(axis=4)  # (K, 2, 2, S)
-        scale = kmax + ysum + np.abs(lam) * rcsum
-        flag = Q >= prune_floor(minP, scale[:, :, None, None])
-        flag &= act.any(axis=4)  # minP is +inf, its floor NaN, where no j is active
-        return flag.any(axis=(0, 1, 2))
+        return reaches(Q, offer_floor, act)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # Sign rows kappa_j / rho_j seed the incumbents, so pruning has teeth

@@ -33,7 +33,6 @@ from .inference import (
 __all__ = [
     "oracle_screen",
     "oracle_truncation",
-    "reference_normal_cdf",
     "reference_trunc_norm_cdf",
 ]
 
@@ -156,16 +155,6 @@ def oracle_truncation(
         argmin_info=(lo_info, hi_info),
         metrics=metrics,
     )
-
-
-def reference_normal_cdf(x: float) -> float:
-    """Standard Normal CDF evaluated in 50-digit arithmetic, then rounded.
-
-    Independent of the scipy code path used in production; accurate to well
-    below 1e-14 for |x| <= 8.
-    """
-    with mpmath.workdps(50):
-        return float(0.5 * mpmath.erfc(-mpmath.mpf(x) / mpmath.sqrt(2)))
 
 
 def reference_trunc_norm_cdf(

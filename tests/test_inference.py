@@ -12,7 +12,6 @@ from selectree.inference import (
     DegenerateTruncationError,
     InternalConsistencyError,
     SingularGramError,
-    beta_hat,
     contrast_for_coefficient,
     infer,
     selective_interval,
@@ -31,22 +30,27 @@ def _design(sel, Z):
 
 
 class TestBetaHat:
+    """The reported coefficient is the contrast's eta'y."""
+
     def test_matches_lstsq(self, tiny):
         sel, _ = marginal_screen(tiny, k=2, r=2)
         X = _design(sel, tiny.Z)
         expected = np.linalg.lstsq(X, tiny.y, rcond=None)[0]
-        assert_allclose(beta_hat(X, tiny.y), expected, rtol=1e-12)
+        got = [contrast_for_coefficient(X, tiny.y, j, sigma=1.0).eta_y for j in (1, 2)]
+        assert_allclose(got, expected, rtol=1e-12)
 
     def test_tiny_values(self, tiny):
         sel, _ = marginal_screen(tiny, k=2, r=2)
-        assert_allclose(beta_hat(_design(sel, tiny.Z), tiny.y), [1.0, 1.0], atol=1e-12)
+        X = _design(sel, tiny.Z)
+        got = [contrast_for_coefficient(X, tiny.y, j, sigma=1.0).eta_y for j in (1, 2)]
+        assert_allclose(got, [1.0, 1.0], atol=1e-12)
 
     def test_singular_gram_reports_offenders(self):
         Z = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
         y = np.array([1.0, 2.0, 3.0])
         X = np.column_stack([Z[:, 0], Z[:, 1]])
         with pytest.raises(SingularGramError) as err:
-            beta_hat(X, y)
+            contrast_for_coefficient(X, y, 1, sigma=1.0)
         assert err.value.pairs  # names the collinear column pair
 
 
@@ -331,6 +335,16 @@ class TestJointWalk:
             78132, 64352, 93059, 76285, 67926, 72339, 66373, 85150, 78188, 64941
         ]
 
+    def test_visit_counts_are_pinned_at_order_4(self):
+        # At r = 4 the subtree gate's compact child index runs at two levels
+        # above the leaf gate, and at the lower one it is carried into the
+        # leaf gate's replay.
+        spec = SyntheticSpec(n=100, d=30, r=4, k=10, sparsity=0.5, sigma=0.1, seed=1)
+        report = infer(gen_synthetic(spec, 0), spec.config())
+        assert [f.interval.metrics.nodes_visited for f in report.features] == [
+            34394, 26482, 33407, 25751, 26613, 31729, 36103, 20513, 30856, 28003
+        ]
+
 
 def _ternary_instance(seed):
     """Binary Z and y in {-1, 0, 1}, heavy with ties, and r = 2, 3 or 4, so
@@ -352,6 +366,37 @@ def _windows_or_error(sel, data, cons, r, prune):
     return [(float.hex(iv.v_minus), float.hex(iv.v_plus), iv.argmin_info) for iv in ivs]
 
 
+def _assert_exact(data, r, k, seed):
+    """The pruned walk gives the unpruned walk's windows, active constraints
+    and errors, and the oracle's windows."""
+    sel, _ = marginal_screen(data, k, r)
+    try:
+        cons = [contrast_for_coefficient(_design(sel, data.Z), data.y, j, sigma=1.0)
+                for j in range(1, k + 1)]
+    except SingularGramError:
+        cons = []
+    # An integer slice direction keeps every sum and denominator exact,
+    # so the oracle's ratios are the walk's bit for bit.
+    c = np.random.default_rng(seed).integers(-2, 3, data.n).astype(np.float64)
+    lattice = inference.Contrast(c, 0.0, 1.0, c)
+    for group in (cons, [lattice]):
+        if not group:
+            continue
+        pruned = _windows_or_error(sel, data, group, r, True)
+        assert pruned == _windows_or_error(sel, data, group, r, False)
+        if isinstance(pruned, tuple):
+            continue
+        for con, (lo, hi, _) in zip(group, pruned):
+            ref = oracle.oracle_truncation(sel, data, con, r)
+            want = (float.hex(ref.v_minus), float.hex(ref.v_plus))
+            if con is lattice:
+                assert (lo, hi) == want
+            else:
+                for got, w in zip((lo, hi), want):
+                    got, w = float.fromhex(got), float.fromhex(w)
+                    assert got == w or abs(got - w) <= 1e-9 * max(1.0, abs(got), abs(w))
+
+
 class TestLeafGate:
     """The pruned walk expands a parent of leaves only where its gate says an
     incumbent can move; that must change no window, active constraint or
@@ -359,33 +404,7 @@ class TestLeafGate:
 
     @pytest.mark.parametrize("seed", range(6100, 6130))
     def test_matches_the_unpruned_walk_and_the_oracle(self, seed):
-        data, r, k = _ternary_instance(seed)
-        sel, _ = marginal_screen(data, k, r)
-        try:
-            cons = [contrast_for_coefficient(_design(sel, data.Z), data.y, j, sigma=1.0)
-                    for j in range(1, k + 1)]
-        except SingularGramError:
-            cons = []
-        # An integer slice direction keeps every sum and denominator exact,
-        # so the oracle's ratios are the walk's bit for bit.
-        c = np.random.default_rng(seed).integers(-2, 3, data.n).astype(np.float64)
-        lattice = inference.Contrast(c, 0.0, 1.0, c)
-        for group in (cons, [lattice]):
-            if not group:
-                continue
-            pruned = _windows_or_error(sel, data, group, r, True)
-            assert pruned == _windows_or_error(sel, data, group, r, False)
-            if isinstance(pruned, tuple):
-                continue
-            for con, (lo, hi, _) in zip(group, pruned):
-                ref = oracle.oracle_truncation(sel, data, con, r)
-                want = (float.hex(ref.v_minus), float.hex(ref.v_plus))
-                if con is lattice:
-                    assert (lo, hi) == want
-                else:
-                    for got, w in zip((lo, hi), want):
-                        got, w = float.fromhex(got), float.fromhex(w)
-                        assert got == w or abs(got - w) <= 1e-9 * max(1.0, abs(got), abs(w))
+        _assert_exact(*_ternary_instance(seed), seed)
 
     def test_gate_under_an_unset_incumbent(self):
         # At r = 2 the gate runs at the root right after the singletons'
@@ -407,6 +426,29 @@ class TestLeafGate:
         assert _windows_or_error(sel, data, cons, r, True) == _windows_or_error(
             sel, data, cons, r, False
         )
+
+
+def _sparse_instance(seed):
+    """Binary Z at sparsity 0.7-0.9, y in {-1, 0, 1}, d = 12..20 and r = 3
+    or 4: wide and sparse enough that the gates above the leaf level rule
+    out most children, and small enough for the oracle."""
+    rng = np.random.default_rng(seed)
+    r = 3 + seed % 2
+    n = int(rng.integers(30, 61))
+    d = int(rng.integers(12, 21))
+    Z = (rng.random((n, d)) >= rng.uniform(0.7, 0.9)).astype(np.float64)
+    y = rng.integers(-1, 2, n).astype(np.float64)
+    return Dataset(Z, y), r, int(rng.integers(1, 6))
+
+
+class TestGatesAboveTheLeafLevel:
+    """The offer gate and the subtree gate skip the arithmetic of the
+    children that cannot move an incumbent or pass the subtree bound; that
+    must change no window, active constraint or error."""
+
+    @pytest.mark.parametrize("seed", range(6200, 6224))
+    def test_matches_the_unpruned_walk_and_the_oracle(self, seed):
+        _assert_exact(*_sparse_instance(seed), seed)
 
 
 class TestTruncNormCdf:

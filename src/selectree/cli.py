@@ -373,8 +373,8 @@ def _sigma_arg(text: str):
         raise argparse.ArgumentTypeError(
             f"--sigma expects a number or 'estimate', got {text!r}"
         ) from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError("--sigma must be positive")
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
     return value
 
 
@@ -415,8 +415,8 @@ def _float_list(text: str) -> list[float]:
 
 def _add_data_flags(sub, k_default: int) -> None:
     sub.add_argument("--input", required=True, help="CSV: covariates, response last")
-    sub.add_argument("--order", type=int, default=3, metavar="R")
-    sub.add_argument("--topk", type=int, default=k_default, metavar="K")
+    sub.add_argument("--order", type=_positive_int, default=3, metavar="R")
+    sub.add_argument("--topk", type=_positive_int, default=k_default, metavar="K")
     sub.add_argument("--max-rows", type=_positive_int, default=None, metavar="N")
     sub.add_argument("--binarize", action="store_true",
                      help="standardize each covariate and recode as >1 / <-1 indicators")

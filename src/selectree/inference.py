@@ -58,7 +58,9 @@ descent.  Three gates run this rule:
   grandchildren's factors gives every grandchild's approximate x'y and x'c,
   and the offer gate's test on these sums flags the children to expand.
   The visits of the cleared children between two flagged ones are counted
-  in one step against the live floors.
+  in one step against the live floors.  The chunking and the replay are
+  :func:`selectree.itemsets.gate_leaf_parents`, which screening's leaf
+  gate runs too; this module supplies the P - Q flag and its visit rule.
 
 This is exact:
 
@@ -90,6 +92,7 @@ from .itemsets import (
     TraversalMetrics,
     column_score,
     feature_column,
+    gate_leaf_parents,
     prune_floor,
     sign_split,
     total_feature_count,
@@ -125,11 +128,6 @@ DENOM_TOL = 1e-12
 _COND_LIMIT = 1e12
 
 _CASES = ("C1", "C2")
-
-# The leaf gate takes a node's children in chunks holding at most this many
-# grandchildren (or one child), so that its (contrast, endpoint, child,
-# grandchild) arrays stay small.
-_LEAF_GATE_CELLS = 256
 
 
 class SingularGramError(ValueError):
@@ -252,11 +250,16 @@ def contrast_for_coefficient(
     e = np.zeros(k)
     e[j - 1] = 1.0
     eta = X @ np.linalg.solve(_gram(X), e)
-    if covariance is None:
-        sig_eta = (sigma * sigma) * eta
-    else:
-        sig_eta = np.asarray(covariance, dtype=np.float64) @ eta
-    eta_var = float(eta @ sig_eta)
+    # A finite sigma whose square overflows is a numeric failure, not a
+    # usage error: report it as one, without numpy's warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if covariance is None:
+            sig_eta = (sigma * sigma) * eta
+        else:
+            sig_eta = np.asarray(covariance, dtype=np.float64) @ eta
+        eta_var = float(eta @ sig_eta)
+    if not math.isfinite(eta_var):
+        raise FloatingPointError(f"eta^T Sigma eta = {eta_var}: the noise covariance overflows")
     if not eta_var > 0:
         raise ValueError(f"eta^T Sigma eta = {eta_var} is not positive")
     return Contrast(
@@ -334,8 +337,9 @@ def truncation_windows(
       scale.  The rearrangement again rounds by a few eps * scale.  While
       an incumbent is -inf or a floor is above 0 every child is bounded.
     - Leaf gate.  The children of a node at depth r - 2, the parents of
-      leaves, are taken in chunks of at most ``_LEAF_GATE_CELLS``
-      grandchildren.  One BLAS product per chunk gives each grandchild's
+      leaves, go through ``itemsets.gate_leaf_parents``, which takes them in
+      chunks of at most ``_LEAF_GATE_CELLS`` grandchildren and replays each
+      chunk in walk order.  One BLAS product per chunk gives each grandchild's
       approximate x'y and x'c, and a child is expanded only if the largest
       Q over its grandchildren passes the offer gate's test.  That
       product's error, about n eps sum|w| per sum, stays far below the
@@ -557,56 +561,51 @@ def truncation_windows(
 
     def leaf_parents(parent, start, col, alive, bound, kids):
         # The leaf level of the walk: the entered children ``kids`` of a node
-        # at depth r - 2, with their ``alive`` and ``bound`` on axis 3, in
-        # chunks of siblings with at most _LEAF_GATE_CELLS grandchildren
-        # between them.
+        # at depth r - 2, with their ``alive`` and ``bound`` on axis 3, go
+        # through the shared chunk-and-replay with the P - Q flag below.
         grand = len(ZT) - 1 - start - kids  # each sibling's number of children
-        lo = 0
-        while lo < len(kids):
-            hi, cells = lo + 1, grand[lo]
-            while hi < len(kids) and cells + grand[hi] <= _LEAF_GATE_CELLS:
-                cells += grand[hi]
-                hi += 1
-            act = alive[:, :, :, lo:hi] & (bound[:, :, :, lo:hi] >= floor[:, :, None, None, None])
-            flagged = np.flatnonzero(leaf_gate(start, col, kids[lo:hi], act)).tolist()
-            # Replay the chunk in walk order.  Only a flagged sibling can move
-            # an incumbent, so the floors stand still across each run of
-            # cleared ones: count their visits in one step, then walk the
-            # flagged one as the walker would, re-tested first.
-            pos = 0
-            for f in flagged + [hi - lo]:
-                if f > pos:
-                    if pos:  # the flagged sibling before may have raised the floors
-                        act[:, :, :, pos:f] &= (
-                            bound[:, :, :, lo + pos:lo + f] >= floor[:, :, None, None, None]
-                        )
-                    seen = act[:, :, :, pos:f].any(axis=(1, 2))  # (K, run, k)
-                    visits[:] += (seen * grand[lo + pos:lo + f, None]).sum(axis=1)
-                if f < hi - lo:
-                    child_act = alive[:, :, :, lo + f] & (
-                        bound[:, :, :, lo + f] >= floor[:, :, None, None]
-                    )
-                    if child_act.any():
-                        child = start + 1 + int(kids[lo + f])
-                        score(parent + (child,), child, ZT[child - 1] * col, child_act)
-                pos = f + 1
-            lo = hi
 
-    def leaf_gate(start, col, chunk, act):
-        # Which siblings in ``chunk`` have a grandchild ratio that could beat
-        # an incumbent?  The P - Q test of the docstring, on approximate sums.
-        i0 = chunk[0]
-        A = ZT[start + chunk] * col  # the siblings' columns, (S, n)
-        grand = ZT[start + 1 + i0:]  # every sibling's grandchildren lie in here
-        sums = ((A * WG[:, None]).reshape(-1, n) @ grand.T).reshape(K + 1, len(chunk), -1)
-        valid = np.arange(len(grand)) >= (chunk - i0)[:, None]  # (S, G)
-        # U = x'y + lam s_e x'c_q; Q is t_o U.
-        U = sums[0] + lam_s[:, :, None, None] * sums[1:, None]  # (K, 2, S, G)
-        Q = np.stack(
-            [np.where(valid, U, -np.inf).max(axis=3), -np.where(valid, U, np.inf).min(axis=3)],
-            axis=2,
-        )  # (K, 2, 2, S)
-        return reaches(Q, offer_floor, act)
+        def live(run):
+            # The features each sibling in ``run`` is entered for now.
+            return alive[:, :, :, run] & (bound[:, :, :, run] >= floor[:, :, None, None, None])
+
+        last = None  # the last flag's floors, first sibling and live()
+
+        def flag(chunk):
+            # Which siblings have a grandchild ratio that could beat an
+            # incumbent?  The P - Q test of the docstring, on approximate sums.
+            nonlocal last
+            act = live(chunk)
+            last = floor, chunk.start, act
+            sib = kids[chunk]
+            i0 = sib[0]
+            A = ZT[start + sib] * col  # the siblings' columns, (S, n)
+            G = ZT[start + 1 + i0:]  # every sibling's grandchildren lie in here
+            sums = ((A * WG[:, None]).reshape(-1, n) @ G.T).reshape(K + 1, len(sib), -1)
+            valid = np.arange(len(G)) >= (sib - i0)[:, None]  # (S, G)
+            # U = x'y + lam s_e x'c_q; Q is t_o U.
+            U = sums[0] + lam_s[:, :, None, None] * sums[1:, None]  # (K, 2, S, G)
+            Q = np.stack(
+                [np.where(valid, U, -np.inf).max(axis=3), -np.where(valid, U, np.inf).min(axis=3)],
+                axis=2,
+            )  # (K, 2, 2, S)
+            return reaches(Q, offer_floor, act)
+
+        def count(run):
+            # ``floor`` is a new array once an offer moves an incumbent; until
+            # then the flag's live() still holds.
+            f, at, act = last
+            act = act[:, :, :, run.start - at:run.stop - at] if f is floor else live(run)
+            hit = act.any(axis=(1, 2))  # (K, run, k)
+            visits[:] += (hit * grand[run, None]).sum(axis=1)
+
+        def enter(i):
+            child_act = alive[:, :, :, i] & (bound[:, :, :, i] >= floor[:, :, None, None])
+            if child_act.any():
+                child = start + 1 + int(kids[i])
+                score(parent + (child,), child, ZT[child - 1] * col, child_act)
+
+        gate_leaf_parents(grand, flag, count, enter)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # Sign rows kappa_j / rho_j seed the incumbents, so pruning has teeth

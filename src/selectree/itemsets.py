@@ -6,9 +6,11 @@ The D = sum_{rho=1}^{r} C(d, rho) candidate features are never materialized as
 a design matrix; they are organized as a prefix tree over sorted index sets
 (children append a strictly larger index) and searched lazily by
 :func:`walk_tree`, the one depth-first walker that both screening and the
-truncation search run on.  Because all covariate values lie in [0,1], a
-descendant's feature column is elementwise no larger than its ancestor's,
-which is what makes subtree bounds possible downstream.
+truncation search run on.  At the parents of leaves both searches gate the
+walk with one shared chunk-and-replay, :func:`gate_leaf_parents`.  Because
+all covariate values lie in [0,1], a descendant's feature column is
+elementwise no larger than its ancestor's, which is what makes subtree
+bounds possible downstream.
 
 Indices are 1-based throughout: itemset (1, 3) means the product z_1 * z_3.
 """
@@ -30,6 +32,7 @@ __all__ = [
     "total_feature_count",
     "TraversalMetrics",
     "walk_tree",
+    "gate_leaf_parents",
     "PRUNE_SLACK",
     "prune_floor",
 ]
@@ -44,6 +47,11 @@ __all__ = [
 # its denominators are inner products with c = Sigma eta / (eta' Sigma eta),
 # which does not change under (y, sigma) -> (a y, a sigma).
 PRUNE_SLACK = 1e-9
+
+# The leaf gate takes a node's leaf-parent children in chunks holding at most
+# this many grandchildren (or one child), so that a search's per-chunk gate
+# arrays stay small.
+_LEAF_GATE_CELLS = 256
 
 
 def prune_floor(incumbent, ysum: float):
@@ -138,8 +146,8 @@ class ModelConfig:
             raise ValueError("maximum interaction order r must be >= 1")
         if self.k < 1:
             raise ValueError("screening size k must be >= 1")
-        if self.sigma is not None and not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie in (0, 1)")
         if self.covariance is not None:
@@ -209,6 +217,47 @@ def walk_tree(
                 visit(parent + (start + 1 + i,), rows[child[rows] != 0], child, child_state)
 
     visit((), np.arange(n), np.ones(n, dtype=np.float64), state)
+
+
+def gate_leaf_parents(
+    grand: np.ndarray,
+    flag: Callable[[slice], np.ndarray],
+    count: Callable[[slice], None],
+    enter: Callable[[int], None],
+) -> None:
+    """The leaf level of a pruned walk: a node's leaf parents, chunk by chunk.
+
+    A node at depth r - 2 has children whose own children are leaves.  The
+    search hands over those of its children it would enter, in walk order,
+    with ``grand[i]``, each one's number of children.  They are taken in
+    chunks holding at most ``_LEAF_GATE_CELLS`` grandchildren (or one
+    child).  ``flag(chunk)``, one batched test per chunk, returns a boolean
+    per sibling in ``chunk``: true for each that could change the search's
+    state and must be expanded.  The chunk is then replayed in walk order:
+
+    - ``count(run)`` once for each run of cleared siblings, which must count
+      their visits against the live incumbents, as the walker would.  A
+      cleared sibling changes no incumbent, so the incumbents stand still
+      across the run;
+    - ``enter(i)`` for each flagged sibling, which must re-test it against
+      the live incumbents, raised by the siblings before it, and then run
+      the per-node code on it.
+    """
+    g = grand.tolist()
+    lo = 0
+    while lo < len(g):
+        hi, cells = lo + 1, g[lo]
+        while hi < len(g) and cells + g[hi] <= _LEAF_GATE_CELLS:
+            cells += g[hi]
+            hi += 1
+        pos = lo
+        for f in (lo + np.flatnonzero(flag(slice(lo, hi)))).tolist() + [hi]:
+            if f > pos:
+                count(slice(pos, f))
+            if f < hi:
+                enter(f)
+            pos = f + 1
+        lo = hi
 
 
 def column_score(col: np.ndarray, v: np.ndarray) -> float:

@@ -32,6 +32,23 @@ result:
 - ``np.dot`` on the full column, the kernel the brute-force enumeration
   uses, still makes every selection decision.
 
+The leaf gate.  A node at depth r - 2 does not hand its children, the
+parents of leaves, to the walker one by one.  Its entered children go
+through :func:`selectree.itemsets.gate_leaf_parents`, the chunk-and-replay
+the truncation search runs too.  While the top k is full, one product per
+chunk of siblings, ``(A * y[rows]) @ Zr[1 + i0:]^T``, gives every
+grandchild an approximate x^T y.  Here A is the siblings' rows of the
+node's block and ``Zr = ZT[start:, rows]`` is gathered once per node for
+both.  A sibling is expanded only if one of its grandchildren's |x^T y|
+reaches ``prune_floor(floor, sum|y|)``, the floor of the floor; a cleared
+sibling whose bound reaches the live floor adds its grandchildren to the
+visits.  Both counters keep their values.  The margin between the two
+floors covers the rounding of both products, so every grandchild the
+per-node code would score exactly lies in a flagged sibling.  A cleared
+sibling has no grandchild that can enter the top k, so the threshold
+stands still across it, and ``exact_scores`` and ``nodes_visited`` are
+those of the per-node walk.
+
 Determinism contract: features are ordered by :func:`rank` (ties in |score|
 go to the smaller itemset), a zero score gets sign +1, and the selected
 scores are computed with the exact same column construction and dot-product
@@ -52,6 +69,7 @@ from .itemsets import (
     Itemset,
     TraversalMetrics,
     column_score,
+    gate_leaf_parents,
     prune_floor,
     sign_split,
     total_feature_count,
@@ -119,10 +137,17 @@ def marginal_screen(
     def floor() -> float:
         return prune_floor(abs(top[-1][2]), ysum)
 
-    def expand(parent, start, rows, col, state, leaves):
+    def score(parent, start, rows, col, gate=False):
+        # Score the node's children: an approximate x'y and the bound's sums
+        # for all, the exact score for those that can enter the top k.  With
+        # ``gate`` the factors on the support, Zr, are kept for the leaf gate.
         nonlocal visited, exact
-        block = ZT[start:, rows]  # fancy indexing copies, so scale in place
-        block *= col[rows]
+        Zr = ZT[start:, rows]  # fancy indexing copies
+        if gate:
+            block = Zr * col[rows]
+        else:
+            block = Zr
+            block *= col[rows]
         m = block.shape[0]
         visited += m
         # Per child: approximate x'y, then sy_pos and sy_neg for the bound.
@@ -139,9 +164,14 @@ def marginal_screen(
             s = column_score(ZT[start + i] * col, y)
             bisect.insort(top, (*rank(s, child), s))
             del top[k:]
+        return Zr, block, sums
 
+    def expand(parent, start, rows, col, state, leaves):
+        gate = prune and len(parent) + 2 == r
+        Zr, block, sums = score(parent, start, rows, col, gate)
         if leaves:
             return
+        m = block.shape[0]
         if not prune:
             yield from ((i, None) for i in range(m))
             return
@@ -149,13 +179,51 @@ def marginal_screen(
         # Gate all children against the floor as it stands, then re-test
         # each survivor against the live one, which earlier siblings'
         # subtrees may have raised, before the walk enters it.
-        keep = range(m)
-        if len(top) == k:
-            keep = np.flatnonzero(bounds >= floor()).tolist()
+        if gate:
+            # The children are parents of leaves; the last one, index m - 1,
+            # has no children at all.
+            kids = np.arange(m - 1) if len(top) < k else np.flatnonzero(bounds[:-1] >= floor())
+            if len(kids):
+                leaf_parents(parent, start, rows, col, Zr, block, bounds, kids)
+            return
+        # The walk descends from here: free the block, so that the blocks of
+        # the nodes above a gated one are not all held at once.
+        del Zr, block
+        keep = range(m) if len(top) < k else np.flatnonzero(bounds >= floor()).tolist()
         for i in keep:
             if len(top) == k and bounds[i] < floor():
                 continue
             yield i, None
+
+    def leaf_parents(parent, start, rows, col, Zr, block, bounds, kids):
+        # The leaf level of the walk: the entered children ``kids`` of a node
+        # at depth r - 2 go through the shared chunk-and-replay.
+        grand = len(ZT) - 1 - start - kids  # each sibling's number of children
+
+        def flag(chunk):
+            # Which siblings have a grandchild whose approximate |score|
+            # reaches the floor of the floor?  Every grandchild's factor lies
+            # in Zr[1 + i0:], sibling i's from row i - i0 on.
+            if len(top) < k:
+                return np.ones(chunk.stop - chunk.start, dtype=bool)
+            sib = kids[chunk]
+            i0 = sib[0]
+            approx = np.abs((block[sib] * y[rows]) @ Zr[1 + i0:].T)  # (S, G)
+            approx[np.arange(approx.shape[1]) < (sib - i0)[:, None]] = -np.inf
+            return (approx >= prune_floor(floor(), ysum)).any(axis=1)
+
+        def count(run):
+            nonlocal visited
+            visited += int(grand[run][bounds[kids[run]] >= floor()].sum())
+
+        def enter(i):
+            j = int(kids[i])
+            if len(top) == k and bounds[j] < floor():
+                return
+            child = ZT[start + j] * col
+            score(parent + (start + 1 + j,), start + 1 + j, rows[block[j] != 0], child)
+
+        gate_leaf_parents(grand, flag, count, enter)
 
     walk_tree(ZT, r, expand, None)
 

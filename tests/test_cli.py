@@ -517,6 +517,34 @@ class TestMainExitCodes:
         p = _write(tmp_path, "a,b,y\n1,0,2\n0,1,1\n")
         assert main(["screen", "--input", p, "--topk", "0"]) == 1
 
+    @pytest.mark.parametrize("command", ["screen", "infer"])
+    @pytest.mark.parametrize("flag", ["--order", "--topk"])
+    def test_order_and_topk_below_one_fail_before_reading(self, capsys, command, flag):
+        # The input does not exist: a parse error must come first (exit 1,
+        # not the missing file's 2) and name the flag.
+        assert main([command, "--input", "/nonexistent/x.csv", flag, "0"]) == 1
+        err = capsys.readouterr().err
+        assert f"{flag}: must be at least 1, got 0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "0"])
+    def test_sigma_must_be_finite_and_positive(self, capsys, value):
+        rc = main(["infer", "--binarize", "--input", FIXTURE, "--topk", "2", "--order", "2",
+                   "--sigma", value])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"--sigma: must be finite and positive, got '{value}'" in err
+        assert "Traceback" not in err
+
+    def test_sigma_whose_square_overflows_is_3(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["infer", "--binarize", "--input", FIXTURE, "--topk", "2", "--order", "2",
+                       "--sigma", "1e300"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("selectree: degenerate instance: eta^T Sigma eta = ")
+        assert err.endswith(": the noise covariance overflows\n") and err.count("\n") == 1
+
     def test_continuous_data_without_binarize_is_2(self, tmp_path, capsys):
         p = _write(tmp_path, "a,b,y\n5.5,0,2\n0,1,1\n")
         rc = main(["screen", "--input", p])

@@ -13,6 +13,7 @@ from selectree.itemsets import (
     Itemset,
     ModelConfig,
     feature_column,
+    gate_leaf_parents,
     prune_floor,
     sign_split,
     total_feature_count,
@@ -198,6 +199,12 @@ class TestModelConfig:
         with pytest.raises(ValueError):
             ModelConfig(r=1, k=1, covariance=np.ones((2, 3)))
 
+    @pytest.mark.parametrize("sigma", [np.inf, np.nan, -1.0])
+    def test_sigma_must_be_finite_and_positive(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite and positive"):
+            ModelConfig(r=1, k=1, sigma=sigma)
+        assert ModelConfig(r=1, k=1, sigma=1e300).sigma == 1e300
+
     def test_defaults(self):
         cfg = ModelConfig(r=3, k=10)
         assert cfg.sigma is None and cfg.alpha == 0.05
@@ -278,3 +285,30 @@ class TestNodeStats:
             if len(itemset) > 1:
                 parent_sums = nodes[itemset[:-1]][1]
                 assert (sums[2:] <= parent_sums[2:]).all()
+
+
+class TestGateLeafParents:
+    def test_chunks_and_replay_order(self):
+        # 300 grandchildren fill a chunk alone; 100 + 100 + 60 would pass
+        # 256, so the next chunk is the two 100s; the last holds 60, 5, 3.
+        calls = []
+        flags = {0: [False], 1: [False, True], 3: [True, False, True]}
+
+        def flag(chunk):
+            calls.append(("flag", chunk.start, chunk.stop))
+            return np.array(flags[chunk.start])
+
+        gate_leaf_parents(
+            np.array([300, 100, 100, 60, 5, 3]),
+            flag,
+            lambda run: calls.append(("count", run.start, run.stop)),
+            lambda i: calls.append(("enter", i)),
+        )
+        assert calls == [
+            ("flag", 0, 1), ("count", 0, 1),
+            ("flag", 1, 3), ("count", 1, 2), ("enter", 2),
+            ("flag", 3, 6), ("enter", 3), ("count", 4, 5), ("enter", 5),
+        ]
+
+    def test_no_children(self):
+        gate_leaf_parents(np.array([], dtype=np.int64), None, None, None)

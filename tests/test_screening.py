@@ -164,6 +164,23 @@ class TestBenchmarkShapes:
         }[name]
         assert metrics.nodes_visited == visits
 
+    @pytest.mark.parametrize(
+        "name,exact", [("wide_sparse", 100), ("tall_noise", 96), ("null_study", 102)]
+    )
+    def test_exact_scores_are_pinned(self, name, exact):
+        # The children the per-node walk scores exactly.  A leaf gate that
+        # clears a leaf parent with such a child loses them.
+        data, k = _benchmark_shape(name, seed=1)
+        assert marginal_screen(data, k, 3)[1].exact_scores == exact
+
+    def test_criterion_5_shape_counts_are_pinned(self):
+        metrics = [marginal_screen(*_benchmark_shape("null_study", seed), 3)[1]
+                   for seed in range(1, 11)]
+        assert [m.nodes_visited for m in metrics] == [
+            10211, 8181, 5387, 9546, 5151, 9316, 12298, 17425, 14520, 8521
+        ]
+        assert [m.exact_scores for m in metrics] == [102, 90, 68, 77, 60, 79, 86, 101, 110, 101]
+
     @pytest.mark.parametrize("prune", [True, False])
     @pytest.mark.parametrize("name", ["wide_sparse", "tall_noise", "null_study"])
     def test_report_bytes_are_pinned(self, name, prune):
@@ -237,6 +254,58 @@ class TestGateHazards:
         assert [(it.indices, s.hex()) for it, s in zip(sel.selected, sel.scores)] == [
             ((2,), "0x1.0000000000000p+0"), ((1,), "0x0.0p+0"), ((1, 2), "0x0.0p+0")
         ]
+
+
+def _leaf_gate_case(name):
+    """(data, k, r) of one ``TestScreeningLeafGate`` case."""
+    if name == "margin":
+        # k = 1 and {3} scores S on the last row, so the floor F stands from
+        # the root on.  S is chosen so that {1,2}'s per-node approximate score
+        # lands on F, while the gate's product, which multiplies in another
+        # order, rounds just below it (OpenBLAS on x86-64).
+        rng = np.random.default_rng(82)
+        Z = np.zeros((6, 3))
+        Z[:-1, 0], Z[:-1, 1], Z[-1, 2] = rng.uniform(0.2, 1, 5), rng.uniform(0.2, 1, 5), 1.0
+        y = rng.uniform(0.1, 1, 5) * rng.choice([-1, 1], 5)
+        return Dataset(Z, np.append(y, float.fromhex("0x1.c6ef4f52fd9f3p-2"))), 1, 2
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "root_children_are_leaf_parents":
+        Z = (rng.random((40, 30)) < 0.5).astype(np.float64)
+        return Dataset(Z, rng.standard_normal(40)), 5, 2
+    if name == "one_child_chunks":
+        # {1} has 299 children, more than one chunk holds.
+        Z = (rng.random((12, 300)) < 0.3).astype(np.float64)
+        return Dataset(Z, rng.standard_normal(12)), 4, 2
+    if name == "top_fills_mid_chunk":
+        # The root and {1} score 79 children; the top 150 fills while the
+        # first chunk of {1}'s leaf parents is replayed, so the gate is off
+        # for that chunk and on for the next ones of the same node.
+        return Dataset(rng.random((30, 40)), rng.standard_normal(30)), 150, 3
+    Z = (rng.random((20, 12)) < 0.5).astype(np.float64)
+    if name == "zero_response":
+        return Dataset(Z, np.zeros(20)), 6, 3
+    return Dataset(Z, rng.integers(-1, 2, 20).astype(np.float64)), 6, 3  # ternary_response
+
+
+class TestScreeningLeafGate:
+    """The leaf gate of ``marginal_screen``: selections, scores and signs
+    equal the unpruned walk's and the oracle's bit for bit, and
+    ``nodes_visited`` and ``exact_scores`` are pinned to the counts of the
+    walk that expanded each entered leaf parent on its own."""
+
+    @pytest.mark.parametrize("name,visits,exact", [
+        ("root_children_are_leaf_parents", 256, 36),
+        ("one_child_chunks", 1307, 303),
+        ("top_fills_mid_chunk", 10700, 855),
+        ("zero_response", 298, 298),  # every score ties the threshold 0
+        ("ternary_response", 172, 53),
+        ("margin", 6, 4),  # the root's 3 children, then {1,2}
+    ])
+    def test_matches_the_unpruned_walk(self, name, visits, exact):
+        data, k, r = _leaf_gate_case(name)
+        _assert_matches_oracle(data, k, r)
+        _, metrics = marginal_screen(data, k, r)
+        assert (metrics.nodes_visited, metrics.exact_scores) == (visits, exact)
 
 
 class TestGateCounter:

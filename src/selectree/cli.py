@@ -364,18 +364,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
 def _sigma_arg(text: str):
     if text == "estimate":
         return text
     try:
-        value = float(text)
+        float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"--sigma expects a number or 'estimate', got {text!r}"
         ) from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
-    return value
+    return _positive_float(text)
 
 
 def _truth_arg(text: str) -> dict:
@@ -430,7 +438,7 @@ def _add_common_flags(sub) -> None:
 
 def _add_study_flags(sub) -> None:
     _add_common_flags(sub)
-    sub.add_argument("--threads", type=int, default=1, metavar="N",
+    sub.add_argument("--threads", type=_positive_int, default=1, metavar="N",
                      help="worker processes running the trials")
 
 
@@ -459,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--order", type=int, default=3, metavar="R")
     synth.add_argument("--topk", type=int, default=10, metavar="K")
     synth.add_argument("--alpha", type=float, default=0.05, metavar="A")
-    synth.add_argument("--sigma", type=float, default=0.1, metavar="S")
+    synth.add_argument("--sigma", type=_positive_float, default=0.1, metavar="S")
     synth.add_argument("--sparsity", type=float, default=0.5)
     synth.add_argument("--trials", type=int, default=100)
     synth.add_argument("--truth", type=_truth_arg, default={},
@@ -470,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--rows", type=int, default=100, metavar="N")
     perf.add_argument("--topk", type=int, default=10, metavar="K")
     perf.add_argument("--alpha", type=float, default=0.05, metavar="A")
-    perf.add_argument("--sigma", type=float, default=0.1, metavar="S")
+    perf.add_argument("--sigma", type=_positive_float, default=0.1, metavar="S")
     perf.add_argument("--trials", type=int, default=10)
     perf.add_argument("--truth", type=_truth_arg, default={(1, 2, 3): 1.0})
     perf.add_argument("--cols-list", type=_int_list, default=[100], metavar="D,D,...")

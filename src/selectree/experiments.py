@@ -72,8 +72,8 @@ class SyntheticSpec:
         if not 0.0 <= self.sparsity < 1.0:
             # 1.0 would make every design column identically zero
             raise ValueError(f"sparsity must lie in [0, 1), got {self.sparsity}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.trials < 1:

@@ -27,9 +27,10 @@ one subtree bound and one prune test serve both.
 
 All k contrasts share one pass of :func:`selectree.itemsets.walk_tree`,
 the depth-first walker screening runs on too.  The walker hands each node
-its own column ``col``; the search forms the children's full columns
-``ZT[start:] * col``, and one batched matmul over all n rows gives every
-contrast's sums, so their bits do not depend on the support.  All
+its own column ``col`` and its support ``rows``.  Every offer, bound and
+entry decision is made on the children's full-row sums: their full
+columns ``ZT[start:] * col`` and one batched matmul over all n rows give
+every contrast's sums, so their bits do not depend on the support.  All
 contrasts, both endpoints, both constraint orientations ("C1" rows
 -s_j x_j + x_l, "C2" rows -s_j x_j - x_l) and all k selected features are
 scored and gated in one broadcast, with per-(contrast, endpoint,
@@ -46,17 +47,31 @@ exact-scores only the children that can enter its top k: a cheap test on an
 axis without the selected feature j names the children that can matter, and
 only those get the per-(contrast, endpoint, orientation, child, feature)
 arithmetic.  Few children at a node can move an incumbent or earn a
-descent.  Three gates run this rule:
+descent, and on sparse data a node's support is a small share of the n
+rows.  So each node works in two steps, as screening's gates do:
 
-- the offer gate: the node's own sums pick the children with a ratio that
+- the support step forms the children's block on the node's support,
+  ``ZT[start:, rows] * col[rows]``, and one product gives approximate sums
+  on which the offer and subtree gates below run.  A node where no child
+  passes either gate counts its children as visited and is done; it never
+  forms the full-row block;
+- the exact step forms the full-row block and sums, forms and offers the
+  ratios of the children the offer gate passed and the bounds of those the
+  subtree gate passed, and enters the children those bounds admit.
+
+At full support, the root, the support block is the full-row block and one
+product serves both steps.  Three gates run the two-stage rule:
+
+- the offer gate: the node's sums pick the children with a ratio that
   could beat an incumbent, and only their ratios are formed and offered;
 - the subtree gate: the same sums pick the children whose subtree bound
   could reach its floor, and only their bounds are formed;
 - the leaf gate: a node whose children are parents of leaves does not hand
   them to the walker one by one.  For a chunk of those children, one
-  product of their columns, weighted by y and by each c, against the
-  grandchildren's factors gives every grandchild's approximate x'y and x'c,
-  and the offer gate's test on these sums flags the children to expand.
+  product of their columns on the node's support, weighted by y and by
+  each c, against the grandchildren's factors there gives every
+  grandchild's approximate x'y and x'c, and the offer gate's test on
+  these sums flags the children to expand.
   The visits of the cleared children between two flagged ones are counted
   in one step against the live floors.  The chunking and the replay are
   :func:`selectree.itemsets.gate_leaf_parents`, which screening's leaf
@@ -65,11 +80,16 @@ descent.  Three gates run this rule:
 This is exact:
 
 - each test's margin is a ``prune_floor`` slack, which dwarfs the rounding
-  of its rearranged expression and the error of the leaf gate's
-  approximate sums, so a child ruled out has no ratio above its incumbent
-  and no bound at its floor as the per-node code would compute them;
+  of its rearranged expression and the error of the approximate sums.  A
+  sum over the support holds the same terms as the full-row sum, whose
+  other terms are +0.0, so the two differ by rounding alone, at most about
+  n eps sum|w|.  A child ruled out has no ratio above its incumbent and no
+  bound at its floor as the exact step would compute them;
 - such a child can neither win an offer nor tie the winner, and the
   survivors keep their walk order, so ties break as before;
+- the subtree gate runs in the support step, before the node's offers.
+  Incumbents only grow, so the floors it tests against are at most the
+  live ones the bounds are then kept against;
 - incumbents only grow, so a cleared child's offers would change nothing,
   and the floors stand still between flagged children;
 - a flagged child is re-tested against the live floors and expanded by
@@ -310,7 +330,15 @@ def truncation_windows(
     With prune=True each node runs two stages: a test on the (contrast,
     endpoint, orientation, child) axes, without the feature axis j, picks
     the children that can matter, and only those get the (K, 2, 2, m, k)
-    arithmetic.  With lam = best[q, e], a ratio whose denominator is
+    arithmetic.  The tests run in the node's support step, on sums over its
+    support ``rows``: the block ``ZT[start:, rows] * col[rows]`` times the
+    same six columns of y and c_q, side by side in one (n, 6K) product.
+    Only if some child passes the offer gate or the subtree gate does the
+    exact step form the full-row block and its batched product.  It forms
+    the ratios of the children the offer gate passed and the bounds of
+    those the subtree gate passed from those sums, without testing them
+    again.  A node at full support, the root, has one full-row product
+    for both steps.  With lam = best[q, e], a ratio whose denominator is
     negative beats lam iff P - Q < 0, where
 
         P[q, e, j] = kappa_j - lam s_e rho_qj,
@@ -322,26 +350,33 @@ def truncation_windows(
 
     - Offer gate.  A child's ratios are formed and offered only if, for
       some (q, e, o), its Q reaches the least prune_floor(P_j, scale) over
-      the features j active for it.  Q comes from the node's own sums, the
-      ones the ratio divides, so the test only rearranges the ratio's
-      arithmetic: a ratio that rounds above lam has P - Q below c eps *
-      scale for a small constant c, P and Q round by as much, and the
-      margin is at least PRUNE_SLACK * scale.  An incumbent of -inf reads
-      as lam = 0 with P = -inf, which keeps every child active for it.
+      the features j active for it.  Q comes from the support sums, which
+      hold the terms of the full-row sums the ratio divides; the other
+      terms are +0.0.  So the two differ only by the rounding of their
+      summation order, at most about n eps sum|w| <= n eps scale, and the
+      test otherwise rearranges the ratio's arithmetic: a ratio that rounds
+      above lam has P - Q below (c + n) eps * scale for a small constant c,
+      and the margin is at least PRUNE_SLACK * scale, which covers any n up
+      to ~10^6.  An incumbent of -inf reads as lam = 0 with P = -inf, which
+      keeps every child active for it.
     - Subtree gate.  Let f = prune_floor(best, ysum), the floor a bound
       must reach.  For f <= 0 and den > 0, (sy_o - kappa_j) / den >= f iff
       sy_o + |f| den >= kappa_j, and den <= |rho_qj| + max(sc_pos, sc_neg).
       So a child's bounds are formed only if, for some (q, e, o), sy_o +
       |f| max(sc_pos, sc_neg) reaches the least prune_floor(kappa_j - |f|
       |rho_qj|, scale) over the active j, with |f| in place of |lam| in
-      scale.  The rearrangement again rounds by a few eps * scale.  While
-      an incumbent is -inf or a floor is above 0 every child is bounded.
+      scale.  The rearrangement and the support sums again round by at
+      most about (c + n) eps * scale.  The test runs before the node's
+      offers, against floors no higher than the live ones the bounds are
+      then kept against.  While an incumbent is -inf or a floor is above 0
+      every child is bounded.
     - Leaf gate.  The children of a node at depth r - 2, the parents of
       leaves, go through ``itemsets.gate_leaf_parents``, which takes them in
       chunks of at most ``_LEAF_GATE_CELLS`` grandchildren and replays each
-      chunk in walk order.  One BLAS product per chunk gives each grandchild's
-      approximate x'y and x'c, and a child is expanded only if the largest
-      Q over its grandchildren passes the offer gate's test.  That
+      chunk in walk order.  One BLAS product per chunk, over the node's
+      support, gives each grandchild's approximate x'y and x'c, and a child
+      is expanded only if the largest Q over its grandchildren passes the
+      offer gate's test.  That
       product's error, about n eps sum|w| per sum, stays far below the
       margin for any n up to ~10^6.  A cleared child is not expanded; its
       visits are counted against the live floors, as the walker would count
@@ -353,7 +388,8 @@ def truncation_windows(
     the winner, nor be entered.  The survivors keep their walk order, so
     the first argmax over (o, child, j) names the same constraint.
     Windows, ``argmin_info`` and ``nodes_visited`` are those of the
-    per-node walk bit for bit.
+    per-node walk bit for bit.  ``metrics.exact_blocks`` counts the nodes
+    that formed a full-row product.
 
     All contrasts share one walk of the tree: a subtree is entered while it
     is alive for any contrast, and a contrast whose activity mask is empty
@@ -389,6 +425,12 @@ def truncation_windows(
     W[:, :, 1] = C
     W[:, :, 2], W[:, :, 3] = sign_split(y)
     W[:, :, 4], W[:, :, 5] = sign_split(C)
+    # The support step reads the same columns side by side, (n, 6K), in one
+    # wide product: its sums only gate, so their rounding may differ.  W
+    # becomes a view of that one array.  BLAS packs its operands, so the
+    # batched matmul's bits do not depend on the view's strides.
+    Wwide = np.ascontiguousarray(W.transpose(1, 0, 2)).reshape(n, 6 * K)
+    W = Wwide.reshape(n, K, 6).transpose(1, 0, 2)
     ysum = float(np.abs(y).sum())
 
     kappa = np.abs(np.array(sel.scores, dtype=np.float64))
@@ -463,31 +505,37 @@ def truncation_windows(
         return (Q >= np.where(act, F[:, :, None, None], np.inf).min(axis=4)).any(axis=(0, 1, 2))
 
     visits = np.zeros((K, k), dtype=np.int64)
+    exact_blocks = 0
     half_tol = 0.5 * DENOM_TOL
     rho5 = rho_e[:, :, None, None, :]
 
-    def score(parent, start, col, act):
-        # Offer the pair ratios of the node's children and count them as
-        # visited; return their sums.
-        # act: bool (K, 2, 2, k) = (contrast, endpoint, orientation C1/C2, feature j)
-        block = ZT[start:] * col
-        m = block.shape[0]
+    def full_row_sums(block):
+        # The children's sums from their full-row block.
         # rows: xy, xc, sy_pos, sy_neg, sc_pos, sc_neg
-        M = np.matmul(block, W).transpose(0, 2, 1)  # (K, 6, m)
+        return np.matmul(block, W).transpose(0, 2, 1)  # (K, 6, m)
 
-        visits[act.any(axis=(1, 2))] += m
+    def offer_kids(M, act):
+        # Stage one of the offer gate: the P - Q test of the docstring picks
+        # the children, in walk order, whose ratios could beat an incumbent.
+        U = M[:, None, 0] + lam_s[:, :, None] * M[:, None, 1]  # (K, 2, m)
+        Q = np.stack([U, -U], axis=2)  # t_o U
+        return np.flatnonzero(reaches(Q, offer_floor, act[:, :, :, None]))
 
-        # Stage one of the offer gate: the P - Q test of the docstring on
-        # the node's own sums picks the children, in walk order, whose
-        # ratios could beat an incumbent.
-        kids, Mk = np.arange(m), M
-        if prune:
-            U = M[:, None, 0] + lam_s[:, :, None] * M[:, None, 1]  # (K, 2, m)
-            Q = np.stack([U, -U], axis=2)  # t_o U
-            kids = np.flatnonzero(reaches(Q, offer_floor, act[:, :, :, None]))
-            if not len(kids):
-                return M
-            Mk = M[:, :, kids]
+    def subtree_kids(M, act):
+        # Stage one of the subtree gate: the superset test of the docstring
+        # picks the children, in walk order, whose bounds could reach a floor.
+        if subtree_gate is None:
+            return np.arange(M.shape[2])
+        af, F = subtree_gate
+        sc = np.maximum(M[:, 4], M[:, 5])[:, None, None]
+        Q = M[:, None, 2:4] + af[:, :, None, None] * sc  # (K, 2, 2, m)
+        return np.flatnonzero(reaches(Q, F, act[:, :, :, None]))
+
+    def offer_pairs(parent, start, M, kids, act):
+        # Offer the pair ratios of the children ``kids`` from their full-row
+        # sums.  act: bool (K, 2, 2, k) = (contrast, endpoint, orientation
+        # C1/C2, feature j)
+        Mk = M[:, :, kids]
 
         def pair(f):
             o, f = divmod(f, len(kids) * k)
@@ -506,27 +554,64 @@ def truncation_windows(
             if p < len(kids) and kids[p] == idx - 1 - start:
                 mask[:, :, :, p] = False
         offer(np.divide(num, den, out=np.full(den.shape, -np.inf), where=mask), pair)
-        return M
+
+    def score(parent, start, col, act):
+        # Offer the pair ratios of the node's children from their full-row
+        # block and count them as visited.
+        nonlocal exact_blocks
+        exact_blocks += 1
+        M = full_row_sums(ZT[start:] * col)
+        m = M.shape[2]
+        visits[act.any(axis=(1, 2))] += m
+        kids = offer_kids(M, act) if prune else np.arange(m)
+        if len(kids):
+            offer_pairs(parent, start, M, kids, act)
 
     def expand(parent, start, rows, col, act, leaves):
-        M = score(parent, start, col, act)
-        if leaves:
-            return
-        m = M.shape[2]
+        nonlocal exact_blocks
         if not prune:
-            yield from ((i, act) for i in range(m))
+            score(parent, start, col, act)
+            if not leaves:
+                yield from ((i, act) for i in range(len(ZT) - start))
             return
-        # Stage one of the subtree gate: the superset test of the docstring
-        # picks the children, in walk order, that can pass the gate below.
-        kids = np.arange(m)
-        if subtree_gate is not None:
-            af, F = subtree_gate
-            sc = np.maximum(M[:, 4], M[:, 5])[:, None, None]
-            Q = M[:, None, 2:4] + af[:, :, None, None] * sc  # (K, 2, 2, m)
-            kids = np.flatnonzero(reaches(Q, F, act[:, :, :, None]))
-            if not len(kids):
-                return
-            M = M[:, :, kids]
+        # The support step: the children's sums over the node's support and
+        # both gates' stage one on them.  At full support, the root, they
+        # are the full-row sums, which then serve the exact step too.
+        full = len(rows) == n
+        if full:
+            Zr = ZT[start:]
+            Ba = Zr * col
+            Ma = full_row_sums(Ba)
+        else:
+            Zr = ZT[start:].take(rows, axis=1)
+            Ba = Zr * col[rows]
+            Ma = (Ba @ Wwide.take(rows, axis=0)).reshape(-1, K, 6).transpose(1, 2, 0)
+        gate = len(parent) + 2 == r
+        if not gate:
+            # Only the leaf gate reads the support block again.  Free it
+            # now, so that it is not held through this node's arithmetic,
+            # nor the blocks of the nodes above a gated one all at once.
+            del Zr, Ba
+        m = Ma.shape[2]
+        visits[act.any(axis=(1, 2))] += m
+        okids = offer_kids(Ma, act)
+        skids = np.arange(0) if leaves else subtree_kids(Ma, act)
+        if not (len(okids) or len(skids)):
+            return
+        # The exact step: the full-row sums, whose bits do not depend on the
+        # support, make every offer and every entry decision.
+        exact_blocks += 1
+        if full:
+            M = Ma
+        else:
+            del Ma  # freed before the full-row block is formed
+            M = full_row_sums(ZT[start:] * col)
+        if len(okids):
+            offer_pairs(parent, start, M, okids, act)
+        if not len(skids):
+            return
+        kids = skids
+        M = M[:, :, kids]
         # For descendants of child i the denominator lives in [dlo, dhi] and
         # the numerator is at least kappa - sy_pos (C1) or kappa - sy_neg (C2).
         # No descendant can contribute when even dlo sits above -DENOM_TOL/2
@@ -544,12 +629,12 @@ def truncation_windows(
         gated = bound >= floor[:, :, None, None, None]
         gated &= alive
         entered = np.flatnonzero(gated.any(axis=(0, 1, 2, 4)))
-        if len(parent) + 2 == r:
+        if gate:
             # The children are parents of leaves; the last one, index m - 1,
             # has no children at all.
             entered = entered[kids[entered] < m - 1]
-            leaf_parents(parent, start, col, alive[:, :, :, entered], bound[:, :, :, entered],
-                         kids[entered])
+            leaf_parents(parent, start, rows, col, Zr, Ba, alive[:, :, :, entered],
+                         bound[:, :, :, entered], kids[entered])
             return
         for i in entered.tolist():
             child_act = alive[:, :, :, i] & (bound[:, :, :, i] >= floor[:, :, None, None])
@@ -559,11 +644,13 @@ def truncation_windows(
     # The leaf gate's sums x'y and x'c_q.
     WG = np.vstack([y, C])  # (K + 1, n)
 
-    def leaf_parents(parent, start, col, alive, bound, kids):
+    def leaf_parents(parent, start, rows, col, Zr, Ba, alive, bound, kids):
         # The leaf level of the walk: the entered children ``kids`` of a node
         # at depth r - 2, with their ``alive`` and ``bound`` on axis 3, go
         # through the shared chunk-and-replay with the P - Q flag below.
+        # ``Zr`` and ``Ba`` are the node's factors and block on its support.
         grand = len(ZT) - 1 - start - kids  # each sibling's number of children
+        WGr = WG[:, rows]
 
         def live(run):
             # The features each sibling in ``run`` is entered for now.
@@ -573,15 +660,17 @@ def truncation_windows(
 
         def flag(chunk):
             # Which siblings have a grandchild ratio that could beat an
-            # incumbent?  The P - Q test of the docstring, on approximate sums.
+            # incumbent?  The P - Q test of the docstring, on approximate
+            # sums over the node's support.
             nonlocal last
             act = live(chunk)
             last = floor, chunk.start, act
             sib = kids[chunk]
             i0 = sib[0]
-            A = ZT[start + sib] * col  # the siblings' columns, (S, n)
-            G = ZT[start + 1 + i0:]  # every sibling's grandchildren lie in here
-            sums = ((A * WG[:, None]).reshape(-1, n) @ G.T).reshape(K + 1, len(sib), -1)
+            A = Ba[sib]  # the siblings' columns on the support, (S, |rows|)
+            G = Zr[1 + i0:]  # every sibling's grandchildren lie in here
+            AW = (A * WGr[:, None]).reshape((K + 1) * len(sib), -1)  # also on 0 rows
+            sums = (AW @ G.T).reshape(K + 1, len(sib), -1)
             valid = np.arange(len(G)) >= (sib - i0)[:, None]  # (S, G)
             # U = x'y + lam s_e x'c_q; Q is t_o U.
             U = sums[0] + lam_s[:, :, None, None] * sums[1:, None]  # (K, 2, S, G)
@@ -641,7 +730,8 @@ def truncation_windows(
                 v_plus=float(v_plus),
                 argmin_info=tuple(ends),
                 metrics=TraversalMetrics(
-                    nodes_visited=int(seen.sum()), total_nodes=k * D, elapsed=elapsed
+                    nodes_visited=int(seen.sum()), total_nodes=k * D, elapsed=elapsed,
+                    exact_blocks=exact_blocks,
                 ),
             )
         )

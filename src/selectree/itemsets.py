@@ -165,12 +165,19 @@ class TraversalMetrics:
     :func:`column_score`; the other children were ruled out of the top k by
     their approximate score alone.  The truncation search scores no
     candidates this way and leaves it at 0.
+
+    ``exact_blocks`` counts the nodes of the truncation walk whose
+    children's sums came from the full-row product; the other nodes were
+    settled by their sums over the node's support.  With ``prune=False`` it
+    is every node the walk scores.  It counts the shared walk, so every
+    contrast's interval carries the same value.  Screening leaves it at 0.
     """
 
     nodes_visited: int = 0
     total_nodes: int = 0
     elapsed: float = 0.0
     exact_scores: int = 0
+    exact_blocks: int = 0
 
 
 # ---------------------------------------------------------------------------

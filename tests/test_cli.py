@@ -535,6 +535,34 @@ class TestMainExitCodes:
         assert f"--sigma: must be finite and positive, got '{value}'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["synth", "perf"])
+    @pytest.mark.parametrize("value, message", [
+        ("inf", "must be finite and positive, got 'inf'"),
+        ("nan", "must be finite and positive, got 'nan'"),
+        ("0", "must be finite and positive, got '0'"),
+        ("-0.5", "must be finite and positive, got '-0.5'"),
+        ("abc", "expected a number, got 'abc'"),
+    ])
+    def test_study_sigma_must_be_finite_and_positive(self, capsys, command, value, message):
+        # A parse error, before any trial runs: not the "response contains
+        # non-finite entries" of a dataset the user never gave.
+        rc = main([command, "--rows", "20", "--topk", "2", "--trials", "1",
+                   "--sigma", value])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"--sigma: {message}" in err
+        assert "response" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["synth", "perf"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_study_threads_below_one_is_1(self, capsys, command, value):
+        rc = main([command, "--rows", "20", "--topk", "2", "--trials", "1",
+                   "--threads", value])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"--threads: must be at least 1, got {value}" in err
+        assert "Traceback" not in err
+
     def test_sigma_whose_square_overflows_is_3(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

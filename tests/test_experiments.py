@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
@@ -51,8 +53,8 @@ class TestSyntheticSpec:
     @pytest.mark.parametrize(
         "field,value",
         [("n", 0), ("d", 0), ("r", 0), ("k", 0), ("k", 100), ("sparsity", 1.0),
-         ("sparsity", -0.1), ("sigma", 0.0), ("alpha", 0.0), ("alpha", 1.0),
-         ("trials", 0)],
+         ("sparsity", -0.1), ("sigma", 0.0), ("sigma", math.inf), ("sigma", math.nan),
+         ("alpha", 0.0), ("alpha", 1.0), ("trials", 0)],
     )
     def test_rejects_bad_scalars(self, field, value):
         kwargs = dict(n=10, d=5, r=2, k=2, sparsity=0.5, sigma=0.1)

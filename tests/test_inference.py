@@ -375,10 +375,11 @@ def _assert_exact(data, r, k, seed):
                 for j in range(1, k + 1)]
     except SingularGramError:
         cons = []
-    # An integer slice direction keeps every sum and denominator exact,
-    # so the oracle's ratios are the walk's bit for bit.
+    # An integer slice direction keeps every sum and denominator exact on an
+    # integer y, so the oracle's ratios are the walk's bit for bit.
     c = np.random.default_rng(seed).integers(-2, 3, data.n).astype(np.float64)
     lattice = inference.Contrast(c, 0.0, 1.0, c)
+    integral = bool(np.all(data.y == np.round(data.y)))
     for group in (cons, [lattice]):
         if not group:
             continue
@@ -389,7 +390,7 @@ def _assert_exact(data, r, k, seed):
         for con, (lo, hi, _) in zip(group, pruned):
             ref = oracle.oracle_truncation(sel, data, con, r)
             want = (float.hex(ref.v_minus), float.hex(ref.v_plus))
-            if con is lattice:
+            if con is lattice and integral:
                 assert (lo, hi) == want
             else:
                 for got, w in zip((lo, hi), want):
@@ -449,6 +450,96 @@ class TestGatesAboveTheLeafLevel:
     @pytest.mark.parametrize("seed", range(6200, 6224))
     def test_matches_the_unpruned_walk_and_the_oracle(self, seed):
         _assert_exact(*_sparse_instance(seed), seed)
+
+
+def _support_instance(seed):
+    """Binary Z at sparsity 0.85-0.9 with 600-800 rows and r = 2, 3 or 4.
+    Even seeds draw a Gaussian y, odd seeds a ternary one, whose sums are
+    exact and whose ratios tie.  Half the seeds make column 1 all ones, so
+    that node {1} has every row in its support."""
+    rng = np.random.default_rng(seed)
+    r = 2 + seed % 3
+    n = int(rng.integers(600, 801))
+    d = {2: 24, 3: 12, 4: 9}[r]
+    Z = (rng.random((n, d)) >= rng.uniform(0.85, 0.9)).astype(np.float64)
+    if seed % 4 < 2:
+        Z[:, 0] = 1.0
+    y = rng.standard_normal(n) if seed % 2 == 0 else rng.integers(-1, 2, n).astype(np.float64)
+    return Dataset(Z, y), r, int(rng.integers(1, 6))
+
+
+def _rounding_differs(data, r, k):
+    """Whether some order-1 node's children get other bits from a product
+    over the node's support than from one over all n rows, with W = [y, c]
+    for the first contrast's c."""
+    sel, _ = marginal_screen(data, k, r)
+    X = _design(sel, data.Z)
+    c = contrast_for_coefficient(X, data.y, 1, sigma=1.0).c
+    W = np.stack([data.y, c], axis=1)
+    ZT = np.ascontiguousarray(data.Z.T)
+    for j in range(1, data.d):
+        col = ZT[j - 1]
+        rows = np.flatnonzero(col)
+        full = (ZT[j:] * col) @ W
+        support = (ZT[j:, rows] * col[rows]) @ W[rows]
+        if not np.array_equal(full, support):
+            return True
+    return False
+
+
+class TestSupportStep:
+    """The pruned walk gates each node on sums over its support and forms
+    the children's full-row block only where a gate passes.  The support
+    sums round differently from the full-row sums; that must change no
+    window, active constraint or error."""
+
+    @pytest.mark.parametrize("seed", range(6300, 6318))
+    def test_matches_the_unpruned_walk_and_the_oracle(self, seed):
+        data, r, k = _support_instance(seed)
+        _assert_exact(data, r, k, seed)
+
+    @pytest.mark.parametrize("seed", [6300, 6302, 6304, 6306])
+    def test_support_sums_round_differently(self, seed):
+        # The Gaussian instances above reach the rounding hazard: the gates
+        # see other bits than the full-row sums the exact step uses.
+        assert _rounding_differs(*_support_instance(seed))
+
+    def test_margin(self):
+        # k = 1 and r = 3.  y_2 is chosen so that the pair ratio of child
+        # {1,4} of node {1} beats the incumbent set by {3} at the root by
+        # two ulps, while the P - Q test on the sums over {1}'s support
+        # rounds the other way (OpenBLAS on x86-64).  Only the prune_floor
+        # margin of the offer gate keeps that child.
+        rng = np.random.default_rng(16)
+        n, d = int(rng.integers(6, 14)), int(rng.integers(3, 6))
+        Z = (rng.random((n, d)) < 0.5).astype(np.float64)
+        y = rng.standard_normal(n)
+        y[1] = float.fromhex("-0x1.fe476830b7244p+0")
+        data = Dataset(Z, y)
+        _assert_exact(data, 3, 1, 16)
+        sel, _ = marginal_screen(data, 1, 3)
+        con = contrast_for_coefficient(_design(sel, Z), y, 1, sigma=1.0)
+        lo, _ = truncation_points(sel, data, con, 3).argmin_info
+        assert (lo.j.indices, lo.ell.indices, lo.case) == ((2,), (1, 4), "C2")
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_node_with_empty_support(self, r):
+        # Columns 1 and 3 are zero.  Node {1} has an empty support, yet its
+        # subtree bound -kappa_j / |rho_j| can reach a floor, so the walk
+        # enters it and gates its leaf parents on zero rows.
+        rng = np.random.default_rng(5)
+        Z = (rng.random((12, 6)) < 0.5).astype(np.float64)
+        Z[:, [0, 2]] = 0.0
+        y = rng.integers(-1, 2, 12).astype(np.float64)
+        _assert_exact(Dataset(Z, y), r, 3, 5)
+
+    def test_unpruned_walk_forms_a_block_at_every_scored_node(self):
+        # The walker scores the root and every node of order 1..r-1 that
+        # has children, i.e. every itemset without index d.
+        spec = SyntheticSpec(n=60, d=9, r=3, k=4, sparsity=0.5, sigma=0.1, seed=4)
+        report = infer(gen_synthetic(spec, 0), spec.config(), prune=False)
+        blocks = {f.interval.metrics.exact_blocks for f in report.features}
+        assert blocks == {1 + math.comb(8, 1) + math.comb(8, 2)}
 
 
 class TestTruncNormCdf:

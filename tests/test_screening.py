@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_instance, walk_every_node
-from selectree import oracle
+from selectree import inference, oracle
 from selectree.cli import binarize_table, emit_report, emit_screen
 from selectree.experiments import SyntheticSpec, gen_synthetic
 from selectree.inference import contrast_for_coefficient, infer, truncation_points
@@ -173,6 +173,39 @@ class TestBenchmarkShapes:
         data, k = _benchmark_shape(name, seed=1)
         assert marginal_screen(data, k, 3)[1].exact_scores == exact
 
+    @pytest.mark.parametrize("name,blocks,reached", [("wide_sparse", 2, 100),
+                                                     ("null_study", 64, 67)])
+    def test_truncation_exact_blocks_are_pinned(self, monkeypatch, name, blocks, reached):
+        # The truncation nodes whose children's sums came from the full-row
+        # product, out of the nodes the pruned walk reaches: those the
+        # walker expands and the leaf parents the leaf gate enters.  On
+        # sparse data the sums over a node's support settle most nodes.
+        seen = []
+        walk, gate = inference.walk_tree, inference.gate_leaf_parents
+
+        def counting_walk(ZT, r, expand, state):
+            def counted(parent, *args):
+                seen.append(parent)
+                return expand(parent, *args)
+
+            return walk(ZT, r, counted, state)
+
+        def counting_gate(grand, flag, count, enter):
+            def counted(i):
+                seen.append(i)
+                enter(i)
+
+            return gate(grand, flag, count, counted)
+
+        monkeypatch.setattr(inference, "walk_tree", counting_walk)
+        monkeypatch.setattr(inference, "gate_leaf_parents", counting_gate)
+        data, k = _benchmark_shape(name, seed=1)
+        report = infer(data, ModelConfig(r=3, k=k, sigma=0.1))
+        assert {f.interval.metrics.exact_blocks for f in report.features} == {blocks}
+        assert len(seen) == reached
+        if name == "wide_sparse":
+            assert blocks <= 0.1 * reached
+
     def test_criterion_5_shape_counts_are_pinned(self):
         metrics = [marginal_screen(*_benchmark_shape("null_study", seed), 3)[1]
                    for seed in range(1, 11)]
@@ -331,6 +364,10 @@ class TestGateCounter:
         iv = truncation_points(sel, tiny, con, 2)
         assert iv.metrics.nodes_visited > 0
         assert iv.metrics.exact_scores == 0
+
+    def test_screening_forms_no_truncation_blocks(self, tiny):
+        for prune in (True, False):
+            assert marginal_screen(tiny, 2, 2, prune=prune)[1].exact_blocks == 0
 
 
 class TestOracleAgreement:

@@ -37,7 +37,7 @@ from .inference import (
     SingularGramError,
     infer,
 )
-from .itemsets import Dataset, ModelConfig, feature_column
+from .itemsets import Dataset, ModelConfig, column_score, feature_column
 from .screening import ScreeningResult, marginal_screen
 
 REPORT_FIELDS = (
@@ -261,7 +261,7 @@ def estimate_sigma(data: Dataset, sel: ScreeningResult) -> float:
         )
     X = np.column_stack([feature_column(it, data.Z) for it in sel.selected])
     resid = data.y - X @ np.linalg.lstsq(X, data.y, rcond=None)[0]
-    sigma = math.sqrt(float(resid @ resid) / (data.n - k))
+    sigma = math.sqrt(column_score(resid, resid) / (data.n - k))
     # An (almost) exact fit leaves only rounding noise in the residual; any
     # inference at that scale would be meaningless.
     if sigma <= 1e-12 * math.sqrt(float(data.y @ data.y) / data.n):
@@ -568,11 +568,12 @@ def _cmd_synth(ns) -> int:
 
 
 def _cmd_perf(ns) -> int:
-    max_r = max(ns.order_list)
+    # The grid's orders cap the model, not the data: the spec's order must
+    # hold the truth too.
     spec = SyntheticSpec(
         n=ns.rows,
         d=min(ns.cols_list),
-        r=max_r,
+        r=max([*ns.order_list, *map(len, ns.truth)]),
         k=ns.topk,
         sparsity=ns.sparsity_list[0],
         sigma=ns.sigma,

@@ -66,16 +66,12 @@ product serves both steps.  Three gates run the two-stage rule:
   could beat an incumbent, and only their ratios are formed and offered;
 - the subtree gate: the same sums pick the children whose subtree bound
   could reach its floor, and only their bounds are formed;
-- the leaf gate: a node whose children are parents of leaves does not hand
-  them to the walker one by one.  For a chunk of those children, one
-  product of their columns on the node's support, weighted by y and by
-  each c, against the grandchildren's factors there gives every
-  grandchild's approximate x'y and x'c, and the offer gate's test on
-  these sums flags the children to expand.
-  The visits of the cleared children between two flagged ones are counted
-  in one step against the live floors.  The chunking and the replay are
-  :func:`selectree.itemsets.gate_leaf_parents`, which screening's leaf
-  gate runs too; this module supplies the P - Q flag and its visit rule.
+- the leaf gate: a node whose children are parents of leaves yields them
+  from :func:`selectree.itemsets.gate_leaf_parents`, screening's leaf gate
+  too.  It hands this module, per chunk of those children, every
+  grandchild's approximate x'y and x'c on the node's support; the offer
+  gate's test on them flags the children to expand, and the visits of the
+  cleared ones are counted in one step against the live floors.
 
 This is exact:
 
@@ -92,14 +88,13 @@ This is exact:
   live ones the bounds are then kept against;
 - incumbents only grow, so a cleared child's offers would change nothing,
   and the floors stand still between flagged children;
-- a flagged child is re-tested against the live floors and expanded by
-  the per-node code, as the walker would.
+- a flagged child is re-tested against the live floors and, if still
+  live, yielded to the walker, which expands it as any other node.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -277,14 +272,14 @@ def contrast_for_coefficient(
             sig_eta = (sigma * sigma) * eta
         else:
             sig_eta = np.asarray(covariance, dtype=np.float64) @ eta
-        eta_var = float(eta @ sig_eta)
+        eta_var = column_score(eta, sig_eta)
     if not math.isfinite(eta_var):
         raise FloatingPointError(f"eta^T Sigma eta = {eta_var}: the noise covariance overflows")
     if not eta_var > 0:
         raise ValueError(f"eta^T Sigma eta = {eta_var} is not positive")
     return Contrast(
         eta=eta,
-        eta_y=float(np.dot(eta, np.asarray(y, dtype=np.float64))),
+        eta_y=column_score(eta, np.asarray(y, dtype=np.float64)),
         eta_var=eta_var,
         c=sig_eta / eta_var,
     )
@@ -370,35 +365,32 @@ def truncation_windows(
       offers, against floors no higher than the live ones the bounds are
       then kept against.  While an incumbent is -inf or a floor is above 0
       every child is bounded.
-    - Leaf gate.  The children of a node at depth r - 2, the parents of
-      leaves, go through ``itemsets.gate_leaf_parents``, which takes them in
-      chunks of at most ``_LEAF_GATE_CELLS`` grandchildren and replays each
-      chunk in walk order.  One BLAS product per chunk, over the node's
-      support, gives each grandchild's approximate x'y and x'c, and a child
-      is expanded only if the largest Q over its grandchildren passes the
-      offer gate's test.  That
-      product's error, about n eps sum|w| per sum, stays far below the
-      margin for any n up to ~10^6.  A cleared child is not expanded; its
-      visits are counted against the live floors, as the walker would count
-      them, and a flagged child is re-tested and expanded as any other
-      node.
+    - Leaf gate.  A node at depth r - 2 yields its entered children, the
+      parents of leaves, from ``itemsets.gate_leaf_parents``, which hands
+      over each grandchild's approximate x'y and x'c on the node's support,
+      a chunk of siblings at a time.  A child is flagged only if the
+      largest Q over its grandchildren passes the offer gate's test; those
+      sums err by about n eps sum|w|, far below the margin for any n up to
+      ~10^6.  A cleared child's visits are counted against the live
+      floors, as the walker would count them.  A flagged child is re-tested
+      and, if live, yielded to the walker, which runs the support step and
+      the exact step on it as on any other node.
 
     A child a gate rules out has every ratio strictly below its incumbent,
     or every bound below its floor, so it can neither win an offer nor tie
     the winner, nor be entered.  The survivors keep their walk order, so
     the first argmax over (o, child, j) names the same constraint.
-    Windows, ``argmin_info`` and ``nodes_visited`` are those of the
-    per-node walk bit for bit.  ``metrics.exact_blocks`` counts the nodes
-    that formed a full-row product.
+    Windows, ``argmin_info`` and ``nodes_visited`` are bit for bit those
+    of a walk that forms every child's offers and bounds from full-row
+    sums.  ``metrics.exact_blocks`` counts the nodes that formed a
+    full-row product.
 
     All contrasts share one walk of the tree: a subtree is entered while it
     is alive for any contrast, and a contrast whose activity mask is empty
     there neither scores nor counts its nodes.  Each contrast's incumbents,
     endpoints, ``argmin_info`` and ``nodes_visited`` are therefore exactly
-    those of a walk for that contrast alone.  The interval's
-    ``metrics.elapsed`` is the wall time of the whole shared walk, the same
-    for every contrast.  Errors are raised in contrast order, each with the
-    message a walk for that contrast alone would give.
+    those of a walk for that contrast alone.  Errors are raised in contrast
+    order, each with the message a walk for that contrast alone would give.
 
     ``columns`` optionally holds the selected features' columns as the
     C-contiguous rows of a (k, n) array, e.g. ``np.ascontiguousarray(X_S.T)``
@@ -408,7 +400,6 @@ def truncation_windows(
     k = len(sel.selected)
     K = len(contrasts)
     D = total_feature_count(data.d, r)
-    t0 = time.perf_counter()
 
     y = data.y
     n = len(y)
@@ -555,24 +546,18 @@ def truncation_windows(
                 mask[:, :, :, p] = False
         offer(np.divide(num, den, out=np.full(den.shape, -np.inf), where=mask), pair)
 
-    def score(parent, start, col, act):
-        # Offer the pair ratios of the node's children from their full-row
-        # block and count them as visited.
-        nonlocal exact_blocks
-        exact_blocks += 1
-        M = full_row_sums(ZT[start:] * col)
-        m = M.shape[2]
-        visits[act.any(axis=(1, 2))] += m
-        kids = offer_kids(M, act) if prune else np.arange(m)
-        if len(kids):
-            offer_pairs(parent, start, M, kids, act)
-
     def expand(parent, start, rows, col, act, leaves):
         nonlocal exact_blocks
         if not prune:
-            score(parent, start, col, act)
+            # Every child's ratios are offered from the full-row sums, and
+            # every child is entered.
+            exact_blocks += 1
+            M = full_row_sums(ZT[start:] * col)
+            m = M.shape[2]
+            visits[act.any(axis=(1, 2))] += m
+            offer_pairs(parent, start, M, np.arange(m), act)
             if not leaves:
-                yield from ((i, act) for i in range(len(ZT) - start))
+                yield from ((i, act) for i in range(m))
             return
         # The support step: the children's sums over the node's support and
         # both gates' stage one on them.  At full support, the root, they
@@ -629,49 +614,42 @@ def truncation_windows(
         gated = bound >= floor[:, :, None, None, None]
         gated &= alive
         entered = np.flatnonzero(gated.any(axis=(0, 1, 2, 4)))
+        alive, bound, kids = alive[:, :, :, entered], bound[:, :, :, entered], kids[entered]
+
+        def live(run):
+            # The features each child in the slice ``run`` of ``kids`` is
+            # entered for now.
+            return alive[:, :, :, run] & (bound[:, :, :, run] >= floor[:, :, None, None, None])
+
+        def enter(i):
+            child_act = live(slice(i, i + 1))[:, :, :, 0]
+            return child_act if child_act.any() else None
+
         if gate:
-            # The children are parents of leaves; the last one, index m - 1,
-            # has no children at all.
-            entered = entered[kids[entered] < m - 1]
-            leaf_parents(parent, start, rows, col, Zr, Ba, alive[:, :, :, entered],
-                         bound[:, :, :, entered], kids[entered])
+            yield from leaf_parents(rows, Zr, Ba, kids, live, enter)
             return
-        for i in entered.tolist():
-            child_act = alive[:, :, :, i] & (bound[:, :, :, i] >= floor[:, :, None, None])
-            if child_act.any():
+        for i in range(len(kids)):
+            child_act = enter(i)
+            if child_act is not None:
                 yield int(kids[i]), child_act
 
     # The leaf gate's sums x'y and x'c_q.
     WG = np.vstack([y, C])  # (K + 1, n)
 
-    def leaf_parents(parent, start, rows, col, Zr, Ba, alive, bound, kids):
+    def leaf_parents(rows, Zr, Ba, kids, live, enter):
         # The leaf level of the walk: the entered children ``kids`` of a node
-        # at depth r - 2, with their ``alive`` and ``bound`` on axis 3, go
-        # through the shared chunk-and-replay with the P - Q flag below.
-        # ``Zr`` and ``Ba`` are the node's factors and block on its support.
-        grand = len(ZT) - 1 - start - kids  # each sibling's number of children
-        WGr = WG[:, rows]
-
-        def live(run):
-            # The features each sibling in ``run`` is entered for now.
-            return alive[:, :, :, run] & (bound[:, :, :, run] >= floor[:, :, None, None, None])
-
+        # at depth r - 2 go through the shared chunk-and-replay with the
+        # P - Q flag below.  ``Zr`` and ``Ba`` are the node's factors and
+        # block on its support.
         last = None  # the last flag's floors, first sibling and live()
 
-        def flag(chunk):
+        def flag(chunk, sums, valid):
             # Which siblings have a grandchild ratio that could beat an
             # incumbent?  The P - Q test of the docstring, on approximate
             # sums over the node's support.
             nonlocal last
             act = live(chunk)
             last = floor, chunk.start, act
-            sib = kids[chunk]
-            i0 = sib[0]
-            A = Ba[sib]  # the siblings' columns on the support, (S, |rows|)
-            G = Zr[1 + i0:]  # every sibling's grandchildren lie in here
-            AW = (A * WGr[:, None]).reshape((K + 1) * len(sib), -1)  # also on 0 rows
-            sums = (AW @ G.T).reshape(K + 1, len(sib), -1)
-            valid = np.arange(len(G)) >= (sib - i0)[:, None]  # (S, G)
             # U = x'y + lam s_e x'c_q; Q is t_o U.
             U = sums[0] + lam_s[:, :, None, None] * sums[1:, None]  # (K, 2, S, G)
             Q = np.stack(
@@ -680,21 +658,15 @@ def truncation_windows(
             )  # (K, 2, 2, S)
             return reaches(Q, offer_floor, act)
 
-        def count(run):
+        def count(run, grand):
             # ``floor`` is a new array once an offer moves an incumbent; until
             # then the flag's live() still holds.
             f, at, act = last
             act = act[:, :, :, run.start - at:run.stop - at] if f is floor else live(run)
             hit = act.any(axis=(1, 2))  # (K, run, k)
-            visits[:] += (hit * grand[run, None]).sum(axis=1)
+            visits[:] += (hit * grand[:, None]).sum(axis=1)
 
-        def enter(i):
-            child_act = alive[:, :, :, i] & (bound[:, :, :, i] >= floor[:, :, None, None])
-            if child_act.any():
-                child = start + 1 + int(kids[i])
-                score(parent + (child,), child, ZT[child - 1] * col, child_act)
-
-        gate_leaf_parents(grand, flag, count, enter)
+        return gate_leaf_parents(kids, Zr, Ba, WG[:, rows], flag, count, enter)
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # Sign rows kappa_j / rho_j seed the incumbents, so pruning has teeth
@@ -704,7 +676,6 @@ def truncation_windows(
             lambda j: ActiveConstraint("sign", sel.selected[j], None, None),
         )
         walk_tree(ZT, r, expand, np.ones((K, 2, 2, k), dtype=bool))
-    elapsed = time.perf_counter() - t0
 
     intervals = []
     for con, b, ends, seen in zip(contrasts, best, info, visits):
@@ -730,8 +701,7 @@ def truncation_windows(
                 v_plus=float(v_plus),
                 argmin_info=tuple(ends),
                 metrics=TraversalMetrics(
-                    nodes_visited=int(seen.sum()), total_nodes=k * D, elapsed=elapsed,
-                    exact_blocks=exact_blocks,
+                    nodes_visited=int(seen.sum()), total_nodes=k * D, exact_blocks=exact_blocks,
                 ),
             )
         )

@@ -6,8 +6,10 @@ The D = sum_{rho=1}^{r} C(d, rho) candidate features are never materialized as
 a design matrix; they are organized as a prefix tree over sorted index sets
 (children append a strictly larger index) and searched lazily by
 :func:`walk_tree`, the one depth-first walker that both screening and the
-truncation search run on.  At the parents of leaves both searches gate the
-walk with one shared chunk-and-replay, :func:`gate_leaf_parents`.  Because
+truncation search run on, and the only code that forms a descended node's
+column.  At the parents of leaves both searches gate the walk with one
+shared chunk-and-replay, :func:`gate_leaf_parents`, which lays out the leaf
+level and yields the children to expand back to the walker.  Because
 all covariate values lie in [0,1], a descendant's feature column is
 elementwise no larger than its ancestor's, which is what makes subtree
 bounds possible downstream.
@@ -52,6 +54,10 @@ PRUNE_SLACK = 1e-9
 # this many grandchildren (or one child), so that a search's per-chunk gate
 # arrays stay small.
 _LEAF_GATE_CELLS = 256
+
+# The longest dot product the score kernel hands to BLAS in one call; see
+# column_score.
+_DOT_BLOCK = 8192
 
 
 def prune_floor(incumbent, ysum: float):
@@ -175,7 +181,6 @@ class TraversalMetrics:
 
     nodes_visited: int = 0
     total_nodes: int = 0
-    elapsed: float = 0.0
     exact_scores: int = 0
     exact_blocks: int = 0
 
@@ -212,6 +217,9 @@ def walk_tree(
     lazily yields ``(i, child_state)`` for each child whose subtree must be
     searched; the walker descends into it before asking for the next one, so
     an incumbent that tightens inside one subtree already gates the next.
+    This is the only place a search descends: at the parents of leaves,
+    ``expand`` yields from :func:`gate_leaf_parents`, and the walker forms
+    and expands each child it yields like any other.
     """
     d, n = ZT.shape
 
@@ -227,42 +235,68 @@ def walk_tree(
 
 
 def gate_leaf_parents(
-    grand: np.ndarray,
-    flag: Callable[[slice], np.ndarray],
-    count: Callable[[slice], None],
-    enter: Callable[[int], None],
-) -> None:
+    kids: np.ndarray,
+    Zr: np.ndarray,
+    block: np.ndarray,
+    V: np.ndarray,
+    flag: Callable[[slice, np.ndarray, np.ndarray], np.ndarray],
+    count: Callable[[slice, np.ndarray], None],
+    enter: Callable[[int], Any],
+) -> Iterator[tuple[int, Any]]:
     """The leaf level of a pruned walk: a node's leaf parents, chunk by chunk.
 
-    A node at depth r - 2 has children whose own children are leaves.  The
-    search hands over those of its children it would enter, in walk order,
-    with ``grand[i]``, each one's number of children.  They are taken in
-    chunks holding at most ``_LEAF_GATE_CELLS`` grandchildren (or one
-    child).  ``flag(chunk)``, one batched test per chunk, returns a boolean
-    per sibling in ``chunk``: true for each that could change the search's
-    state and must be expanded.  The chunk is then replayed in walk order:
+    A node at depth r - 2 has children whose own children are leaves.  Its
+    ``expand`` yields from this generator the children it would enter,
+    ``kids``, ascending, given its factors ``Zr = ZT[start:, rows]`` and
+    block ``Zr * col[rows]`` on its support and the search's weight rows
+    ``V`` there, shape (w, len(rows)).  The last child has no children and
+    is dropped; every position ``i`` below indexes the prefix of ``kids``
+    left, and child ``kids[i]`` has ``grand[i] = len(Zr) - 1 - kids[i]``
+    children.
 
-    - ``count(run)`` once for each run of cleared siblings, which must count
-      their visits against the live incumbents, as the walker would.  A
-      cleared sibling changes no incumbent, so the incumbents stand still
-      across the run;
+    The siblings are taken in chunks holding at most ``_LEAF_GATE_CELLS``
+    grandchildren (or one sibling).  Per chunk, one product gives ``sums``,
+    (w, S, G): sums[v, s, g] is V[v]'s inner product with sibling s's
+    column times ``Zr[1 + i0 + g]``, i0 the chunk's first sibling, and
+    ``valid[s, g]`` marks the factors that name one of sibling s's
+    children.  ``flag(chunk, sums, valid)`` returns a boolean per sibling:
+    true for each that could change the search's state.  The chunk is then
+    replayed in walk order:
+
+    - ``count(run, grand[run])`` once for each run of cleared siblings,
+      which must count their visits against the live incumbents, as the
+      walker would.  A cleared sibling changes no incumbent, so the
+      incumbents stand still across the run;
     - ``enter(i)`` for each flagged sibling, which must re-test it against
-      the live incumbents, raised by the siblings before it, and then run
-      the per-node code on it.
+      the live incumbents, raised by the siblings before it, and return its
+      state, or None if it is no longer live.  A live sibling is yielded as
+      ``(kids[i], state)``; the walker expands it before the replay goes on.
     """
+    kids = kids[kids < len(Zr) - 1]
+    grand = len(Zr) - 1 - kids
     g = grand.tolist()
+    w, nr = len(V), Zr.shape[1]
     lo = 0
     while lo < len(g):
         hi, cells = lo + 1, g[lo]
         while hi < len(g) and cells + g[hi] <= _LEAF_GATE_CELLS:
             cells += g[hi]
             hi += 1
+        sib = kids[lo:hi]
+        i0 = sib[0]
+        G = Zr[1 + i0:]
+        # The row count is named, not -1, so that an empty support reshapes.
+        AV = (block[sib] * V[:, None]).reshape(w * len(sib), nr)
+        sums = (AV @ G.T).reshape(w, len(sib), len(G))
+        valid = np.arange(len(G)) >= (sib - i0)[:, None]
         pos = lo
-        for f in (lo + np.flatnonzero(flag(slice(lo, hi)))).tolist() + [hi]:
+        for f in (lo + np.flatnonzero(flag(slice(lo, hi), sums, valid))).tolist() + [hi]:
             if f > pos:
-                count(slice(pos, f))
+                count(slice(pos, f), grand[pos:f])
             if f < hi:
-                enter(f)
+                state = enter(f)
+                if state is not None:
+                    yield int(kids[f]), state
             pos = f + 1
         lo = hi
 
@@ -272,9 +306,15 @@ def column_score(col: np.ndarray, v: np.ndarray) -> float:
 
     Screening and the oracle score every feature with this one call, and the
     truncation search scores the selected columns against its contrast with
-    it, so the routes agree bit for bit.
+    it, so the routes agree bit for bit.  The ``np.dot``s of consecutive
+    blocks of at most ``_DOT_BLOCK`` rows are added left to right: OpenBLAS
+    splits a longer dot across its threads, which would make the bits depend
+    on the thread count.  Up to ``_DOT_BLOCK`` rows this is one ``np.dot``.
     """
-    return float(np.dot(col, v))
+    s = np.dot(col[:_DOT_BLOCK], v[:_DOT_BLOCK])
+    for i in range(_DOT_BLOCK, len(col), _DOT_BLOCK):
+        s += np.dot(col[i:i + _DOT_BLOCK], v[i:i + _DOT_BLOCK])
+    return float(s)
 
 
 def feature_column(itemset: Itemset | tuple[int, ...], Z: np.ndarray) -> np.ndarray:

@@ -29,25 +29,23 @@ result:
   subtree reaches it;
 - the threshold only grows while a node is expanded, so gating against an
   earlier one only admits more children;
-- ``np.dot`` on the full column, the kernel the brute-force enumeration
-  uses, still makes every selection decision.
+- ``column_score`` on the full column, the kernel the brute-force
+  enumeration uses, still makes every selection decision.
 
-The leaf gate.  A node at depth r - 2 does not hand its children, the
-parents of leaves, to the walker one by one.  Its entered children go
-through :func:`selectree.itemsets.gate_leaf_parents`, the chunk-and-replay
-the truncation search runs too.  While the top k is full, one product per
-chunk of siblings, ``(A * y[rows]) @ Zr[1 + i0:]^T``, gives every
-grandchild an approximate x^T y.  Here A is the siblings' rows of the
-node's block and ``Zr = ZT[start:, rows]`` is gathered once per node for
-both.  A sibling is expanded only if one of its grandchildren's |x^T y|
-reaches ``prune_floor(floor, sum|y|)``, the floor of the floor; a cleared
-sibling whose bound reaches the live floor adds its grandchildren to the
-visits.  Both counters keep their values.  The margin between the two
-floors covers the rounding of both products, so every grandchild the
-per-node code would score exactly lies in a flagged sibling.  A cleared
-sibling has no grandchild that can enter the top k, so the threshold
-stands still across it, and ``exact_scores`` and ``nodes_visited`` are
-those of the per-node walk.
+The leaf gate.  A node at depth r - 2 yields its entered children, the
+parents of leaves, from :func:`selectree.itemsets.gate_leaf_parents`, the
+chunk-and-replay the truncation search runs too.  Per chunk of siblings it
+hands over every grandchild's approximate x^T y on the node's support.
+While the top k is full, a sibling is flagged only if one of its
+grandchildren's |x^T y| reaches ``prune_floor(floor, sum|y|)``, the floor
+of the floor; a cleared sibling whose bound reaches the live floor adds its
+grandchildren to the visits.  The margin between the two floors covers the
+rounding of both products, so every grandchild the walk without the leaf
+gate would score exactly lies in a flagged sibling, which the walker then
+expands as any other node.  A cleared sibling has no grandchild that can
+enter the top k, so the threshold stands still across it, and
+``exact_scores`` and ``nodes_visited`` are those of the walk without the
+leaf gate.
 
 Determinism contract: features are ordered by :func:`rank` (ties in |score|
 go to the smaller itemset), a zero score gets sign +1, and the selected
@@ -59,7 +57,6 @@ agree bit for bit.
 from __future__ import annotations
 
 import bisect
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +120,6 @@ def marginal_screen(
     if k > D:
         raise ValueError(f"k = {k} exceeds the number of features D = {D}")
 
-    t0 = time.perf_counter()
     ZT = np.ascontiguousarray(data.Z.T)
     y = data.y
     W = np.stack([y, *sign_split(y)], axis=1)  # (n, 3): [y, y+, y-]
@@ -137,7 +133,7 @@ def marginal_screen(
     def floor() -> float:
         return prune_floor(abs(top[-1][2]), ysum)
 
-    def score(parent, start, rows, col, gate=False):
+    def score(parent, start, rows, col, gate):
         # Score the node's children: an approximate x'y and the bound's sums
         # for all, the exact score for those that can enter the top k.  With
         # ``gate`` the factors on the support, Zr, are kept for the leaf gate.
@@ -179,51 +175,41 @@ def marginal_screen(
         # Gate all children against the floor as it stands, then re-test
         # each survivor against the live one, which earlier siblings'
         # subtrees may have raised, before the walk enters it.
+        keep = np.arange(m) if len(top) < k else np.flatnonzero(bounds >= floor())
         if gate:
-            # The children are parents of leaves; the last one, index m - 1,
-            # has no children at all.
-            kids = np.arange(m - 1) if len(top) < k else np.flatnonzero(bounds[:-1] >= floor())
-            if len(kids):
-                leaf_parents(parent, start, rows, col, Zr, block, bounds, kids)
+            yield from leaf_parents(rows, Zr, block, bounds, keep)
             return
         # The walk descends from here: free the block, so that the blocks of
         # the nodes above a gated one are not all held at once.
         del Zr, block
-        keep = range(m) if len(top) < k else np.flatnonzero(bounds >= floor()).tolist()
-        for i in keep:
+        for i in keep.tolist():
             if len(top) == k and bounds[i] < floor():
                 continue
             yield i, None
 
-    def leaf_parents(parent, start, rows, col, Zr, block, bounds, kids):
+    def leaf_parents(rows, Zr, block, bounds, kids):
         # The leaf level of the walk: the entered children ``kids`` of a node
         # at depth r - 2 go through the shared chunk-and-replay.
-        grand = len(ZT) - 1 - start - kids  # each sibling's number of children
 
-        def flag(chunk):
+        def flag(chunk, sums, valid):
             # Which siblings have a grandchild whose approximate |score|
-            # reaches the floor of the floor?  Every grandchild's factor lies
-            # in Zr[1 + i0:], sibling i's from row i - i0 on.
+            # reaches the floor of the floor?
             if len(top) < k:
                 return np.ones(chunk.stop - chunk.start, dtype=bool)
-            sib = kids[chunk]
-            i0 = sib[0]
-            approx = np.abs((block[sib] * y[rows]) @ Zr[1 + i0:].T)  # (S, G)
-            approx[np.arange(approx.shape[1]) < (sib - i0)[:, None]] = -np.inf
+            approx = np.abs(sums[0])  # (S, G)
+            approx[~valid] = -np.inf
             return (approx >= prune_floor(floor(), ysum)).any(axis=1)
 
-        def count(run):
+        def count(run, grand):
             nonlocal visited
-            visited += int(grand[run][bounds[kids[run]] >= floor()].sum())
+            visited += int(grand[bounds[kids[run]] >= floor()].sum())
 
         def enter(i):
-            j = int(kids[i])
-            if len(top) == k and bounds[j] < floor():
-                return
-            child = ZT[start + j] * col
-            score(parent + (start + 1 + j,), start + 1 + j, rows[block[j] != 0], child)
+            # The walk carries no state; None drops a sibling the live floor
+            # has passed.
+            return None if len(top) == k and bounds[kids[i]] < floor() else True
 
-        gate_leaf_parents(grand, flag, count, enter)
+        return gate_leaf_parents(kids, Zr, block, y[rows][None], flag, count, enter)
 
     walk_tree(ZT, r, expand, None)
 
@@ -234,7 +220,6 @@ def marginal_screen(
     metrics = TraversalMetrics(
         nodes_visited=visited,
         total_nodes=D,
-        elapsed=time.perf_counter() - t0,
         exact_scores=exact,
     )
     return result, metrics

@@ -717,3 +717,16 @@ class TestMainEndToEnd:
         lines = out.read_text().splitlines()
         assert len(lines) == 3  # header + one row per model order
         assert lines[0].split(",")[:3] == ["d", "r", "sparsity"]
+
+    def test_perf_orders_below_the_truth(self, tmp_path):
+        # The default truth {1,2,3} is of order 3; the grid's orders cap the
+        # model, not the data, so orders 1 and 2 still run.
+        out = tmp_path / "perf.csv"
+        rc = main(
+            ["perf", "--rows", "40", "--topk", "2", "--trials", "1", "--cols-list", "8",
+             "--order-list", "1,2", "--sparsity-list", "0.5", "--format", "csv",
+             "--output", str(out)]
+        )
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        assert [line.split(",")[1] for line in lines[1:]] == ["1", "2"]

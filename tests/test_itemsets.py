@@ -288,27 +288,87 @@ class TestNodeStats:
 
 
 class TestGateLeafParents:
+    @staticmethod
+    def _run(kids, m, flag, enter, calls, rows=2):
+        # A node with m children on ``rows`` support rows; every yield is
+        # logged between the calls around it.
+        Zr = np.ones((m, rows))
+        gen = gate_leaf_parents(
+            np.array(kids), Zr, Zr.copy(), np.ones((1, rows)), flag,
+            lambda run, grand: calls.append(("count", run.start, run.stop, grand.tolist())),
+            enter,
+        )
+        for child, state in gen:
+            calls.append(("yield", child, state))
+
     def test_chunks_and_replay_order(self):
-        # 300 grandchildren fill a chunk alone; 100 + 100 + 60 would pass
-        # 256, so the next chunk is the two 100s; the last holds 60, 5, 3.
+        # The children of a node with 302 children have 301 - kid children
+        # each: 300 grandchildren fill a chunk alone; 130 + 120 + 60 would
+        # pass 256, so the next chunk is 130 and 120; the last holds 60, 5, 3.
         calls = []
         flags = {0: [False], 1: [False, True], 3: [True, False, True]}
 
-        def flag(chunk):
+        def flag(chunk, sums, valid):
             calls.append(("flag", chunk.start, chunk.stop))
             return np.array(flags[chunk.start])
 
-        gate_leaf_parents(
-            np.array([300, 100, 100, 60, 5, 3]),
-            flag,
-            lambda run: calls.append(("count", run.start, run.stop)),
-            lambda i: calls.append(("enter", i)),
-        )
+        def enter(i):
+            calls.append(("enter", i))
+            return f"state{i}"
+
+        self._run([1, 171, 181, 241, 296, 298], 302, flag, enter, calls)
         assert calls == [
-            ("flag", 0, 1), ("count", 0, 1),
-            ("flag", 1, 3), ("count", 1, 2), ("enter", 2),
-            ("flag", 3, 6), ("enter", 3), ("count", 4, 5), ("enter", 5),
+            ("flag", 0, 1), ("count", 0, 1, [300]),
+            ("flag", 1, 3), ("count", 1, 2, [130]), ("enter", 2), ("yield", 181, "state2"),
+            ("flag", 3, 6), ("enter", 3), ("yield", 241, "state3"), ("count", 4, 5, [5]),
+            ("enter", 5), ("yield", 298, "state5"),
         ]
 
+    def test_last_child_is_dropped(self):
+        # Child 4 of a node with five children has no children of its own.
+        calls = []
+
+        def flag(chunk, sums, valid):
+            calls.append(("flag", chunk.start, chunk.stop))
+            return np.ones(chunk.stop - chunk.start, dtype=bool)
+
+        self._run([0, 2, 4], 5, flag, lambda i: i, calls)
+        assert calls == [("flag", 0, 2), ("yield", 0, 0), ("yield", 2, 1)]
+
+    def test_failed_retest_yields_nothing(self):
+        calls = []
+        flag = lambda chunk, sums, valid: np.ones(chunk.stop - chunk.start, dtype=bool)
+        self._run([0, 1, 2], 6, flag, lambda i: None if i == 1 else i, calls)
+        assert calls == [("yield", 0, 0), ("yield", 2, 2)]
+
+    @pytest.mark.parametrize("rows", [7, 0])
+    def test_sums_and_valid_cells(self, rows):
+        # sums[v, s, g] is V[v]'s inner product with sibling s's column times
+        # the grandchild factor Zr[1 + i0 + g]; valid marks the factors that
+        # lie above sibling s.  An empty support gives zero sums.
+        rng = np.random.default_rng(3)
+        Zr = rng.random((9, rows))
+        block = Zr * rng.random(rows)
+        V = rng.standard_normal((3, rows))
+        kids = np.array([2, 4, 5])
+        seen = []
+
+        def flag(chunk, sums, valid):
+            seen.append((sums, valid))
+            return np.zeros(chunk.stop - chunk.start, dtype=bool)
+
+        list(gate_leaf_parents(kids, Zr, block, V, flag, lambda run, grand: None, None))
+        (sums, valid), = seen
+        assert sums.shape == (3, 3, 6) and valid.shape == (3, 6)
+        for s, kid in enumerate(kids):
+            for g in range(6):
+                assert valid[s, g] == (3 + g > kid)
+                want = V @ (block[kid] * Zr[3 + g])
+                np.testing.assert_allclose(sums[:, s, g], want, rtol=1e-12, atol=1e-12)
+
     def test_no_children(self):
-        gate_leaf_parents(np.array([], dtype=np.int64), None, None, None)
+        Zr = np.ones((3, 2))
+        assert list(gate_leaf_parents(np.array([], dtype=np.int64), Zr, Zr, Zr[:1],
+                                      None, None, None)) == []
+        # Only the last child: dropped before any chunk is formed.
+        assert list(gate_leaf_parents(np.array([2]), Zr, Zr, Zr[:1], None, None, None)) == []

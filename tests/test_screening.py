@@ -1,5 +1,9 @@
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,8 +50,8 @@ _REPORT_SHA256 = {
         "bf62ec9eb964021781f2bd8f7309d05752a6cdcccec03b381b5e2f830a374b21",
     ),
     "tall_noise": (
-        "511ea7060cbbe4965f180b039a42427c81881e17101a99744220dc85dc6d13c5",
-        "6e5838797356d7e030055587ec065fea102879b2e202d2d5f02d55ae1ec48902",
+        "d2c62ee0a388c785873c3ef155a8c46fee87c04de7b20a939929146f880e65bd",
+        "ef642346bc67a0dd649818eae25c296d7b13613914301ffb6f0cab6347c9524c",
     ),
     "null_study": (
         "e1e2d91ee2184e4da89a72f221ad3e78b7921d5d7ce47ed52c19815d82b64fe8",
@@ -173,15 +177,39 @@ class TestBenchmarkShapes:
         data, k = _benchmark_shape(name, seed=1)
         assert marginal_screen(data, k, 3)[1].exact_scores == exact
 
+    def test_report_bytes_do_not_depend_on_blas_threads(self):
+        # OpenBLAS splits a dot product of more than 10,000 rows across its
+        # threads; the score kernel must not.  The tall_noise screen scores
+        # 12,500 rows, and ``infer --sigma estimate`` would estimate the
+        # noise from its selection's residual.
+        code = (
+            "import io, sys; sys.path[:0] = sys.argv[1:];"
+            "from test_screening import _benchmark_shape, marginal_screen, emit_screen;"
+            "from selectree.cli import estimate_sigma;"
+            "data, k = _benchmark_shape('tall_noise', 1); buf = io.StringIO();"
+            "sel = marginal_screen(data, k, 3)[0];"
+            "emit_screen(sel, [f'z{j}' for j in range(40)], buf, 'json');"
+            "print(buf.getvalue(), float.hex(estimate_sigma(data, sel)))"
+        )
+        tests = Path(__file__).resolve().parent
+        paths = [str(tests), str(tests.parent / "src")]
+        out = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            out.append(subprocess.run([sys.executable, "-c", code, *paths], env=env,
+                                      capture_output=True, text=True, check=True,
+                                      timeout=300).stdout)
+        assert out[0] == out[1] and '"score"' in out[0]
+
     @pytest.mark.parametrize("name,blocks,reached", [("wide_sparse", 2, 100),
-                                                     ("null_study", 64, 67)])
+                                                     ("null_study", 62, 67)])
     def test_truncation_exact_blocks_are_pinned(self, monkeypatch, name, blocks, reached):
         # The truncation nodes whose children's sums came from the full-row
-        # product, out of the nodes the pruned walk reaches: those the
-        # walker expands and the leaf parents the leaf gate enters.  On
-        # sparse data the sums over a node's support settle most nodes.
+        # product, out of the nodes the pruned walk reaches, every one of
+        # which the walker hands to ``expand``.  On sparse data the sums
+        # over a node's support settle most nodes.
         seen = []
-        walk, gate = inference.walk_tree, inference.gate_leaf_parents
+        walk = inference.walk_tree
 
         def counting_walk(ZT, r, expand, state):
             def counted(parent, *args):
@@ -190,15 +218,7 @@ class TestBenchmarkShapes:
 
             return walk(ZT, r, counted, state)
 
-        def counting_gate(grand, flag, count, enter):
-            def counted(i):
-                seen.append(i)
-                enter(i)
-
-            return gate(grand, flag, count, counted)
-
         monkeypatch.setattr(inference, "walk_tree", counting_walk)
-        monkeypatch.setattr(inference, "gate_leaf_parents", counting_gate)
         data, k = _benchmark_shape(name, seed=1)
         report = infer(data, ModelConfig(r=3, k=k, sigma=0.1))
         assert {f.interval.metrics.exact_blocks for f in report.features} == {blocks}
@@ -400,7 +420,6 @@ class TestOracleAgreement:
 def test_metrics_accounting(tiny):
     _, metrics = marginal_screen(tiny, k=1, r=2)
     assert 0 < metrics.nodes_visited <= metrics.total_nodes
-    assert metrics.elapsed >= 0.0
 
 
 def test_selected_itemsets_are_itemset_instances(tiny):

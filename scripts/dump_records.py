@@ -11,7 +11,7 @@ prints one line per record:
 - ``screen``: the selected itemsets, their scores as float.hex, then
   ``nodes_visited`` and ``exact_scores``;
 - ``window``: per selected feature, the truncation window as float.hex,
-  its active constraints, then ``nodes_visited`` and ``exact_blocks``;
+  its active constraints, then ``nodes_visited``;
 - ``infer``: per selected feature, the pivot, p-value and CI as float.hex;
 - ``error``: a typed error's class and message, where a stage raises one.
 
@@ -96,8 +96,7 @@ def _records(st, data, r, k, sigma, prune):
         lo, hi = iv.argmin_info
         yield (
             f"window {tag} {f.itemset} {float.hex(iv.v_minus)} {float.hex(iv.v_plus)} "
-            f"{_constraint(lo)} {_constraint(hi)} | visited={iv.metrics.nodes_visited} "
-            f"blocks={iv.metrics.exact_blocks}"
+            f"{_constraint(lo)} {_constraint(hi)} | visited={iv.metrics.nodes_visited}"
         )
         yield (
             f"infer {tag} {f.itemset} pivot={float.hex(f.pivot)} p={float.hex(f.p_value)} "

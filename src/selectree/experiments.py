@@ -332,11 +332,8 @@ class PerfRow:
         }
 
 
-def _perf_trial(spec: SyntheticSpec, t: int, model_r: int | None = None) -> dict:
+def _perf_trial(spec: SyntheticSpec, t: int, config: ModelConfig) -> dict:
     data = gen_synthetic(spec, t)
-    config = spec.config()
-    if model_r is not None:
-        config = replace(config, r=model_r)
     try:
         t0 = time.perf_counter()
         report = infer(data, config)
@@ -368,12 +365,20 @@ def run_perf_study(
     one set of trials under ``base.r``'s truth and reuses it for every model
     order, so rows differ only in what the search was allowed to explore.
     """
+    # Every cell's spec and model are built, and so checked, before any
+    # trial runs: a bad grid value fails at once, not after earlier cells.
+    specs = {(d, sp): replace(base, d=d, sparsity=sp) for d in d_values for sp in sparsity_values}
+    configs = {r: replace(base.config(), r=r) for r in r_values}
+    for d in d_values:
+        for r in r_values:
+            if base.k > total_feature_count(d, r):
+                raise ValueError(f"k={base.k} out of range for d={d}, r={r}")
     out: list[PerfRow] = []
     for d in d_values:
         for r in r_values:
             for sp in sparsity_values:
-                spec = replace(base, d=d, sparsity=sp)
-                worker = functools.partial(_perf_trial, model_r=r)
+                spec = specs[d, sp]
+                worker = functools.partial(_perf_trial, config=configs[r])
                 rows = [row for row in _map_trials(worker, spec, threads) if row]
                 times = [row["elapsed"] for row in rows]
                 rates = [row["rate"] for row in rows]

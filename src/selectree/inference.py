@@ -27,17 +27,18 @@ one subtree bound and one prune test serve both.
 
 All k contrasts share one pass of :func:`selectree.itemsets.walk_tree`,
 the depth-first walker screening runs on too.  The walker hands each node
-its own column ``col`` and its support ``rows``.  Every offer, bound and
-entry decision is made on the children's full-row sums: their full
-columns ``ZT[start:] * col`` and one batched matmul over all n rows give
-every contrast's sums, so their bits do not depend on the support.  All
-contrasts, both endpoints, both constraint orientations ("C1" rows
--s_j x_j + x_l, "C2" rows -s_j x_j - x_l) and all k selected features are
-scored and gated in one broadcast, with per-(contrast, endpoint,
-orientation, feature) activity masks as the walk state.  A subtree is
-entered while it is alive for any contrast; every contrast gets exactly the
-window, active constraints and visit count that a walk for it alone would
-give.
+its own column ``col`` and its support ``rows``.  Each node, with pruning on
+or off, forms one block, its children's columns on the support, ``ZT[start:,
+rows] * col[rows]``, and one batched product of that block with every
+contrast's weight columns gives the children's sums.  Every gate, offer,
+bound and entry decision at the node reads those sums, so pruning cannot
+change the bits any ratio or bound is formed from.  All contrasts, both
+endpoints, both constraint orientations ("C1" rows -s_j x_j + x_l, "C2" rows
+-s_j x_j - x_l) and all k selected features are scored and gated in one
+broadcast, with per-(contrast, endpoint, orientation, feature) activity
+masks as the walk state.  A subtree is entered while it is alive for any
+contrast; every contrast gets exactly the window, active constraints and
+visit count that a walk for it alone would give.
 Pruning never changes the endpoints: a subtree is kept iff its bound
 reaches the incumbent's ``prune_floor``, screening's rule too, whose slack
 dwarfs floating-point noise, so any skipped ratio is strictly non-improving.
@@ -47,20 +48,7 @@ exact-scores only the children that can enter its top k: a cheap test on an
 axis without the selected feature j names the children that can matter, and
 only those get the per-(contrast, endpoint, orientation, child, feature)
 arithmetic.  Few children at a node can move an incumbent or earn a
-descent, and on sparse data a node's support is a small share of the n
-rows.  So each node works in two steps, as screening's gates do:
-
-- the support step forms the children's block on the node's support,
-  ``ZT[start:, rows] * col[rows]``, and one product gives approximate sums
-  on which the offer and subtree gates below run.  A node where no child
-  passes either gate counts its children as visited and is done; it never
-  forms the full-row block;
-- the exact step forms the full-row block and sums, forms and offers the
-  ratios of the children the offer gate passed and the bounds of those the
-  subtree gate passed, and enters the children those bounds admit.
-
-At full support, the root, the support block is the full-row block and one
-product serves both steps.  Three gates run the two-stage rule:
+descent.  Three gates run the two-stage rule:
 
 - the offer gate: the node's sums pick the children with a ratio that
   could beat an incumbent, and only their ratios are formed and offered;
@@ -76,16 +64,16 @@ product serves both steps.  Three gates run the two-stage rule:
 This is exact:
 
 - each test's margin is a ``prune_floor`` slack, which dwarfs the rounding
-  of its rearranged expression and the error of the approximate sums.  A
-  sum over the support holds the same terms as the full-row sum, whose
-  other terms are +0.0, so the two differ by rounding alone, at most about
-  n eps sum|w|.  A child ruled out has no ratio above its incumbent and no
-  bound at its floor as the exact step would compute them;
+  of its rearranged expression.  The leaf gate's chunk products hold the
+  terms of the sums a flagged child's own product would give, plus terms
+  of +0.0, in another order, so the two differ by rounding alone, at most
+  about n eps sum|w|, which the slack dwarfs too.  A child ruled out has no
+  ratio above its incumbent and no bound at its floor;
 - such a child can neither win an offer nor tie the winner, and the
-  survivors keep their walk order, so ties break as before;
-- the subtree gate runs in the support step, before the node's offers.
-  Incumbents only grow, so the floors it tests against are at most the
-  live ones the bounds are then kept against;
+  survivors keep their walk order, so ties break as in the unpruned walk;
+- the subtree gate runs before the node's offers.  Incumbents only grow,
+  so the floors it tests against are at most the live ones the bounds are
+  then kept against;
 - incumbents only grow, so a cleared child's offers would change nothing,
   and the floors stand still between flagged children;
 - a flagged child is re-tested against the live floors and, if still
@@ -322,18 +310,15 @@ def truncation_windows(
     prune=False the same walk visits everything and must produce identical
     endpoints.
 
-    With prune=True each node runs two stages: a test on the (contrast,
-    endpoint, orientation, child) axes, without the feature axis j, picks
-    the children that can matter, and only those get the (K, 2, 2, m, k)
-    arithmetic.  The tests run in the node's support step, on sums over its
-    support ``rows``: the block ``ZT[start:, rows] * col[rows]`` times the
-    same six columns of y and c_q, side by side in one (n, 6K) product.
-    Only if some child passes the offer gate or the subtree gate does the
-    exact step form the full-row block and its batched product.  It forms
-    the ratios of the children the offer gate passed and the bounds of
-    those the subtree gate passed from those sums, without testing them
-    again.  A node at full support, the root, has one full-row product
-    for both steps.  With lam = best[q, e], a ratio whose denominator is
+    Each node forms one set of sums, pruned or not: its children's block on
+    the node's support ``rows``, ``ZT[start:, rows] * col[rows]``, times six
+    columns of y and c_q there, one batched product per contrast q.  With
+    prune=True each node then runs two stages on those sums: a test on the
+    (contrast, endpoint, orientation, child) axes, without the feature axis
+    j, picks the children that can matter, and only those get the (K, 2, 2,
+    m, k) arithmetic, which forms the ratios of the children the offer gate
+    passed and the bounds of those the subtree gate passed without testing
+    them again.  With lam = best[q, e], a ratio whose denominator is
     negative beats lam iff P - Q < 0, where
 
         P[q, e, j] = kappa_j - lam s_e rho_qj,
@@ -345,45 +330,42 @@ def truncation_windows(
 
     - Offer gate.  A child's ratios are formed and offered only if, for
       some (q, e, o), its Q reaches the least prune_floor(P_j, scale) over
-      the features j active for it.  Q comes from the support sums, which
-      hold the terms of the full-row sums the ratio divides; the other
-      terms are +0.0.  So the two differ only by the rounding of their
-      summation order, at most about n eps sum|w| <= n eps scale, and the
-      test otherwise rearranges the ratio's arithmetic: a ratio that rounds
-      above lam has P - Q below (c + n) eps * scale for a small constant c,
-      and the margin is at least PRUNE_SLACK * scale, which covers any n up
-      to ~10^6.  An incumbent of -inf reads as lam = 0 with P = -inf, which
-      keeps every child active for it.
+      the features j active for it.  Q and the ratio read the same sums,
+      and the test rearranges the ratio's arithmetic: a ratio that rounds
+      above lam has P - Q below c eps * scale for a small constant c, and
+      the margin is at least PRUNE_SLACK * scale.  An incumbent of -inf
+      reads as lam = 0 with P = -inf, which keeps every child active for
+      it.
     - Subtree gate.  Let f = prune_floor(best, ysum), the floor a bound
       must reach.  For f <= 0 and den > 0, (sy_o - kappa_j) / den >= f iff
       sy_o + |f| den >= kappa_j, and den <= |rho_qj| + max(sc_pos, sc_neg).
       So a child's bounds are formed only if, for some (q, e, o), sy_o +
       |f| max(sc_pos, sc_neg) reaches the least prune_floor(kappa_j - |f|
       |rho_qj|, scale) over the active j, with |f| in place of |lam| in
-      scale.  The rearrangement and the support sums again round by at
-      most about (c + n) eps * scale.  The test runs before the node's
-      offers, against floors no higher than the live ones the bounds are
-      then kept against.  While an incumbent is -inf or a floor is above 0
-      every child is bounded.
+      scale.  The rearrangement again rounds by at most about c eps *
+      scale.  The test runs before the node's offers, against floors no
+      higher than the live ones the bounds are then kept against.  While
+      an incumbent is -inf or a floor is above 0 every child is bounded.
     - Leaf gate.  A node at depth r - 2 yields its entered children, the
       parents of leaves, from ``itemsets.gate_leaf_parents``, which hands
       over each grandchild's approximate x'y and x'c on the node's support,
       a chunk of siblings at a time.  A child is flagged only if the
-      largest Q over its grandchildren passes the offer gate's test; those
-      sums err by about n eps sum|w|, far below the margin for any n up to
-      ~10^6.  A cleared child's visits are counted against the live
-      floors, as the walker would count them.  A flagged child is re-tested
-      and, if live, yielded to the walker, which runs the support step and
-      the exact step on it as on any other node.
+      largest Q over its grandchildren passes the offer gate's test.  Those
+      sums hold the terms of the sums the child's own product gives, plus
+      terms of +0.0, in another order, so they err by about n eps sum|w|,
+      far below the margin for any n up to ~10^6.  A cleared child's
+      visits are counted against the live floors, as the walker would
+      count them.  A flagged child is re-tested and, if live, yielded to
+      the walker, which forms its sums and runs the two stages on it as on
+      any other node.
 
     A child a gate rules out has every ratio strictly below its incumbent,
     or every bound below its floor, so it can neither win an offer nor tie
     the winner, nor be entered.  The survivors keep their walk order, so
     the first argmax over (o, child, j) names the same constraint.
     Windows, ``argmin_info`` and ``nodes_visited`` are bit for bit those
-    of a walk that forms every child's offers and bounds from full-row
-    sums.  ``metrics.exact_blocks`` counts the nodes that formed a
-    full-row product.
+    of the walk with prune=False, which forms every child's offers and
+    bounds from the same sums.
 
     All contrasts share one walk of the tree: a subtree is entered while it
     is alive for any contrast, and a contrast whose activity mask is empty
@@ -408,20 +390,14 @@ def truncation_windows(
     ZT = np.ascontiguousarray(data.Z.T)
     C = np.stack([np.asarray(con.c, dtype=np.float64) for con in contrasts])
     # One (n, 6) slice [y, c, y+, y-, c+, c-] per contrast.  The batched
-    # matmul below runs the same product per slice as a lone contrast's
-    # ``block @ W[q]``, so every contrast sees the same sums bit for bit; one
-    # wide (n, 3 + 3K) product would round differently.
+    # matmul in ``expand`` runs the same product per slice as a lone
+    # contrast's ``block @ W[q]``, so every contrast sees the same sums bit
+    # for bit; one wide (n, 6K) product would round differently.
     W = np.empty((K, n, 6))
     W[:, :, 0] = y
     W[:, :, 1] = C
     W[:, :, 2], W[:, :, 3] = sign_split(y)
     W[:, :, 4], W[:, :, 5] = sign_split(C)
-    # The support step reads the same columns side by side, (n, 6K), in one
-    # wide product: its sums only gate, so their rounding may differ.  W
-    # becomes a view of that one array.  BLAS packs its operands, so the
-    # batched matmul's bits do not depend on the view's strides.
-    Wwide = np.ascontiguousarray(W.transpose(1, 0, 2)).reshape(n, 6 * K)
-    W = Wwide.reshape(n, K, 6).transpose(1, 0, 2)
     ysum = float(np.abs(y).sum())
 
     kappa = np.abs(np.array(sel.scores, dtype=np.float64))
@@ -496,14 +472,8 @@ def truncation_windows(
         return (Q >= np.where(act, F[:, :, None, None], np.inf).min(axis=4)).any(axis=(0, 1, 2))
 
     visits = np.zeros((K, k), dtype=np.int64)
-    exact_blocks = 0
     half_tol = 0.5 * DENOM_TOL
     rho5 = rho_e[:, :, None, None, :]
-
-    def full_row_sums(block):
-        # The children's sums from their full-row block.
-        # rows: xy, xc, sy_pos, sy_neg, sc_pos, sc_neg
-        return np.matmul(block, W).transpose(0, 2, 1)  # (K, 6, m)
 
     def offer_kids(M, act):
         # Stage one of the offer gate: the P - Q test of the docstring picks
@@ -523,9 +493,8 @@ def truncation_windows(
         return np.flatnonzero(reaches(Q, F, act[:, :, :, None]))
 
     def offer_pairs(parent, start, M, kids, act):
-        # Offer the pair ratios of the children ``kids`` from their full-row
-        # sums.  act: bool (K, 2, 2, k) = (contrast, endpoint, orientation
-        # C1/C2, feature j)
+        # Offer the pair ratios of the children ``kids``.  act: bool (K, 2,
+        # 2, k) = (contrast, endpoint, orientation C1/C2, feature j)
         Mk = M[:, :, kids]
 
         def pair(f):
@@ -547,50 +516,29 @@ def truncation_windows(
         offer(np.divide(num, den, out=np.full(den.shape, -np.inf), where=mask), pair)
 
     def expand(parent, start, rows, col, act, leaves):
-        nonlocal exact_blocks
+        # The node's one product: the children's block on its support times
+        # every contrast's six columns there.  Every gate, offer, bound and
+        # entry decision below reads these sums, with pruning on or off.
+        # rows of M: xy, xc, sy_pos, sy_neg, sc_pos, sc_neg
+        Zr = ZT[start:].take(rows, axis=1)
+        Ba = Zr * col[rows]
+        M = np.matmul(Ba, W.take(rows, axis=1)).transpose(0, 2, 1)  # (K, 6, m)
+        gate = prune and len(parent) + 2 == r
+        if not gate:
+            # Only the leaf gate reads the block again.  Free it now, so that
+            # it is not held through this node's arithmetic, nor the blocks
+            # of the nodes above a gated one all at once.
+            del Zr, Ba
+        m = M.shape[2]
+        visits[act.any(axis=(1, 2))] += m
         if not prune:
-            # Every child's ratios are offered from the full-row sums, and
-            # every child is entered.
-            exact_blocks += 1
-            M = full_row_sums(ZT[start:] * col)
-            m = M.shape[2]
-            visits[act.any(axis=(1, 2))] += m
+            # Every child's ratios are offered, and every child is entered.
             offer_pairs(parent, start, M, np.arange(m), act)
             if not leaves:
                 yield from ((i, act) for i in range(m))
             return
-        # The support step: the children's sums over the node's support and
-        # both gates' stage one on them.  At full support, the root, they
-        # are the full-row sums, which then serve the exact step too.
-        full = len(rows) == n
-        if full:
-            Zr = ZT[start:]
-            Ba = Zr * col
-            Ma = full_row_sums(Ba)
-        else:
-            Zr = ZT[start:].take(rows, axis=1)
-            Ba = Zr * col[rows]
-            Ma = (Ba @ Wwide.take(rows, axis=0)).reshape(-1, K, 6).transpose(1, 2, 0)
-        gate = len(parent) + 2 == r
-        if not gate:
-            # Only the leaf gate reads the support block again.  Free it
-            # now, so that it is not held through this node's arithmetic,
-            # nor the blocks of the nodes above a gated one all at once.
-            del Zr, Ba
-        m = Ma.shape[2]
-        visits[act.any(axis=(1, 2))] += m
-        okids = offer_kids(Ma, act)
-        skids = np.arange(0) if leaves else subtree_kids(Ma, act)
-        if not (len(okids) or len(skids)):
-            return
-        # The exact step: the full-row sums, whose bits do not depend on the
-        # support, make every offer and every entry decision.
-        exact_blocks += 1
-        if full:
-            M = Ma
-        else:
-            del Ma  # freed before the full-row block is formed
-            M = full_row_sums(ZT[start:] * col)
+        okids = offer_kids(M, act)
+        skids = np.arange(0) if leaves else subtree_kids(M, act)
         if len(okids):
             offer_pairs(parent, start, M, okids, act)
         if not len(skids):
@@ -701,7 +649,7 @@ def truncation_windows(
                 v_plus=float(v_plus),
                 argmin_info=tuple(ends),
                 metrics=TraversalMetrics(
-                    nodes_visited=int(seen.sum()), total_nodes=k * D, exact_blocks=exact_blocks,
+                    nodes_visited=int(seen.sum()), total_nodes=k * D,
                 ),
             )
         )

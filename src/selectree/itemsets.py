@@ -171,18 +171,11 @@ class TraversalMetrics:
     :func:`column_score`; the other children were ruled out of the top k by
     their approximate score alone.  The truncation search scores no
     candidates this way and leaves it at 0.
-
-    ``exact_blocks`` counts the nodes of the truncation walk whose
-    children's sums came from the full-row product; the other nodes were
-    settled by their sums over the node's support.  With ``prune=False`` it
-    is every node the walk scores.  It counts the shared walk, so every
-    contrast's interval carries the same value.  Screening leaves it at 0.
     """
 
     nodes_visited: int = 0
     total_nodes: int = 0
     exact_scores: int = 0
-    exact_blocks: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +201,8 @@ def walk_tree(
     product (IEEE multiplication commutes), and support
     ``rows[child[rows] != 0]``: a row where a column is zero stays zero in
     every descendant.  ``expand`` forms the children's block it scores from
-    these two arrays, e.g. ``ZT[start:, rows] * col[rows]`` on the support or
-    ``ZT[start:] * col`` over all n rows.
+    these two arrays, ``ZT[start:, rows] * col[rows]`` on the support, and
+    may form one child's full column ``ZT[start + i] * col``.
 
     The walker hands ``expand(parent, start, rows, col, state, leaves)`` the
     node's ``state`` and ``leaves`` (true when the children are at order

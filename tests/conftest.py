@@ -50,6 +50,23 @@ def degenerate_designs():
     }
 
 
+def record_expanded(monkeypatch, module):
+    """Patch ``module.walk_tree`` so that the returned list records the
+    parent of every node the walker hands to ``expand``, in walk order."""
+    seen = []
+    walk = module.walk_tree
+
+    def counting_walk(ZT, r, expand, state):
+        def counted(parent, *args):
+            seen.append(parent)
+            return expand(parent, *args)
+
+        return walk(ZT, r, counted, state)
+
+    monkeypatch.setattr(module, "walk_tree", counting_walk)
+    return seen
+
+
 def walk_every_node(Z, r, W, y):
     """Run ``walk_tree`` over the whole tree (no pruning) and record, per
     itemset: its full column, formed from its parent's ``col`` as the

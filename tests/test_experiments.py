@@ -264,6 +264,21 @@ class TestStudies:
         assert by_r[1].sd_visit_rate == 0.0
         assert 0.0 < by_r[2].mean_visit_rate <= 1.0
 
+    @pytest.mark.parametrize(
+        "d_values,r_values,sparsity_values",
+        [([5], [1, 0], [0.5]), ([5], [1], [0.5, 1.0]), ([5, 0], [1], [0.5]), ([5, 2], [1], [0.5])],
+        ids=["order 0", "sparsity 1", "no columns", "k above D"],
+    )
+    def test_perf_study_checks_the_grid_before_any_trial(
+        self, monkeypatch, d_values, r_values, sparsity_values
+    ):
+        calls = []
+        monkeypatch.setattr(experiments, "gen_synthetic", lambda *a: calls.append(a))
+        base = SyntheticSpec(n=40, d=5, r=2, k=3, sparsity=0.5, sigma=0.2, seed=13, trials=2)
+        with pytest.raises(ValueError):
+            run_perf_study(base, d_values, r_values, sparsity_values)
+        assert calls == []
+
     def test_perf_study_grid_covers_all_cells(self):
         base = SyntheticSpec(
             n=40, d=10, r=2, k=2, sparsity=0.5, sigma=0.2, seed=13, trials=2

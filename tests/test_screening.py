@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_instance, walk_every_node
+from conftest import random_instance, record_expanded, walk_every_node
 from selectree import inference, oracle
 from selectree.cli import binarize_table, emit_report, emit_screen
 from selectree.experiments import SyntheticSpec, gen_synthetic
@@ -181,15 +181,21 @@ class TestBenchmarkShapes:
         # OpenBLAS splits a dot product of more than 10,000 rows across its
         # threads; the score kernel must not.  The tall_noise screen scores
         # 12,500 rows, and ``infer --sigma estimate`` would estimate the
-        # noise from its selection's residual.
+        # noise from its selection's residual.  The wide_sparse report
+        # covers the truncation walk's per-node products.
         code = (
             "import io, sys; sys.path[:0] = sys.argv[1:];"
-            "from test_screening import _benchmark_shape, marginal_screen, emit_screen;"
+            "from test_screening import (_benchmark_shape, marginal_screen, emit_screen,"
+            " emit_report, infer, ModelConfig);"
             "from selectree.cli import estimate_sigma;"
             "data, k = _benchmark_shape('tall_noise', 1); buf = io.StringIO();"
             "sel = marginal_screen(data, k, 3)[0];"
             "emit_screen(sel, [f'z{j}' for j in range(40)], buf, 'json');"
-            "print(buf.getvalue(), float.hex(estimate_sigma(data, sel)))"
+            "print(buf.getvalue(), float.hex(estimate_sigma(data, sel)));"
+            "data, k = _benchmark_shape('wide_sparse', 1); buf = io.StringIO();"
+            "report = infer(data, ModelConfig(r=3, k=k, sigma=0.1));"
+            "emit_report(report, [f'z{j}' for j in range(1, 101)], buf, 'json');"
+            "print(buf.getvalue())"
         )
         tests = Path(__file__).resolve().parent
         paths = [str(tests), str(tests.parent / "src")]
@@ -199,32 +205,16 @@ class TestBenchmarkShapes:
             out.append(subprocess.run([sys.executable, "-c", code, *paths], env=env,
                                       capture_output=True, text=True, check=True,
                                       timeout=300).stdout)
-        assert out[0] == out[1] and '"score"' in out[0]
+        assert out[0] == out[1] and '"score"' in out[0] and '"p_value"' in out[0]
 
-    @pytest.mark.parametrize("name,blocks,reached", [("wide_sparse", 2, 100),
-                                                     ("null_study", 62, 67)])
-    def test_truncation_exact_blocks_are_pinned(self, monkeypatch, name, blocks, reached):
-        # The truncation nodes whose children's sums came from the full-row
-        # product, out of the nodes the pruned walk reaches, every one of
-        # which the walker hands to ``expand``.  On sparse data the sums
-        # over a node's support settle most nodes.
-        seen = []
-        walk = inference.walk_tree
-
-        def counting_walk(ZT, r, expand, state):
-            def counted(parent, *args):
-                seen.append(parent)
-                return expand(parent, *args)
-
-            return walk(ZT, r, counted, state)
-
-        monkeypatch.setattr(inference, "walk_tree", counting_walk)
+    @pytest.mark.parametrize("name,reached", [("wide_sparse", 100), ("null_study", 67)])
+    def test_truncation_reached_nodes_are_pinned(self, monkeypatch, name, reached):
+        # The truncation nodes the pruned walk reaches, every one of which
+        # the walker hands to ``expand``.
+        seen = record_expanded(monkeypatch, inference)
         data, k = _benchmark_shape(name, seed=1)
-        report = infer(data, ModelConfig(r=3, k=k, sigma=0.1))
-        assert {f.interval.metrics.exact_blocks for f in report.features} == {blocks}
+        infer(data, ModelConfig(r=3, k=k, sigma=0.1))
         assert len(seen) == reached
-        if name == "wide_sparse":
-            assert blocks <= 0.1 * reached
 
     def test_criterion_5_shape_counts_are_pinned(self):
         metrics = [marginal_screen(*_benchmark_shape("null_study", seed), 3)[1]
@@ -384,10 +374,6 @@ class TestGateCounter:
         iv = truncation_points(sel, tiny, con, 2)
         assert iv.metrics.nodes_visited > 0
         assert iv.metrics.exact_scores == 0
-
-    def test_screening_forms_no_truncation_blocks(self, tiny):
-        for prune in (True, False):
-            assert marginal_screen(tiny, 2, 2, prune=prune)[1].exact_blocks == 0
 
 
 class TestOracleAgreement:

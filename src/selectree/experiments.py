@@ -83,6 +83,8 @@ class SyntheticSpec:
             it = key if isinstance(key, Itemset) else Itemset(tuple(sorted(key)))
             if len(it.indices) > self.r or (it.indices and it.indices[-1] > self.d):
                 raise ValueError(f"truth itemset {it} exceeds d={self.d}, r={self.r}")
+            if not math.isfinite(coef):
+                raise ValueError(f"truth coefficient for {it} must be finite, got {coef}")
             if coef == 0.0:
                 raise ValueError(f"truth coefficient for {it} must be nonzero")
             norm[it] = float(coef)
@@ -105,9 +107,14 @@ def gen_synthetic(spec: SyntheticSpec, trial_index: int) -> Dataset:
     rng = trial_rng(spec.seed, trial_index)
     Z = (rng.random((spec.n, spec.d)) < 1.0 - spec.sparsity).astype(np.float64)
     y = np.zeros(spec.n)
-    for it in sorted(spec.truth):
-        y += spec.truth[it] * feature_column(it, Z)
-    y += spec.sigma * rng.standard_normal(spec.n)
+    # A finite truth whose response overflows is a numeric failure, not a
+    # usage error: report it as one, without numpy's warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in sorted(spec.truth):
+            y += spec.truth[it] * feature_column(it, Z)
+        y += spec.sigma * rng.standard_normal(spec.n)
+    if not np.isfinite(y).all():
+        raise FloatingPointError("the response of the truth plus noise overflows")
     return Dataset(Z, y)
 
 

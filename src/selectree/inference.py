@@ -26,11 +26,11 @@ looks for v_minus along c, e = 1 for v_minus along -c, and one offer rule,
 one subtree bound and one prune test serve both.
 
 All k contrasts share one pass of :func:`selectree.itemsets.walk_tree`,
-the depth-first walker screening runs on too.  The walker hands each node
-its own column ``col`` and its support ``rows``.  Each node, with pruning on
-or off, forms one block, its children's columns on the support, ``ZT[start:,
-rows] * col[rows]``, and one batched product of that block with every
-contrast's weight columns gives the children's sums.  Every gate, offer,
+the depth-first walker screening runs on too.  At each node, with pruning
+on or off, the walker forms one block, the children's columns on the node's
+support ``rows``, ``ZT[start:, rows] * col[rows]``, and one batched product
+of that block with every contrast's weight columns gives the children's
+sums.  Every gate, offer,
 bound and entry decision at the node reads those sums, so pruning cannot
 change the bits any ratio or bound is formed from.  All contrasts, both
 endpoints, both constraint orientations ("C1" rows -s_j x_j + x_l, "C2" rows
@@ -54,12 +54,13 @@ descent.  Three gates run the two-stage rule:
   could beat an incumbent, and only their ratios are formed and offered;
 - the subtree gate: the same sums pick the children whose subtree bound
   could reach its floor, and only their bounds are formed;
-- the leaf gate: a node whose children are parents of leaves yields them
-  from :func:`selectree.itemsets.gate_leaf_parents`, screening's leaf gate
-  too.  It hands this module, per chunk of those children, every
-  grandchild's approximate x'y and x'c on the node's support; the offer
-  gate's test on them flags the children to expand, and the visits of the
-  cleared ones are counted in one step against the live floors.
+- the leaf gate: at a node whose children are parents of leaves the walker
+  passes the entered ones to :func:`selectree.itemsets.gate_leaf_parents`,
+  screening's leaf gate too.  It hands this module, per chunk of those
+  children, every grandchild's approximate x'y and x'c on the node's
+  support; the offer gate's test on them flags the children to expand, and
+  the visits of the cleared ones are counted in one step against the live
+  floors.
 
 This is exact:
 
@@ -95,7 +96,6 @@ from .itemsets import (
     TraversalMetrics,
     column_score,
     feature_column,
-    gate_leaf_parents,
     prune_floor,
     sign_split,
     total_feature_count,
@@ -283,7 +283,6 @@ def truncation_windows(
     contrasts: Sequence[Contrast],
     r: int,
     prune: bool = True,
-    columns: np.ndarray | None = None,
 ) -> tuple[TruncationInterval, ...]:
     """Every contrast's truncated support of eta^T y, from one branch-and-bound walk.
 
@@ -310,9 +309,10 @@ def truncation_windows(
     prune=False the same walk visits everything and must produce identical
     endpoints.
 
-    Each node forms one set of sums, pruned or not: its children's block on
-    the node's support ``rows``, ``ZT[start:, rows] * col[rows]``, times six
-    columns of y and c_q there, one batched product per contrast q.  With
+    Each node gets one set of sums from the walker, pruned or not: its
+    children's block on the node's support ``rows``, ``ZT[start:, rows] *
+    col[rows]``, times six columns of y and c_q there, one batched product
+    per contrast q.  With
     prune=True each node then runs two stages on those sums: a test on the
     (contrast, endpoint, orientation, child) axes, without the feature axis
     j, picks the children that can matter, and only those get the (K, 2, 2,
@@ -346,18 +346,18 @@ def truncation_windows(
       scale.  The test runs before the node's offers, against floors no
       higher than the live ones the bounds are then kept against.  While
       an incumbent is -inf or a floor is above 0 every child is bounded.
-    - Leaf gate.  A node at depth r - 2 yields its entered children, the
-      parents of leaves, from ``itemsets.gate_leaf_parents``, which hands
-      over each grandchild's approximate x'y and x'c on the node's support,
-      a chunk of siblings at a time.  A child is flagged only if the
-      largest Q over its grandchildren passes the offer gate's test.  Those
-      sums hold the terms of the sums the child's own product gives, plus
-      terms of +0.0, in another order, so they err by about n eps sum|w|,
-      far below the margin for any n up to ~10^6.  A cleared child's
-      visits are counted against the live floors, as the walker would
-      count them.  A flagged child is re-tested and, if live, yielded to
-      the walker, which forms its sums and runs the two stages on it as on
-      any other node.
+    - Leaf gate.  At a node at depth r - 2 the walker passes the entered
+      children, the parents of leaves, to ``itemsets.gate_leaf_parents``,
+      which hands over each grandchild's approximate x'y and x'c on the
+      node's support, a chunk of siblings at a time.  A child is flagged
+      only if the largest Q over its grandchildren passes the offer gate's
+      test.  Those sums hold the terms of the sums the child's own product
+      gives, plus terms of +0.0, in another order, so they err by about n
+      eps sum|w|, far below the margin for any n up to ~10^6.  A cleared
+      child's visits are counted against the live floors, as the walker
+      would count them.  A flagged child is re-tested and, if live, yielded
+      to the walker, which forms its sums and runs the two stages on it as
+      on any other node.
 
     A child a gate rules out has every ratio strictly below its incumbent,
     or every bound below its floor, so it can neither win an offer nor tie
@@ -373,11 +373,6 @@ def truncation_windows(
     endpoints, ``argmin_info`` and ``nodes_visited`` are therefore exactly
     those of a walk for that contrast alone.  Errors are raised in contrast
     order, each with the message a walk for that contrast alone would give.
-
-    ``columns`` optionally holds the selected features' columns as the
-    C-contiguous rows of a (k, n) array, e.g. ``np.ascontiguousarray(X_S.T)``
-    for a caller that already built them; they are formed with
-    ``feature_column`` otherwise.
     """
     k = len(sel.selected)
     K = len(contrasts)
@@ -385,14 +380,13 @@ def truncation_windows(
 
     y = data.y
     n = len(y)
-    if columns is None:
-        columns = np.stack([feature_column(it, data.Z) for it in sel.selected])
+    columns = [feature_column(it, data.Z) for it in sel.selected]
     ZT = np.ascontiguousarray(data.Z.T)
     C = np.stack([np.asarray(con.c, dtype=np.float64) for con in contrasts])
-    # One (n, 6) slice [y, c, y+, y-, c+, c-] per contrast.  The batched
-    # matmul in ``expand`` runs the same product per slice as a lone
-    # contrast's ``block @ W[q]``, so every contrast sees the same sums bit
-    # for bit; one wide (n, 6K) product would round differently.
+    # One (n, 6) slice [y, c, y+, y-, c+, c-] per contrast.  The walker's
+    # batched matmul runs the same product per slice as a lone contrast's
+    # ``block @ W[q]``, so every contrast sees the same sums bit for bit;
+    # one wide (n, 6K) product would round differently.
     W = np.empty((K, n, 6))
     W[:, :, 0] = y
     W[:, :, 1] = C
@@ -515,34 +509,23 @@ def truncation_windows(
                 mask[:, :, :, p] = False
         offer(np.divide(num, den, out=np.full(den.shape, -np.inf), where=mask), pair)
 
-    def expand(parent, start, rows, col, act, leaves):
-        # The node's one product: the children's block on its support times
-        # every contrast's six columns there.  Every gate, offer, bound and
-        # entry decision below reads these sums, with pruning on or off.
+    def node(parent, start, col, sums, act, leaves):
+        # Every gate, offer, bound and entry decision below reads the
+        # walker's sums of the node, with pruning on or off.
         # rows of M: xy, xc, sy_pos, sy_neg, sc_pos, sc_neg
-        Zr = ZT[start:].take(rows, axis=1)
-        Ba = Zr * col[rows]
-        M = np.matmul(Ba, W.take(rows, axis=1)).transpose(0, 2, 1)  # (K, 6, m)
-        gate = prune and len(parent) + 2 == r
-        if not gate:
-            # Only the leaf gate reads the block again.  Free it now, so that
-            # it is not held through this node's arithmetic, nor the blocks
-            # of the nodes above a gated one all at once.
-            del Zr, Ba
+        M = sums.transpose(0, 2, 1)  # (K, 6, m)
         m = M.shape[2]
         visits[act.any(axis=(1, 2))] += m
         if not prune:
             # Every child's ratios are offered, and every child is entered.
             offer_pairs(parent, start, M, np.arange(m), act)
-            if not leaves:
-                yield from ((i, act) for i in range(m))
-            return
+            return np.arange(m), lambda i: act, None, None
         okids = offer_kids(M, act)
         skids = np.arange(0) if leaves else subtree_kids(M, act)
         if len(okids):
             offer_pairs(parent, start, M, okids, act)
         if not len(skids):
-            return
+            return None
         kids = skids
         M = M[:, :, kids]
         # For descendants of child i the denominator lives in [dlo, dhi] and
@@ -557,8 +540,8 @@ def truncation_windows(
         bound = (M[:, None, 2:4, :, None] - kappa) / den
         # Gate all children at once against the incumbents' floors as they
         # stand.  ``best`` only grows, so a child gated out here stays out;
-        # each survivor is re-tested against the live floors, which earlier
-        # siblings' subtrees may have raised, before the walk enters it.
+        # the walker re-tests each survivor against the live floors, which
+        # earlier siblings' subtrees may have raised, before it enters it.
         gated = bound >= floor[:, :, None, None, None]
         gated &= alive
         entered = np.flatnonzero(gated.any(axis=(0, 1, 2, 4)))
@@ -573,28 +556,12 @@ def truncation_windows(
             child_act = live(slice(i, i + 1))[:, :, :, 0]
             return child_act if child_act.any() else None
 
-        if gate:
-            yield from leaf_parents(rows, Zr, Ba, kids, live, enter)
-            return
-        for i in range(len(kids)):
-            child_act = enter(i)
-            if child_act is not None:
-                yield int(kids[i]), child_act
-
-    # The leaf gate's sums x'y and x'c_q.
-    WG = np.vstack([y, C])  # (K + 1, n)
-
-    def leaf_parents(rows, Zr, Ba, kids, live, enter):
-        # The leaf level of the walk: the entered children ``kids`` of a node
-        # at depth r - 2 go through the shared chunk-and-replay with the
-        # P - Q flag below.  ``Zr`` and ``Ba`` are the node's factors and
-        # block on its support.
-        last = None  # the last flag's floors, first sibling and live()
+        last = None  # the leaf gate's last flag's floors, first sibling and live()
 
         def flag(chunk, sums, valid):
-            # Which siblings have a grandchild ratio that could beat an
-            # incumbent?  The P - Q test of the docstring, on approximate
-            # sums over the node's support.
+            # The leaf gate: which siblings have a grandchild ratio that
+            # could beat an incumbent?  The P - Q test of the docstring, on
+            # approximate sums over the node's support.
             nonlocal last
             act = live(chunk)
             last = floor, chunk.start, act
@@ -614,7 +581,7 @@ def truncation_windows(
             hit = act.any(axis=(1, 2))  # (K, run, k)
             visits[:] += (hit * grand[:, None]).sum(axis=1)
 
-        return gate_leaf_parents(kids, Zr, Ba, WG[:, rows], flag, count, enter)
+        return kids, enter, flag, count
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # Sign rows kappa_j / rho_j seed the incumbents, so pruning has teeth
@@ -623,7 +590,8 @@ def truncation_windows(
             np.where(rho_e <= -DENOM_TOL, kappa / rho_e, -np.inf),
             lambda j: ActiveConstraint("sign", sel.selected[j], None, None),
         )
-        walk_tree(ZT, r, expand, np.ones((K, 2, 2, k), dtype=bool))
+        # The leaf gate's sums are x'y and x'c_q.
+        walk_tree(ZT, r, W, np.vstack([y, C]), node, np.ones((K, 2, 2, k), dtype=bool))
 
     intervals = []
     for con, b, ends, seen in zip(contrasts, best, info, visits):
@@ -877,9 +845,7 @@ def infer(
         contrast_for_coefficient(X_S, data.y, j, sigma=config.sigma, covariance=config.covariance)
         for j in range(1, config.k + 1)
     ]
-    intervals = truncation_windows(
-        sel, data, cons, config.r, prune, np.ascontiguousarray(X_S.T)
-    )
+    intervals = truncation_windows(sel, data, cons, config.r, prune)
 
     feats = []
     for itemset, con, interval in zip(sel.selected, cons, intervals):

@@ -6,10 +6,12 @@ The D = sum_{rho=1}^{r} C(d, rho) candidate features are never materialized as
 a design matrix; they are organized as a prefix tree over sorted index sets
 (children append a strictly larger index) and searched lazily by
 :func:`walk_tree`, the one depth-first walker that both screening and the
-truncation search run on, and the only code that forms a descended node's
-column.  At the parents of leaves both searches gate the walk with one
-shared chunk-and-replay, :func:`gate_leaf_parents`, which lays out the leaf
-level and yields the children to expand back to the walker.  Because
+truncation search run on.  It runs the whole node routine: it forms each
+node's column, its children's block and the block's product with the
+search's weights, hands the sums to the search's scoring, and enters the
+children the search's gates name.  At the parents of leaves it gates the
+walk with one shared chunk-and-replay, :func:`gate_leaf_parents`, which
+lays out the leaf level and yields the children to expand.  Because
 all covariate values lie in [0,1], a descendant's feature column is
 elementwise no larger than its ancestor's, which is what makes subtree
 bounds possible downstream.
@@ -185,7 +187,9 @@ class TraversalMetrics:
 def walk_tree(
     ZT: np.ndarray,
     r: int,
-    expand: Callable[..., Iterator[tuple[int, Any]]],
+    W: np.ndarray,
+    V: np.ndarray,
+    node: Callable[..., tuple | None],
     state: Any,
 ) -> None:
     """Depth-first search of the itemset tree down to order ``r``.
@@ -200,27 +204,54 @@ def walk_tree(
     column ``ZT[start + i] * col``, bit for bit :func:`feature_column`'s
     product (IEEE multiplication commutes), and support
     ``rows[child[rows] != 0]``: a row where a column is zero stays zero in
-    every descendant.  ``expand`` forms the children's block it scores from
-    these two arrays, ``ZT[start:, rows] * col[rows]`` on the support, and
-    may form one child's full column ``ZT[start + i] * col``.
+    every descendant.
 
-    The walker hands ``expand(parent, start, rows, col, state, leaves)`` the
-    node's ``state`` and ``leaves`` (true when the children are at order
-    ``r`` and have no subtrees).  ``expand`` scores the children and then
-    lazily yields ``(i, child_state)`` for each child whose subtree must be
-    searched; the walker descends into it before asking for the next one, so
-    an incumbent that tightens inside one subtree already gates the next.
-    This is the only place a search descends: at the parents of leaves,
-    ``expand`` yields from :func:`gate_leaf_parents`, and the walker forms
-    and expands each child it yields like any other.
+    The walker runs the whole node routine; a search supplies only its
+    scoring and gates.  At each node it forms the children's block on the
+    support, ``ZT[start:, rows] * col[rows]``, and its product with the
+    search's weights, ``sums = np.matmul(block, W.take(rows, axis=-2))``:
+    shape (m, w) for a 2-D ``W`` of shape (n, w), or (K, m, w) for a 3-D one
+    of shape (K, n, w), one product per slice, so each slice's sums are bit
+    for bit those of a walk with that slice alone.  Only the leaf gate reads
+    the block again, so below depth r - 2 it is formed in place and freed
+    before the search's arithmetic.
+
+    ``node(parent, start, col, sums, state, leaves)`` then scores the
+    children (``leaves`` is true when they are at order ``r`` and have no
+    subtrees) and returns None, to enter none of them, or ``(kids, enter,
+    flag, count)``: ``kids`` the positions of the children that may be
+    entered, ascending, and ``enter(i)`` the state of child ``kids[i]``
+    re-tested against the search's live incumbents, or None if it is no
+    longer live.  At depth r - 2, when ``flag`` is given, the kids go
+    through :func:`gate_leaf_parents` with the node's factors, block and
+    weight rows ``V[:, rows]``; otherwise each is re-tested by ``enter`` in
+    turn.  Either way the walker expands an entered child before it
+    re-tests the next, so an incumbent that tightens inside one subtree
+    already gates the next.  This is the only code that descends.
     """
     d, n = ZT.shape
 
     def visit(parent: tuple[int, ...], rows: np.ndarray, col: np.ndarray, state: Any) -> None:
         start = parent[-1] if parent else 0
-        leaves = len(parent) + 1 == r
-        for i, child_state in expand(parent, start, rows, col, state, leaves):
-            if not leaves and start + 1 + i < d:
+        leaves, gate = len(parent) + 1 == r, len(parent) + 2 == r
+        Zr = ZT[start:].take(rows, axis=1)
+        block = Zr * col[rows] if gate else np.multiply(Zr, col[rows], out=Zr)
+        sums = np.matmul(block, W.take(rows, axis=-2))
+        if not gate:
+            # Free the block now, so that it is not held through the search's
+            # arithmetic, nor the blocks of the nodes above a gated one.
+            del Zr, block
+        out = node(parent, start, col, sums, state, leaves)
+        del sums  # not held through the descent
+        if out is None or leaves:
+            return
+        kids, enter, flag, count = out
+        if gate and flag is not None:
+            entered = gate_leaf_parents(kids, Zr, block, V[:, rows], flag, count, enter)
+        else:
+            entered = ((int(kids[p]), enter(p)) for p in range(len(kids)))
+        for i, child_state in entered:
+            if child_state is not None and start + 1 + i < d:
                 child = ZT[start + i] * col
                 visit(parent + (start + 1 + i,), rows[child[rows] != 0], child, child_state)
 
@@ -238,11 +269,12 @@ def gate_leaf_parents(
 ) -> Iterator[tuple[int, Any]]:
     """The leaf level of a pruned walk: a node's leaf parents, chunk by chunk.
 
-    A node at depth r - 2 has children whose own children are leaves.  Its
-    ``expand`` yields from this generator the children it would enter,
-    ``kids``, ascending, given its factors ``Zr = ZT[start:, rows]`` and
-    block ``Zr * col[rows]`` on its support and the search's weight rows
-    ``V`` there, shape (w, len(rows)).  The last child has no children and
+    A node at depth r - 2 has children whose own children are leaves.
+    :func:`walk_tree` runs this generator on the children the search may
+    enter there, ``kids``, ascending, given the node's factors ``Zr =
+    ZT[start:, rows]`` and block ``Zr * col[rows]`` on its support and the
+    search's weight rows ``V`` there, shape (w, len(rows)), and expands each
+    child it yields.  The last child has no children and
     is dropped; every position ``i`` below indexes the prefix of ``kids``
     left, and child ``kids[i]`` has ``grand[i] = len(Zr) - 1 - kids[i]``
     children.
@@ -264,6 +296,8 @@ def gate_leaf_parents(
       the live incumbents, raised by the siblings before it, and return its
       state, or None if it is no longer live.  A live sibling is yielded as
       ``(kids[i], state)``; the walker expands it before the replay goes on.
+
+    The search's ``node`` supplies ``flag``, ``count`` and ``enter``.
     """
     kids = kids[kids < len(Zr) - 1]
     grand = len(Zr) - 1 - kids

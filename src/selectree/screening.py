@@ -3,11 +3,11 @@
 The screener returns the k features with the largest |x_j^T y| among all
 D = sum_{rho<=r} C(d,rho) interaction features without ever materializing the
 design matrix.  The search runs on :func:`selectree.itemsets.walk_tree`, the
-depth-first walker it shares with the truncation search, which hands each
-node its own column ``col`` and that column's support ``rows``.  The
-children's columns on the support, ``block = ZT[start:, rows] * col[rows]``,
-and one product ``block @ W[rows]`` with ``W = [y, y+, y-]`` give every child
-an approximate score x^T y and the sign-partitioned sums
+depth-first walker it shares with the truncation search.  At each node the
+walker forms the children's columns on the node's support, ``block =
+ZT[start:, rows] * col[rows]``, and one product ``block @ W[rows]`` with ``W =
+[y, y+, y-]``, which gives every child an approximate score x^T y and the
+sign-partitioned sums
 
     sy_pos = sum_{i: y_i>0} x_i y_i,      sy_neg = -sum_{i: y_i<0} x_i y_i,
 
@@ -20,9 +20,9 @@ both uses of the sums are two-stage gates against the ``prune_floor`` of its
 last (k-th best) |score|, and both are exact.  Only a child whose
 approximate |score| reaches the floor is scored exactly (``column_score`` on
 its full column ``ZT[start + i] * col``) and offered to the list; and only a
-subtree whose bound reaches it is entered, each survivor of the vectorized
-test being re-tested against the live floor first.  This cannot change the
-result:
+subtree whose bound reaches it is entered, the walker re-testing each
+survivor of the vectorized test against the live floor first.  This cannot
+change the result:
 
 - the floor's slack dwarfs the product's rounding, so a child the gate rules
   out scores strictly below the threshold, and no descendant of a pruned
@@ -32,10 +32,12 @@ result:
 - ``column_score`` on the full column, the kernel the brute-force
   enumeration uses, still makes every selection decision.
 
-The leaf gate.  A node at depth r - 2 yields its entered children, the
-parents of leaves, from :func:`selectree.itemsets.gate_leaf_parents`, the
-chunk-and-replay the truncation search runs too.  Per chunk of siblings it
-hands over every grandchild's approximate x^T y on the node's support.
+The leaf gate.  At a node at depth r - 2 the walker passes the children
+screening may enter, the parents of leaves, to
+:func:`selectree.itemsets.gate_leaf_parents`, the chunk-and-replay the
+truncation search runs too, with screening's ``flag``, ``count`` and
+``enter``.  Per chunk of siblings it hands over every grandchild's
+approximate x^T y on the node's support.
 While the top k is full, a sibling is flagged only if one of its
 grandchildren's |x^T y| reaches ``prune_floor(floor, sum|y|)``, the floor
 of the floor; a cleared sibling whose bound reaches the live floor adds its
@@ -66,7 +68,6 @@ from .itemsets import (
     Itemset,
     TraversalMetrics,
     column_score,
-    gate_leaf_parents,
     prune_floor,
     sign_split,
     total_feature_count,
@@ -133,24 +134,13 @@ def marginal_screen(
     def floor() -> float:
         return prune_floor(abs(top[-1][2]), ysum)
 
-    def score(parent, start, rows, col, gate):
-        # Score the node's children: an approximate x'y and the bound's sums
-        # for all, the exact score for those that can enter the top k.  With
-        # ``gate`` the factors on the support, Zr, are kept for the leaf gate.
+    def node(parent, start, col, sums, state, leaves):
+        # Score the node's children from the walker's sums: per child an
+        # approximate x'y, then sy_pos and sy_neg for the bound; the exact
+        # score for those that can enter the top k.
         nonlocal visited, exact
-        Zr = ZT[start:, rows]  # fancy indexing copies
-        if gate:
-            block = Zr * col[rows]
-        else:
-            block = Zr
-            block *= col[rows]
-        m = block.shape[0]
+        m = len(sums)
         visited += m
-        # Per child: approximate x'y, then sy_pos and sy_neg for the bound.
-        sums = block @ W[rows]
-
-        # Only a child whose approximate |score| reaches the floor can enter
-        # the top k; it gets the exact score.
         cand = range(m)
         if prune and len(top) == k:
             cand = np.flatnonzero(np.abs(sums[:, 0]) >= floor()).tolist()
@@ -160,40 +150,24 @@ def marginal_screen(
             s = column_score(ZT[start + i] * col, y)
             bisect.insort(top, (*rank(s, child), s))
             del top[k:]
-        return Zr, block, sums
-
-    def expand(parent, start, rows, col, state, leaves):
-        gate = prune and len(parent) + 2 == r
-        Zr, block, sums = score(parent, start, rows, col, gate)
         if leaves:
-            return
-        m = block.shape[0]
+            return None
         if not prune:
-            yield from ((i, None) for i in range(m))
-            return
+            return np.arange(m), lambda i: True, None, None
         bounds = np.maximum(sums[:, 1], sums[:, 2])
-        # Gate all children against the floor as it stands, then re-test
-        # each survivor against the live one, which earlier siblings'
-        # subtrees may have raised, before the walk enters it.
-        keep = np.arange(m) if len(top) < k else np.flatnonzero(bounds >= floor())
-        if gate:
-            yield from leaf_parents(rows, Zr, block, bounds, keep)
-            return
-        # The walk descends from here: free the block, so that the blocks of
-        # the nodes above a gated one are not all held at once.
-        del Zr, block
-        for i in keep.tolist():
-            if len(top) == k and bounds[i] < floor():
-                continue
-            yield i, None
+        # Gate all children against the floor as it stands; the walker
+        # re-tests each survivor against the live one, which earlier
+        # siblings' subtrees may have raised, before it enters it.
+        kids = np.arange(m) if len(top) < k else np.flatnonzero(bounds >= floor())
 
-    def leaf_parents(rows, Zr, block, bounds, kids):
-        # The leaf level of the walk: the entered children ``kids`` of a node
-        # at depth r - 2 go through the shared chunk-and-replay.
+        def enter(i):
+            # The walk carries no state; None drops a child the live floor
+            # has passed.
+            return None if len(top) == k and bounds[kids[i]] < floor() else True
 
         def flag(chunk, sums, valid):
-            # Which siblings have a grandchild whose approximate |score|
-            # reaches the floor of the floor?
+            # The leaf gate: which siblings have a grandchild whose
+            # approximate |score| reaches the floor of the floor?
             if len(top) < k:
                 return np.ones(chunk.stop - chunk.start, dtype=bool)
             approx = np.abs(sums[0])  # (S, G)
@@ -204,14 +178,9 @@ def marginal_screen(
             nonlocal visited
             visited += int(grand[bounds[kids[run]] >= floor()].sum())
 
-        def enter(i):
-            # The walk carries no state; None drops a sibling the live floor
-            # has passed.
-            return None if len(top) == k and bounds[kids[i]] < floor() else True
+        return kids, enter, flag, count
 
-        return gate_leaf_parents(kids, Zr, block, y[rows][None], flag, count, enter)
-
-    walk_tree(ZT, r, expand, None)
+    walk_tree(ZT, r, W, y[None], node, None)
 
     result = ScreeningResult(
         selected=tuple(Itemset(e[1]) for e in top),

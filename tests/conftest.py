@@ -52,16 +52,16 @@ def degenerate_designs():
 
 def record_expanded(monkeypatch, module):
     """Patch ``module.walk_tree`` so that the returned list records the
-    parent of every node the walker hands to ``expand``, in walk order."""
+    parent of every node the walker hands to ``node``, in walk order."""
     seen = []
     walk = module.walk_tree
 
-    def counting_walk(ZT, r, expand, state):
+    def counting_walk(ZT, r, W, V, node, state):
         def counted(parent, *args):
             seen.append(parent)
-            return expand(parent, *args)
+            return node(parent, *args)
 
-        return walk(ZT, r, counted, state)
+        return walk(ZT, r, W, V, counted, state)
 
     monkeypatch.setattr(module, "walk_tree", counting_walk)
     return seen
@@ -70,18 +70,17 @@ def record_expanded(monkeypatch, module):
 def walk_every_node(Z, r, W, y):
     """Run ``walk_tree`` over the whole tree (no pruning) and record, per
     itemset: its full column, formed from its parent's ``col`` as the
-    searches form it, its row of screening's ``block @ W[rows]`` sums on the
-    parent's support, and its ``column_score`` against y.  Insertion order is
-    the walk's visiting order."""
+    searches form it, its row of the walker's ``block @ W[rows]`` sums on
+    the parent's support, and its ``column_score`` against y.  Insertion
+    order is the walk's visiting order."""
     nodes = {}
     ZT = np.ascontiguousarray(Z.T)
 
-    def expand(parent, start, rows, col, state, leaves):
+    def node(parent, start, col, sums, state, leaves):
         cols = ZT[start:] * col
-        sums = (ZT[start:, rows] * col[rows]) @ W[rows]
         for i in range(cols.shape[0]):
             nodes[parent + (start + 1 + i,)] = (cols[i], sums[i], column_score(cols[i], y))
-            yield i, None
+        return np.arange(len(cols)), lambda i: True, None, None
 
-    walk_tree(ZT, r, expand, None)
+    walk_tree(ZT, r, W, None, node, None)
     return nodes

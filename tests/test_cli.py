@@ -563,6 +563,37 @@ class TestMainExitCodes:
         assert f"--threads: must be at least 1, got {value}" in err
         assert "Traceback" not in err
 
+    _STUDY_SHAPE = {
+        "synth": ["--cols", "5", "--order", "2"],
+        "perf": ["--cols-list", "5", "--order-list", "2", "--sparsity-list", "0.5"],
+    }
+
+    @pytest.mark.parametrize("command", ["synth", "perf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_study_truth_must_be_finite(self, capsys, command, value):
+        # The coefficient is named, with no numpy warning and not as the
+        # "response contains non-finite entries" of a response the user
+        # never gave.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, "--rows", "20", "--topk", "2", "--trials", "1",
+                       *self._STUDY_SHAPE[command], "--truth", f"1:{value}"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"truth coefficient for {{1}} must be finite, got {float(value)}" in err
+        assert "response" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["synth", "perf"])
+    def test_study_truth_whose_response_overflows_is_3(self, capsys, command):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, "--rows", "20", "--topk", "2", "--trials", "1",
+                       *self._STUDY_SHAPE[command], "--truth", "1,2:1e308;1:1e308"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err == ("selectree: degenerate instance: "
+                       "the response of the truth plus noise overflows\n")
+
     def test_sigma_whose_square_overflows_is_3(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

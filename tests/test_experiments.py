@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,21 @@ class TestSyntheticSpec:
             SyntheticSpec(
                 n=10, d=5, r=2, k=2, sparsity=0.5, sigma=0.1, truth={(1,): 0.0}
             )
+
+    @pytest.mark.parametrize("coef", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_coefficient(self, coef):
+        with pytest.raises(ValueError, match=r"truth coefficient for \{1,2\} must be finite"):
+            SyntheticSpec(
+                n=10, d=5, r=2, k=2, sparsity=0.5, sigma=0.1, truth={(1, 2): coef}
+            )
+
+    def test_response_that_overflows_is_a_numeric_failure(self):
+        spec = SyntheticSpec(n=10, d=5, r=2, k=2, sparsity=0.0, sigma=0.1,
+                             truth={(1, 2): 1e308, (1,): 1e308})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="overflows"):
+                gen_synthetic(spec, 0)
 
     @pytest.mark.parametrize(
         "field,value",

@@ -225,8 +225,7 @@ class TestJointWalk:
     """One walk for all k contrasts gives every contrast exactly what a walk
     for it alone gives."""
 
-    def _check(self, sel, data, cons, r, X):
-        columns = np.ascontiguousarray(X.T)
+    def _check(self, sel, data, cons, r):
         for prune in (True, False):
             alone, first_error = [], None
             for con in cons:
@@ -237,10 +236,10 @@ class TestJointWalk:
                         first_error = exc
             if first_error is not None:
                 with pytest.raises(type(first_error)) as err:
-                    truncation_windows(sel, data, cons, r, prune, columns)
+                    truncation_windows(sel, data, cons, r, prune)
                 assert str(err.value) == str(first_error)
                 continue
-            joint = truncation_windows(sel, data, cons, r, prune, columns)
+            joint = truncation_windows(sel, data, cons, r, prune)
             assert [_window(iv) for iv in joint] == alone
 
     @pytest.mark.parametrize("seed", range(40))
@@ -255,7 +254,7 @@ class TestJointWalk:
             cons = [contrast_for_coefficient(X, data.y, j, sigma=1.0) for j in range(1, k + 1)]
         except SingularGramError:
             return
-        self._check(sel, data, cons, r, X)
+        self._check(sel, data, cons, r)
 
     @pytest.mark.parametrize("n, d, sparsity", [(100, 50, 0.5), (400, 100, 0.9)],
                              ids=["d50", "d100"])
@@ -265,7 +264,7 @@ class TestJointWalk:
         sel, _ = marginal_screen(data, 10, 3)
         X = _design(sel, data.Z)
         cons = [contrast_for_coefficient(X, data.y, j, sigma=0.1) for j in range(1, 11)]
-        self._check(sel, data, cons, 3, X)
+        self._check(sel, data, cons, 3)
 
     def test_foreign_observation_second_raises_its_own_error(self, tiny):
         sel, _ = marginal_screen(tiny, k=2, r=2)
@@ -301,9 +300,9 @@ class TestJointWalk:
     def test_infer_walks_the_tree_once(self, monkeypatch):
         walk, states = inference.walk_tree, []
 
-        def counting_walk(ZT, r, expand, state):
+        def counting_walk(ZT, r, W, V, node, state):
             states.append(state.shape)
-            return walk(ZT, r, expand, state)
+            return walk(ZT, r, W, V, node, state)
 
         monkeypatch.setattr(inference, "walk_tree", counting_walk)
         spec = SyntheticSpec(n=100, d=20, r=3, k=5, sparsity=0.5, sigma=0.1, seed=2)
@@ -534,9 +533,9 @@ class TestSupportStep:
         _assert_exact(Dataset(Z, y), r, 3, 5)
 
     def test_unpruned_walk_forms_a_block_at_every_scored_node(self, monkeypatch):
-        # The walker hands ``expand`` the root and every node of order
-        # 1..r-1 that has children, i.e. every itemset without index d, and
-        # each forms its one block.
+        # The walker hands ``node`` the root and every node of order 1..r-1
+        # that has children, i.e. every itemset without index d, and forms
+        # each one's block.
         seen = record_expanded(monkeypatch, inference)
         spec = SyntheticSpec(n=60, d=9, r=3, k=4, sparsity=0.5, sigma=0.1, seed=4)
         infer(gen_synthetic(spec, 0), spec.config(), prune=False)

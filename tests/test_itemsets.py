@@ -46,17 +46,30 @@ class TestItemset:
         assert Itemset((4, 7, 9)).order == 3
 
 
+class _RowLog:
+    """A weight matrix for ``walk_tree`` that logs the support ``rows`` the
+    walker takes it at: the last entry is the rows of the node the walker
+    hands to ``node`` next.  Every product is against zeros."""
+
+    def __init__(self):
+        self.rows = []
+
+    def take(self, rows, axis):
+        self.rows.append(rows)
+        return np.zeros((len(rows), 1))
+
+
 def _children(d, r):
-    """Each node's children as ``walk_tree`` hands them to ``expand`` (row i
-    of the block is ``parent + (start + 1 + i,)``) when it descends
+    """Each node's children as ``walk_tree`` hands them to ``node`` (row i
+    of the sums is ``parent + (start + 1 + i,)``) when it descends
     everywhere; a node it never expands has no children."""
     kids = {}
 
-    def expand(parent, start, rows, col, state, leaves):
+    def node(parent, start, col, sums, state, leaves):
         kids[parent] = [Itemset(parent + (start + 1 + i,)) for i in range(d - start)]
-        yield from ((i, None) for i in range(d - start))
+        return np.arange(d - start), lambda i: True, None, None
 
-    walk_tree(np.ones((d, 1)), r, expand, None)
+    walk_tree(np.ones((d, 1)), r, np.ones((1, 1)), None, node, None)
     return lambda node: kids.get(node.indices, [])
 
 
@@ -74,20 +87,27 @@ class TestChildren:
     @settings(max_examples=30, deadline=None)
     def test_tree_enumerates_every_itemset_once(self, d, r):
         # Children append one index above the parent's largest, nothing goes
-        # deeper than r, and an expand that descends everywhere visits every
+        # deeper than r, and a node that enters every child visits every
         # itemset once, in lexicographic (= depth-first) order.
         seen = []
+        W = _RowLog()
 
-        def expand(parent, start, rows, col, state, leaves):
+        def node(parent, start, col, sums, state, leaves):
             assert state == len(parent)
             assert leaves == (len(parent) + 1 == r)
             assert col.tolist() == [1.0, 1.0]
-            assert rows.tolist() == [0, 1]
-            for i in range(d - start):
-                seen.append(parent + (start + 1 + i,))
-                yield i, state + 1
+            assert W.rows[-1].tolist() == [0, 1]
+            kids = [parent + (start + 1 + i,) for i in range(d - start)]
+            if leaves:
+                seen.extend(kids)
 
-        walk_tree(np.ones((d, 2)), r, expand, 0)
+            def enter(i):
+                seen.append(kids[i])
+                return state + 1
+
+            return np.arange(len(kids)), enter, None, None
+
+        walk_tree(np.ones((d, 2)), r, W, None, node, 0)
         expected = sorted(
             c
             for rho in range(1, r + 1)
@@ -213,8 +233,8 @@ class TestModelConfig:
 class TestNodeStats:
     """The per-node statistics the walks form: each child's full column,
     formed from its parent's ``col``, and its sign-partitioned sums as a row
-    of ``block @ W[rows]`` on the parent's support (with the truncation's
-    ``W``)."""
+    of the walker's ``block @ W[rows]`` on the parent's support (with the
+    truncation's ``W``)."""
 
     @staticmethod
     def _W(y, c):
@@ -252,8 +272,10 @@ class TestNodeStats:
         Z = Dataset(Z, np.zeros(n)).Z
         ZT = np.ascontiguousarray(Z.T)
         supports = {}
+        W = _RowLog()
 
-        def expand(parent, start, rows, col, state, leaves):
+        def node(parent, start, col, sums, state, leaves):
+            rows = W.rows[-1]
             supports[parent] = rows
             assert col.tobytes() == feature_column(parent, Z).tobytes()
             assert rows.tolist() == np.flatnonzero(col).tolist()
@@ -261,9 +283,9 @@ class TestNodeStats:
             for i in range(cols.shape[0]):
                 child = parent + (start + 1 + i,)
                 assert cols[i].tobytes() == feature_column(child, Z).tobytes()
-                yield i, None
+            return np.arange(len(cols)), lambda i: True, None, None
 
-        walk_tree(ZT, 4, expand, None)
+        walk_tree(ZT, 4, W, None, node, None)
         assert supports[()].tolist() == list(range(n))
         for node, rows in supports.items():
             assert rows.tolist() == np.flatnonzero(feature_column(node, Z)).tolist()
@@ -285,6 +307,81 @@ class TestNodeStats:
             if len(itemset) > 1:
                 parent_sums = nodes[itemset[:-1]][1]
                 assert (sums[2:] <= parent_sums[2:]).all()
+
+
+class TestWalkTree:
+    """The node routine ``walk_tree`` runs for both searches: each node's
+    product with the search's weights, and the leaf gate at depth r - 2."""
+
+    @given(seed=st.integers(0, 10_000), density=st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_sums_are_the_block_product(self, seed, density):
+        # sums is bit for bit (ZT[start:, rows] * col[rows]) @ W[rows] at
+        # every node, on a 2-D W and on each slice of a 3-D one, whether the
+        # walker formed the block in place or not; ZT is left as it was.
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(1, 13)), int(rng.integers(1, 7))
+        Z = Dataset(rng.random((n, d)) * (rng.random((n, d)) < density), np.zeros(n)).Z
+        ZT = np.ascontiguousarray(Z.T)
+        before = ZT.copy()
+        for W in (rng.standard_normal((n, 3)), rng.standard_normal((2, n, 6))):
+            nodes = []
+
+            def node(parent, start, col, sums, state, leaves):
+                rows = np.flatnonzero(col)
+                block = ZT[start:, rows] * col[rows]
+                for q, Wq in enumerate(W if W.ndim == 3 else [W]):
+                    got = sums[q] if W.ndim == 3 else sums
+                    assert got.tobytes() == (block @ Wq[rows]).tobytes()
+                nodes.append(parent)
+                return np.arange(len(block)), lambda i: True, None, None
+
+            walk_tree(ZT, 3, W, None, node, None)
+            assert len(nodes) == sum(math.comb(d - 1, rho) for rho in range(3))
+        assert ZT.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_leaf_gate_runs_only_at_depth_r_minus_2(self, r):
+        # A node that returns a flag at every depth is leaf-gated only at
+        # depth r - 2, once per node with a grandchild; without a flag every
+        # child is re-tested lazily.  Flagging every sibling enters what the
+        # lazy re-test enters; clearing every sibling enters no leaf parent.
+        d = 5
+
+        def walk(flagged):
+            seen, gated, counted = [], [], []
+
+            def node(parent, start, col, sums, state, leaves):
+                seen.append(parent)
+
+                def flag(chunk, sums, valid):
+                    gated.append(parent)
+                    return np.full(chunk.stop - chunk.start, flagged)
+
+                def count(run, grand):
+                    counted.append((parent, run.start, run.stop, grand.tolist()))
+
+                kids = np.arange(len(sums))
+                return kids, lambda i: True, None if flagged is None else flag, count
+
+            walk_tree(np.ones((d, 2)), r, np.ones((2, 1)), np.ones((1, 2)), node, None)
+            return seen, gated, counted
+
+        every, _, _ = walk(None)
+        # Every itemset of order below r with a child, in walk order.
+        assert every == [()] + sorted(
+            c for rho in range(1, r) for c in itertools.combinations(range(1, d), rho)
+        )
+        leaf_parents = [p for p in every if len(p) == r - 2 and (p[-1] if p else 0) < d - 1]
+        on, gated, counted = walk(True)
+        assert on == every and gated == leaf_parents and counted == []
+        off, gated, counted = walk(False)
+        assert gated == leaf_parents
+        assert off == [p for p in every if len(p) <= r - 2]
+        assert counted == [
+            (p, 0, d - 1 - s, [d - 1 - s - i for i in range(d - 1 - s)])
+            for p in leaf_parents for s in [p[-1] if p else 0]
+        ]
 
 
 class TestGateLeafParents:

@@ -210,7 +210,7 @@ class TestBenchmarkShapes:
     @pytest.mark.parametrize("name,reached", [("wide_sparse", 100), ("null_study", 67)])
     def test_truncation_reached_nodes_are_pinned(self, monkeypatch, name, reached):
         # The truncation nodes the pruned walk reaches, every one of which
-        # the walker hands to ``expand``.
+        # the walker hands to ``node``.
         seen = record_expanded(monkeypatch, inference)
         data, k = _benchmark_shape(name, seed=1)
         infer(data, ModelConfig(r=3, k=k, sigma=0.1))

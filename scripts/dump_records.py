@@ -9,9 +9,9 @@ order-4 one (n=60, d=16, r=4).  Each runs with pruning on and off, and
 prints one line per record:
 
 - ``screen``: the selected itemsets, their scores as float.hex, then
-  ``nodes_visited`` and ``exact_scores``;
+  ``nodes_visited``, ``exact_scores`` and ``settled``;
 - ``window``: per selected feature, the truncation window as float.hex,
-  its active constraints, then ``nodes_visited``;
+  its active constraints, then ``nodes_visited`` and ``settled``;
 - ``infer``: per selected feature, the pivot, p-value and CI as float.hex;
 - ``error``: a typed error's class and message, where a stage raises one.
 
@@ -83,7 +83,7 @@ def _records(st, data, r, k, sigma, prune):
     yield (
         f"screen {tag} "
         + " ".join(f"{it}={float.hex(s)}" for it, s in zip(sel.selected, sel.scores))
-        + f" | visited={sm.nodes_visited} exact={sm.exact_scores}"
+        + f" | visited={sm.nodes_visited} exact={sm.exact_scores} settled={sm.settled}"
     )
     config = st.itemsets.ModelConfig(r=r, k=k, sigma=sigma)
     try:
@@ -96,7 +96,8 @@ def _records(st, data, r, k, sigma, prune):
         lo, hi = iv.argmin_info
         yield (
             f"window {tag} {f.itemset} {float.hex(iv.v_minus)} {float.hex(iv.v_plus)} "
-            f"{_constraint(lo)} {_constraint(hi)} | visited={iv.metrics.nodes_visited}"
+            f"{_constraint(lo)} {_constraint(hi)} | visited={iv.metrics.nodes_visited} "
+            f"settled={iv.metrics.settled}"
         )
         yield (
             f"infer {tag} {f.itemset} pivot={float.hex(f.pivot)} p={float.hex(f.p_value)} "

@@ -364,13 +364,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_float(text: str) -> float:
+def _float(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+
+
+def _positive_float(text: str) -> float:
+    value = _float(text)
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
+def _alpha_arg(text: str) -> float:
+    value = _float(text)
+    # Written so that NaN fails it.
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in (0, 1), got {text!r}")
     return value
 
 
@@ -452,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     inf = commands.add_parser("infer", description="Screening plus selective inference.")
     _add_data_flags(inf, k_default=30)
-    inf.add_argument("--alpha", type=float, default=0.05, metavar="A")
+    inf.add_argument("--alpha", type=_alpha_arg, default=0.05, metavar="A")
     inf.add_argument("--sigma", type=_sigma_arg, default="estimate",
                      help="noise level, or 'estimate' for the residual estimate")
     inf.add_argument("--no-prune", action="store_true",
@@ -466,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--cols", type=int, default=50, metavar="D")
     synth.add_argument("--order", type=int, default=3, metavar="R")
     synth.add_argument("--topk", type=int, default=10, metavar="K")
-    synth.add_argument("--alpha", type=float, default=0.05, metavar="A")
+    synth.add_argument("--alpha", type=_alpha_arg, default=0.05, metavar="A")
     synth.add_argument("--sigma", type=_positive_float, default=0.1, metavar="S")
     synth.add_argument("--sparsity", type=float, default=0.5)
     synth.add_argument("--trials", type=int, default=100)
@@ -477,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf = commands.add_parser("perf", description="Timing / visit-rate grid study.")
     perf.add_argument("--rows", type=int, default=100, metavar="N")
     perf.add_argument("--topk", type=int, default=10, metavar="K")
-    perf.add_argument("--alpha", type=float, default=0.05, metavar="A")
+    perf.add_argument("--alpha", type=_alpha_arg, default=0.05, metavar="A")
     perf.add_argument("--sigma", type=_positive_float, default=0.1, metavar="S")
     perf.add_argument("--trials", type=int, default=10)
     perf.add_argument("--truth", type=_truth_arg, default={(1, 2, 3): 1.0})

@@ -60,7 +60,13 @@ descent.  Three gates run the two-stage rule:
   children, every grandchild's approximate x'y and x'c on the node's
   support; the offer gate's test on them flags the children to expand, and
   the visits of the cleared ones are counted in one step against the live
-  floors.
+  floors;
+- the chunk level: one level up, at a node at depth r - 3, the walker forms
+  the sums of a chunk of the entered children, each on its own support,
+  before it calls ``node`` on any of them.  The offer gate's and the
+  subtree gate's stage one, reduced per sibling over its children, name
+  the busy siblings; an idle one would only count its children's visits,
+  which the walker books in one step against the live floors.
 
 This is exact:
 
@@ -78,7 +84,14 @@ This is exact:
 - incumbents only grow, so a cleared child's offers would change nothing,
   and the floors stand still between flagged children;
 - a flagged child is re-tested against the live floors and, if still
-  live, yielded to the walker, which expands it as any other node.
+  live, yielded to the walker, which expands it as any other node;
+- the chunk level tests the bits the sibling's node would test, against
+  floors no higher than the live ones: per (contrast, endpoint) the max and
+  min of U over the sibling's children for the offer gate, and max sy_o +
+  |f| max(max sc_pos, max sc_neg), which rounds to no less than any child's
+  sy_o + |f| max(sc_pos, sc_neg) since |f| and the sums are >= 0, for the
+  subtree gate.  An idle sibling's node would offer nothing that wins and
+  enter nothing.
 """
 
 from __future__ import annotations
@@ -358,14 +371,26 @@ def truncation_windows(
       would count them.  A flagged child is re-tested and, if live, yielded
       to the walker, which forms its sums and runs the two stages on it as
       on any other node.
+    - Chunk level.  At a node at depth r - 3 the walker hands over the
+      sums of a chunk of entered children, each formed on its own support
+      as the child's node would get them.  A child is busy only if the
+      offer gate's test passes for the max or min of U over its children,
+      or the subtree gate's test for max sy_o + |f| max(max sc_pos, max
+      sc_neg), against the floors as they stand; the first reduces the
+      per-child tests exactly, the second bounds them above.  An idle
+      child's node would form no winning offer and enter nothing, so its
+      visits are counted against the live floors and ``settled`` counts
+      it.  A busy child is re-tested and, if live, expanded from the sums
+      the walker holds.
 
     A child a gate rules out has every ratio strictly below its incumbent,
     or every bound below its floor, so it can neither win an offer nor tie
     the winner, nor be entered.  The survivors keep their walk order, so
     the first argmax over (o, child, j) names the same constraint.
-    Windows, ``argmin_info`` and ``nodes_visited`` are bit for bit those
-    of the walk with prune=False, which forms every child's offers and
-    bounds from the same sums.
+    Windows and ``argmin_info`` are bit for bit those of the walk with
+    prune=False, which forms every child's offers and bounds from the same
+    sums, and ``nodes_visited`` is that of a pruned walk that formed them
+    at every node it enters and expanded every entered child itself.
 
     All contrasts share one walk of the tree: a subtree is entered while it
     is alive for any contrast, and a contrast whose activity mask is empty
@@ -460,12 +485,20 @@ def truncation_windows(
 
     def reaches(Q, F, act):
         # Which children have, for some (contrast, endpoint, orientation), a
-        # Q that reaches the least floor F_j over the features j active for
-        # it?  Q: (K, 2, 2, S), F: (K, 2, k), act: (K, 2, 2, S or 1, k).
-        # Where no j is active that floor is +inf, which no finite Q reaches.
-        return (Q >= np.where(act, F[:, :, None, None], np.inf).min(axis=4)).any(axis=(0, 1, 2))
+        # Q that reaches the floor F_j of some feature j active for it, that
+        # is, the least such floor?  Q: (K, 2, 2, S), F: (K, 2, k), act: (K,
+        # 2, 2, S or 1, k).  A node's children share one mask, so their
+        # least floors are taken first; the siblings of a flag each have
+        # their own, and every j is compared.
+        if act.shape[3] == 1:
+            least = np.where(act, F[:, :, None, None], np.inf).min(axis=4)
+            return (Q >= least).any(axis=(0, 1, 2))
+        hit = Q[..., None] >= F[:, :, None, None]
+        hit &= act
+        return hit.reshape(-1, hit.shape[3], hit.shape[4]).any(axis=(0, 2))
 
     visits = np.zeros((K, k), dtype=np.int64)
+    settled = 0
     half_tol = 0.5 * DENOM_TOL
     rho5 = rho_e[:, :, None, None, :]
 
@@ -556,7 +589,8 @@ def truncation_windows(
             child_act = live(slice(i, i + 1))[:, :, :, 0]
             return child_act if child_act.any() else None
 
-        last = None  # the leaf gate's last flag's floors, first sibling and live()
+        last = None  # the last flag's floors, first sibling and live()
+        chunked = len(parent) + 3 == r
 
         def flag(chunk, sums, valid):
             # The leaf gate: which siblings have a grandchild ratio that
@@ -573,15 +607,48 @@ def truncation_windows(
             )  # (K, 2, 2, S)
             return reaches(Q, offer_floor, act)
 
+        def busy(chunk, sums, starts):
+            # The chunk level: which siblings have a child that could pass
+            # the offer gate's or the subtree gate's stage one against the
+            # floors as they stand?  Each test is reduced per sibling over
+            # its children, ``starts[s]:starts[s + 1]`` on the last axis of
+            # ``sums``.
+            nonlocal last
+            act = live(chunk)
+            last = floor, chunk.start, act
+            if subtree_gate is None:
+                return np.ones(chunk.stop - chunk.start, dtype=bool)
+            # sums: (K, 6, children), the rows of M.  The subtree gate first:
+            # max sy_o + |f| max(sc_pos, sc_neg) bounds each child's sy_o +
+            # |f| max(sc_pos, sc_neg), as rounding is monotone and every term
+            # is >= 0.
+            af, F = subtree_gate
+            most = np.maximum.reduceat(sums[:, 2:], starts, axis=2)  # (K, 4, S)
+            sc = np.maximum(most[:, 2], most[:, 3])[:, None, None]
+            hit = reaches(most[:, None, :2] + af[:, :, None, None] * sc, F, act)
+            if hit.all():
+                return hit
+            # The offer gate: the same U as offer_kids, its max and min per
+            # sibling.
+            U = sums[:, None, 0] + lam_s[:, :, None] * sums[:, None, 1]  # (K, 2, children)
+            Q = np.stack(
+                [np.maximum.reduceat(U, starts, axis=2), -np.minimum.reduceat(U, starts, axis=2)],
+                axis=2,
+            )  # (K, 2, 2, S)
+            return hit | reaches(Q, offer_floor, act)
+
         def count(run, grand):
             # ``floor`` is a new array once an offer moves an incumbent; until
             # then the flag's live() still holds.
+            nonlocal settled
             f, at, act = last
             act = act[:, :, :, run.start - at:run.stop - at] if f is floor else live(run)
             hit = act.any(axis=(1, 2))  # (K, run, k)
             visits[:] += (hit * grand[:, None]).sum(axis=1)
+            if chunked:
+                settled += int(hit.any(axis=(0, 2)).sum())
 
-        return kids, enter, flag, count
+        return kids, enter, busy if chunked else flag, count
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # Sign rows kappa_j / rho_j seed the incumbents, so pruning has teeth
@@ -617,7 +684,7 @@ def truncation_windows(
                 v_plus=float(v_plus),
                 argmin_info=tuple(ends),
                 metrics=TraversalMetrics(
-                    nodes_visited=int(seen.sum()), total_nodes=k * D,
+                    nodes_visited=int(seen.sum()), total_nodes=k * D, settled=settled,
                 ),
             )
         )

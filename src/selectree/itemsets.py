@@ -9,9 +9,12 @@ a design matrix; they are organized as a prefix tree over sorted index sets
 truncation search run on.  It runs the whole node routine: it forms each
 node's column, its children's block and the block's product with the
 search's weights, hands the sums to the search's scoring, and enters the
-children the search's gates name.  At the parents of leaves it gates the
-walk with one shared chunk-and-replay, :func:`gate_leaf_parents`, which
-lays out the leaf level and yields the children to expand.  Because
+children the search's gates name.  Two levels above the leaves it settles
+siblings in bulk: at the parents of leaves (depth r - 2) through
+:func:`gate_leaf_parents`, which lays out the leaf level, and one level up
+(depth r - 3), where it tests chunks of siblings on their own sums before
+it calls the search's node routine on any of them.  Both levels replay
+their chunks with one loop.  Because
 all covariate values lie in [0,1], a descendant's feature column is
 elementwise no larger than its ancestor's, which is what makes subtree
 bounds possible downstream.
@@ -56,6 +59,11 @@ PRUNE_SLACK = 1e-9
 # this many grandchildren (or one child), so that a search's per-chunk gate
 # arrays stay small.
 _LEAF_GATE_CELLS = 256
+
+# The chunk level at depth r - 3 holds its children's factors and blocks on
+# their supports for a chunk; a chunk's factors hold at most this many cells
+# (or one child).
+_SETTLE_CELLS = 16384
 
 # The longest dot product the score kernel hands to BLAS in one call; see
 # column_score.
@@ -173,11 +181,18 @@ class TraversalMetrics:
     :func:`column_score`; the other children were ruled out of the top k by
     their approximate score alone.  The truncation search scores no
     candidates this way and leaves it at 0.
+
+    ``settled`` counts the live nodes at depth r - 2 that the walk settled
+    in bulk, from their chunk's test, without calling the search's node
+    routine; their children are in ``nodes_visited`` all the same.  The
+    truncation walk serves all contrasts at once, so each of its intervals
+    carries the walk's count.
     """
 
     nodes_visited: int = 0
     total_nodes: int = 0
     exact_scores: int = 0
+    settled: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -222,40 +237,164 @@ def walk_tree(
     flag, count)``: ``kids`` the positions of the children that may be
     entered, ascending, and ``enter(i)`` the state of child ``kids[i]``
     re-tested against the search's live incumbents, or None if it is no
-    longer live.  At depth r - 2, when ``flag`` is given, the kids go
-    through :func:`gate_leaf_parents` with the node's factors, block and
-    weight rows ``V[:, rows]``; otherwise each is re-tested by ``enter`` in
-    turn.  Either way the walker expands an entered child before it
-    re-tests the next, so an incumbent that tightens inside one subtree
-    already gates the next.  This is the only code that descends.
+    longer live.  The walker holds no reference to ``sums`` while ``node``
+    runs, so a search that compacts them frees the full array.  How the
+    kids are re-tested depends on the node's depth and on ``flag``:
+
+    - at depth r - 2, the kids are the parents of leaves and go through
+      :func:`gate_leaf_parents` with the node's factors, block and weight
+      rows ``V[:, rows]``;
+    - at depth r - 3, the chunk level: the kids' own children are the
+      parents of leaves.  The last child has none and is dropped; every
+      position ``i`` below indexes the prefix of ``kids`` left, and kid
+      ``kids[i]`` has ``grand[i]`` children.  The kids are taken in chunks
+      whose factors, ``grand[i]`` rows by the kid's support size, hold at
+      most ``_SETTLE_CELLS`` cells, or of one kid.  For a chunk of two or
+      more the walker forms each kid's column, support, factors, block and
+      sums, as the kid's own visit would, and holds them.  ``flag(chunk,
+      sums, starts)`` gets the chunk's sums joined with the children on
+      the last axis, shape (w, C) or (K, w, C), kid ``s``'s children from
+      ``starts[s]`` on, and returns one bit per kid: true ("busy") for each
+      whose node could do more than count its children's visits against
+      the incumbents as they stand.  The chunk is replayed as the leaf
+      gate replays one: ``count(run, grand[run])`` books each run of idle
+      kids, which must count their visits against the live incumbents,
+      and each busy kid is re-tested by ``enter`` and, if still live,
+      expanded from what the walker holds, so nothing is formed twice.
+      Incumbents only rise, so a kid idle against the incumbents as they
+      stood is idle against the live ones.  A lone kid is not tested (its
+      test would cost what its node costs), nor is the chunk after a
+      tested chunk in which every kid was busy; their kids are re-tested
+      by ``enter`` and formed one by one, as are the kids of a tested
+      chunk in which every kid was busy, whose products are dropped so
+      that they are not held through the descents;
+    - without ``flag``, or at any other depth, each kid is re-tested by
+      ``enter`` in turn.
+
+    Either way the walker expands an entered child before it re-tests the
+    next, so an incumbent that tightens inside one subtree already gates
+    the next.  This is the only code that descends.
     """
     d, n = ZT.shape
 
-    def visit(parent: tuple[int, ...], rows: np.ndarray, col: np.ndarray, state: Any) -> None:
+    def child(parent, rows, col, i):
+        # Child i of ``parent``: its itemset, support and column.
         start = parent[-1] if parent else 0
-        leaves, gate = len(parent) + 1 == r, len(parent) + 2 == r
-        Zr = ZT[start:].take(rows, axis=1)
-        block = Zr * col[rows] if gate else np.multiply(Zr, col[rows], out=Zr)
+        c = ZT[start + i] * col
+        return parent + (start + 1 + i,), rows[c[rows] != 0], c
+
+    def products(parent, rows, col):
+        # The node's products, in a list whose last entry, the sums, the
+        # caller pops.  At depth r - 2 the leaf gate reads the factors Zr =
+        # ZT[start:, rows] and the block again, so they come first; below,
+        # the block is formed in place and freed.  At depth r - 3 the
+        # support size of each child comes first, for the chunk budget.
+        Zr = ZT[parent[-1] if parent else 0:].take(rows, axis=1)
+        if len(parent) + 2 == r:
+            block = Zr * col[rows]
+            return [Zr, block, np.matmul(block, W.take(rows, axis=-2))]
+        block = np.multiply(Zr, col[rows], out=Zr)
         sums = np.matmul(block, W.take(rows, axis=-2))
-        if not gate:
-            # Free the block now, so that it is not held through the search's
-            # arithmetic, nor the blocks of the nodes above a gated one.
-            del Zr, block
-        out = node(parent, start, col, sums, state, leaves)
-        del sums  # not held through the descent
-        if out is None or leaves:
+        if len(parent) + 3 == r:
+            # The block is spent: in place, each entry in [0, 1] rounds up
+            # to 1 on the child's support and stays 0 off it.
+            return [np.ceil(block, out=block).sum(axis=1).astype(np.int64), sums]
+        return [sums]
+
+    def settle(parent, rows, col, sizes, kids, flag, count, enter, held):
+        # The chunk level at depth r - 3, a generator of (kid, state) that
+        # leaves in ``held`` each busy kid's itemset, support, column and
+        # products.  An untested chunk's kids are all busy and are formed
+        # one by one, as at any other depth.
+        m = d - (parent[-1] if parent else 0)
+        kids = kids[kids < m - 1]  # the last child has no children
+        grand = m - 1 - kids
+        skip = False  # set by a tested chunk in which every kid was busy
+        for lo, hi in _chunks((grand * sizes[kids]).tolist(), _SETTLE_CELLS):
+            if skip or hi - lo == 1:
+                skip = False
+                yield from _replay(lo, hi, np.ones(hi - lo, dtype=bool), kids, grand, count, enter)
+                continue
+            sums = []
+            for i in kids[lo:hi].tolist():
+                kid = child(parent, rows, col, i)
+                held[i] = (*kid, products(*kid))
+                sums.append(held[i][3][-1].swapaxes(-1, -2))
+            # The joined copy is all the flag sees; the held lists keep the
+            # only references to each kid's own sums.
+            joined = np.concatenate(sums, axis=-1)
+            sums = None
+            g = grand[lo:hi]
+            busy = flag(slice(lo, hi), joined, np.cumsum(g) - g)
+            joined = None
+            skip = busy.all()
+            if skip:
+                # A chunk that settled nothing drops its products and its
+                # kids are formed again one by one, so that a walk in which
+                # every chunk is busy holds one kid's products at a time.
+                held.clear()
+            for i in kids[lo:hi][~busy].tolist():
+                del held[i]
+            yield from _replay(lo, hi, busy, kids, grand, count, enter)
+            held.clear()  # busy kids the replay found dead
+
+    def visit(parent, rows, col, formed, state):
+        start = parent[-1] if parent else 0
+        depth = len(parent)
+        if formed is None:
+            formed = products(parent, rows, col)
+        # The sums leave the list as they are passed: while ``node`` runs the
+        # walker holds no reference to them.
+        out = node(parent, start, col, formed.pop(), state, depth + 1 == r)
+        if out is None or depth + 1 == r:
             return
         kids, enter, flag, count = out
-        if gate and flag is not None:
-            entered = gate_leaf_parents(kids, Zr, block, V[:, rows], flag, count, enter)
+        held: dict[int, tuple] = {}
+        if flag is not None and depth + 2 == r:
+            entered = gate_leaf_parents(kids, *formed, V[:, rows], flag, count, enter)
+        elif flag is not None and depth + 3 == r:
+            entered = settle(parent, rows, col, *formed, kids, flag, count, enter, held)
         else:
             entered = ((int(kids[p]), enter(p)) for p in range(len(kids)))
+        del formed
         for i, child_state in entered:
             if child_state is not None and start + 1 + i < d:
-                child = ZT[start + i] * col
-                visit(parent + (start + 1 + i,), rows[child[rows] != 0], child, child_state)
+                # No local keeps the child's products past its visit, so they
+                # are freed before the next chunk is formed.
+                visit(*(held.pop(i, None) or (*child(parent, rows, col, i), None)), child_state)
 
-    visit((), np.arange(n), np.ones(n, dtype=np.float64), state)
+    visit((), np.arange(n), np.ones(n, dtype=np.float64), None, state)
+
+
+def _chunks(cells: list[int], budget: int) -> Iterator[tuple[int, int]]:
+    """Consecutive runs ``(lo, hi)`` of siblings whose ``cells`` add up to at
+    most ``budget``, or of one sibling."""
+    lo = 0
+    while lo < len(cells):
+        hi, total = lo + 1, cells[lo]
+        while hi < len(cells) and total + cells[hi] <= budget:
+            total += cells[hi]
+            hi += 1
+        yield lo, hi
+        lo = hi
+
+
+def _replay(lo, hi, busy, kids, grand, count, enter):
+    """The one chunk-and-replay loop: siblings lo..hi - 1 in walk order,
+    ``busy`` one bit per sibling.  ``count(run, grand[run])`` books each run
+    of idle siblings; each busy sibling ``i`` is re-tested by ``enter(i)``
+    and, if it is still live, yielded as ``(kids[i], state)``."""
+    pos = lo
+    for f in busy.nonzero()[0].tolist():
+        f += lo
+        if f > pos:
+            count(slice(pos, f), grand[pos:f])
+        state = enter(f)
+        if state is not None:
+            yield int(kids[f]), state
+        pos = f + 1
+    if hi > pos:
+        count(slice(pos, hi), grand[pos:hi])
 
 
 def gate_leaf_parents(
@@ -297,18 +436,15 @@ def gate_leaf_parents(
       state, or None if it is no longer live.  A live sibling is yielded as
       ``(kids[i], state)``; the walker expands it before the replay goes on.
 
-    The search's ``node`` supplies ``flag``, ``count`` and ``enter``.
+    The search's ``node`` supplies ``flag``, ``count`` and ``enter``.  The
+    replay is the one loop that the chunk level at depth r - 3 runs too (see
+    :func:`walk_tree`).
     """
     kids = kids[kids < len(Zr) - 1]
     grand = len(Zr) - 1 - kids
-    g = grand.tolist()
     w, nr = len(V), Zr.shape[1]
-    lo = 0
-    while lo < len(g):
-        hi, cells = lo + 1, g[lo]
-        while hi < len(g) and cells + g[hi] <= _LEAF_GATE_CELLS:
-            cells += g[hi]
-            hi += 1
+
+    for lo, hi in _chunks(grand.tolist(), _LEAF_GATE_CELLS):
         sib = kids[lo:hi]
         i0 = sib[0]
         G = Zr[1 + i0:]
@@ -316,16 +452,7 @@ def gate_leaf_parents(
         AV = (block[sib] * V[:, None]).reshape(w * len(sib), nr)
         sums = (AV @ G.T).reshape(w, len(sib), len(G))
         valid = np.arange(len(G)) >= (sib - i0)[:, None]
-        pos = lo
-        for f in (lo + np.flatnonzero(flag(slice(lo, hi), sums, valid))).tolist() + [hi]:
-            if f > pos:
-                count(slice(pos, f), grand[pos:f])
-            if f < hi:
-                state = enter(f)
-                if state is not None:
-                    yield int(kids[f]), state
-            pos = f + 1
-        lo = hi
+        yield from _replay(lo, hi, flag(slice(lo, hi), sums, valid), kids, grand, count, enter)
 
 
 def column_score(col: np.ndarray, v: np.ndarray) -> float:

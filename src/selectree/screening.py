@@ -49,6 +49,18 @@ enter the top k, so the threshold stands still across it, and
 ``exact_scores`` and ``nodes_visited`` are those of the walk without the
 leaf gate.
 
+The chunk level.  One level up, at a node at depth r - 3, the walker forms
+the sums of a chunk of the children screening may enter, each on its own
+support, before it calls ``node`` on any of them, and asks screening's
+``busy`` which could do more than count visits.  While the top k is full a
+sibling is idle when none of its children's approximate |x^T y| and none of
+their bounds reaches the floor as it stands: its node would score no child
+exactly and enter none.  The floor only rises, so an idle sibling stays
+idle; ``count`` adds the children of each live one to the visits and
+``settled`` counts it.  The bits are those the sibling's node would test,
+so selections and both counters are those of the walk without the chunk
+level.
+
 Determinism contract: features are ordered by :func:`rank` (ties in |score|
 go to the smaller itemset), a zero score gets sign +1, and the selected
 scores are computed with the exact same column construction and dot-product
@@ -130,6 +142,7 @@ def marginal_screen(
     top: list[tuple[float, tuple[int, ...], float]] = []
     visited = 0
     exact = 0
+    settled = 0
 
     def floor() -> float:
         return prune_floor(abs(top[-1][2]), ysum)
@@ -159,6 +172,7 @@ def marginal_screen(
         # re-tests each survivor against the live one, which earlier
         # siblings' subtrees may have raised, before it enters it.
         kids = np.arange(m) if len(top) < k else np.flatnonzero(bounds >= floor())
+        chunked = len(parent) + 3 == r
 
         def enter(i):
             # The walk carries no state; None drops a child the live floor
@@ -174,11 +188,23 @@ def marginal_screen(
             approx[~valid] = -np.inf
             return (approx >= prune_floor(floor(), ysum)).any(axis=1)
 
-        def count(run, grand):
-            nonlocal visited
-            visited += int(grand[bounds[kids[run]] >= floor()].sum())
+        def busy(chunk, sums, starts):
+            # The chunk level: which siblings have a child whose approximate
+            # |score| or bound reaches the floor as it stands?  The others
+            # would only count their children's visits.
+            if len(top) < k:
+                return np.ones(chunk.stop - chunk.start, dtype=bool)
+            most = np.maximum(np.abs(sums[0]), np.maximum(sums[1], sums[2]))
+            return np.maximum.reduceat(most, starts) >= floor()
 
-        return kids, enter, flag, count
+        def count(run, grand):
+            nonlocal visited, settled
+            live = bounds[kids[run]] >= floor()
+            visited += int(grand[live].sum())
+            if chunked:
+                settled += int(np.count_nonzero(live))
+
+        return kids, enter, busy if chunked else flag, count
 
     walk_tree(ZT, r, W, y[None], node, None)
 
@@ -190,5 +216,6 @@ def marginal_screen(
         nodes_visited=visited,
         total_nodes=D,
         exact_scores=exact,
+        settled=settled,
     )
     return result, metrics

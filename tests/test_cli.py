@@ -553,6 +553,41 @@ class TestMainExitCodes:
         assert f"--sigma: {message}" in err
         assert "response" not in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value, message", [
+        ("1.5", "must lie in (0, 1), got '1.5'"),
+        ("nan", "must lie in (0, 1), got 'nan'"),
+        ("0", "must lie in (0, 1), got '0'"),
+        ("1", "must lie in (0, 1), got '1'"),
+        ("-inf", "must lie in (0, 1), got '-inf'"),
+        ("abc", "expected a number, got 'abc'"),
+    ])
+    def test_alpha_fails_before_reading(self, capsys, monkeypatch, value, message):
+        # A parse error (exit 1, naming the flag) before the CSV is read:
+        # the input does not exist, and nothing may be screened.
+        monkeypatch.setattr(cli, "marginal_screen", None)
+        rc = main(["infer", "--input", "/nonexistent/x.csv", "--sigma", "1", f"--alpha={value}"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"--alpha: {message}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["synth", "perf"])
+    @pytest.mark.parametrize("value", ["1.5", "nan", "0"])
+    def test_study_alpha_fails_before_any_trial(self, capsys, monkeypatch, command, value):
+        # A parse error: no spec is built and no trial runs.
+        monkeypatch.setattr(cli, "SyntheticSpec", None)
+        rc = main([command, "--rows", "20", "--topk", "2", "--trials", "1", "--alpha", value])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"--alpha: must lie in (0, 1), got '{value}'" in err
+        assert "Traceback" not in err
+
+    def test_alpha_inside_the_unit_interval_is_kept(self, tmp_path):
+        out = tmp_path / "report.csv"
+        assert main(["infer", "--binarize", "--input", FIXTURE, "--topk", "2", "--order", "2",
+                     "--sigma", "1", "--alpha", "0.2", "--format", "csv",
+                     "--output", str(out)]) == 0
+        assert out.read_text().count("\n") == 3
+
     @pytest.mark.parametrize("command", ["synth", "perf"])
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_study_threads_below_one_is_1(self, capsys, command, value):

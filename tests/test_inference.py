@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import degenerate_designs, random_instance, record_expanded
-from selectree import inference, oracle
+from selectree import inference, itemsets, oracle, screening
 from selectree.inference import (
     DegenerateTruncationError,
     InternalConsistencyError,
@@ -449,6 +449,76 @@ class TestGatesAboveTheLeafLevel:
     @pytest.mark.parametrize("seed", range(6200, 6224))
     def test_matches_the_unpruned_walk_and_the_oracle(self, seed):
         _assert_exact(*_sparse_instance(seed), seed)
+
+
+def _chunk_instance(seed):
+    """Binary Z at sparsity 0.75-0.9, d = 12..18 and r = 3 or 4, so that the
+    chunk level runs at the root or at depth 1 over siblings of which some
+    are idle and some busy.  Even seeds draw y in {-1, 0, 1}, whose scores
+    and ratios tie, odd seeds a Gaussian y.  Column 1 is all ones on seeds
+    with ``seed % 4 < 2``; a middle column is all zeros (a sibling with an
+    empty support) on seeds with ``seed % 3 == 0``; and the last column
+    always names a sibling with no children."""
+    rng = np.random.default_rng(seed)
+    r = 3 + seed % 2
+    n = int(rng.integers(40, 81))
+    d = int(rng.integers(12, 19))
+    Z = (rng.random((n, d)) >= rng.uniform(0.75, 0.9)).astype(np.float64)
+    if seed % 4 < 2:
+        Z[:, 0] = 1.0
+    if seed % 3 == 0:
+        Z[:, d // 2] = 0.0
+    y = rng.integers(-1, 2, n).astype(np.float64) if seed % 2 == 0 else rng.standard_normal(n)
+    return Dataset(Z, y), r, int(rng.integers(1, 6))
+
+
+class TestChunkLevel:
+    """The walker settles the idle children of a node at depth r - 3 in
+    bulk; that must change no window, active constraint, error or visit
+    count.  A budget of 40 cells cuts the siblings into many chunks, lone
+    siblings among them, and a budget of 0 makes every chunk a lone
+    sibling, which is never tested: the walk without the chunk level."""
+
+    @staticmethod
+    def _visits(data, r, k, seed):
+        sel, screened = marginal_screen(data, k, r)
+        c = np.random.default_rng(seed).integers(-2, 3, data.n).astype(np.float64)
+        try:
+            iv, = truncation_windows(sel, data, [inference.Contrast(c, 0.0, 1.0, c)], r)
+        except (DegenerateTruncationError, InternalConsistencyError) as exc:
+            return type(exc)
+        return iv.metrics.nodes_visited, screened.nodes_visited, screened.exact_scores
+
+    @pytest.mark.parametrize("cells", [itemsets._SETTLE_CELLS, 40])
+    @pytest.mark.parametrize("seed", range(6300, 6318))
+    def test_matches_the_unpruned_walk_and_the_oracle(self, monkeypatch, seed, cells):
+        data, r, k = _chunk_instance(seed)
+        monkeypatch.setattr(itemsets, "_SETTLE_CELLS", 0)
+        unchunked = self._visits(data, r, k, seed)
+        monkeypatch.setattr(itemsets, "_SETTLE_CELLS", cells)
+        _assert_exact(data, r, k, seed)
+        assert self._visits(data, r, k, seed) == unchunked
+
+    def test_the_cases_mix_idle_and_busy_siblings(self, monkeypatch):
+        # Across the seeds both searches settle some siblings in bulk and
+        # hand others to ``node``.
+        seen = {mod: record_expanded(monkeypatch, mod) for mod in (inference, screening)}
+        settled, reached = [0, 0], [0, 0]
+        for seed in range(6300, 6318):
+            data, r, k = _chunk_instance(seed)
+            for walk in seen.values():
+                walk.clear()
+            sel, metrics = screening.marginal_screen(data, k, r)
+            c = np.random.default_rng(seed).integers(-2, 3, data.n).astype(np.float64)
+            try:
+                iv, = truncation_windows(sel, data, [inference.Contrast(c, 0.0, 1.0, c)], r)
+            except (DegenerateTruncationError, InternalConsistencyError):
+                iv = None
+            for i, (m, mod) in enumerate(((metrics, screening), (iv and iv.metrics, inference))):
+                if m is not None:
+                    settled[i] += m.settled
+                    reached[i] += sum(len(p) == r - 2 for p in seen[mod])
+        assert min(settled) >= 10 and min(reached) >= 10
 
 
 def _support_instance(seed):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import walk_every_node
+from selectree import itemsets
 from selectree.itemsets import (
     ROOT,
     Dataset,
@@ -346,6 +348,8 @@ class TestWalkTree:
         # depth r - 2, once per node with a grandchild; without a flag every
         # child is re-tested lazily.  Flagging every sibling enters what the
         # lazy re-test enters; clearing every sibling enters no leaf parent.
+        # (At depth r - 3 the flag is the chunk level's, which keeps every
+        # sibling busy here.)
         d = 5
 
         def walk(flagged):
@@ -355,6 +359,8 @@ class TestWalkTree:
                 seen.append(parent)
 
                 def flag(chunk, sums, valid):
+                    if len(parent) + 3 == r:
+                        return np.ones(chunk.stop - chunk.start, dtype=bool)
                     gated.append(parent)
                     return np.full(chunk.stop - chunk.start, flagged)
 
@@ -382,6 +388,109 @@ class TestWalkTree:
             (p, 0, d - 1 - s, [d - 1 - s - i for i in range(d - 1 - s)])
             for p in leaf_parents for s in [p[-1] if p else 0]
         ]
+
+
+    @staticmethod
+    def _chunk_walk(ZT, r, W, pattern):
+        # A walk whose nodes at depth r - 3 return a chunk-level flag that
+        # marks sibling i busy iff pattern(parent, i); every node enters all
+        # its children otherwise.  Returns the sums each node got and the
+        # calls of the chunk level, in order.
+        got, calls = {}, []
+
+        def node(parent, start, col, sums, state, leaves):
+            got[parent] = sums.copy()
+            kids = np.arange(sums.shape[-2])
+            if len(parent) + 3 != r:
+                return kids, lambda i: True, None, None
+
+            def flag(chunk, sums, starts):
+                calls.append(("flag", parent, chunk.start, chunk.stop, sums, starts))
+                return np.array([pattern(parent, int(kids[i]))
+                                 for i in range(chunk.start, chunk.stop)], dtype=bool)
+
+            def count(run, grand):
+                calls.append(("count", parent, run.start, run.stop, grand.tolist()))
+
+            def enter(i):
+                calls.append(("enter", parent, i))
+                return True
+
+            return kids, enter, flag, count
+
+        walk_tree(ZT, r, W, None, node, None)
+        return got, calls
+
+    @pytest.mark.parametrize("r", [3, 4])
+    @pytest.mark.parametrize("three_d", [False, True])
+    def test_chunk_level_at_depth_r_minus_3(self, monkeypatch, r, three_d):
+        # The flag sees each sibling's own sums, bit for bit those its node
+        # gets, joined with the children on the last axis; idle siblings are
+        # counted and never reach ``node``; busy ones are expanded from the
+        # walker's held products, as the walk without the chunk level would.
+        # The budget makes chunks of a few siblings and some of one, which
+        # are never tested; the last child, with no children, is dropped.
+        monkeypatch.setattr(itemsets, "_SETTLE_CELLS", 100)
+        rng = np.random.default_rng(r)
+        n, d = 9, 8
+        Z = Dataset(rng.random((n, d)) * (rng.random((n, d)) < 0.7), np.zeros(n)).Z
+        Z[:, 2] = 0.0  # a sibling with an empty support
+        ZT = np.ascontiguousarray(Z.T)
+        W = rng.standard_normal((2, n, 6)) if three_d else rng.standard_normal((n, 3))
+        full, _ = self._chunk_walk(ZT, r, W, lambda parent, i: True)
+        idle = lambda parent, i: (sum(parent) + i) % 3 != 0
+        got, calls = self._chunk_walk(ZT, r, W, lambda parent, i: not idle(parent, i))
+        tested = [c for c in calls if c[0] == "flag"]
+        assert tested and all(c[3] - c[2] > 1 for c in tested)
+        for _, parent, lo, hi, sums, starts in tested:
+            start = parent[-1] if parent else 0
+            assert starts.tolist() == [0, *np.cumsum([d - start - 1 - i for i in range(lo, hi - 1)])]
+            for s, i in enumerate(range(lo, hi)):
+                own = full[parent + (start + 1 + i,)]
+                stop = starts[s + 1] if s + 1 < len(starts) else sums.shape[-1]
+                assert sums[..., starts[s]:stop].tobytes() == own.swapaxes(-1, -2).copy().tobytes()
+        counted = {(c[1], i) for c in calls if c[0] == "count" for i in range(c[2], c[3])}
+        assert counted
+        for parent, i in counted:
+            start = parent[-1] if parent else 0
+            assert idle(parent, i) and parent + (start + 1 + i,) not in got
+        for itemset, sums in got.items():
+            assert sums.tobytes() == full[itemset].tobytes()
+        entered = {(c[1], c[2]) for c in calls if c[0] == "enter"}
+        for parent in {c[1] for c in calls}:
+            start = parent[-1] if parent else 0
+            m = d - start
+            # Every sibling with children is either counted or re-tested.
+            assert {i for p, i in counted | entered if p == parent} == set(range(m - 1))
+
+    @pytest.mark.parametrize("r", [3, 4])
+    def test_node_gets_the_only_reference_to_its_sums(self, monkeypatch, r):
+        # The walker keeps no reference to the sums it hands to ``node``,
+        # neither at a node it forms itself nor at a sibling whose products
+        # it held for a chunk: once ``node`` drops its own, they are freed.
+        monkeypatch.setattr(itemsets, "_SETTLE_CELLS", 60)
+        rng = np.random.default_rng(5)
+        ZT = np.ascontiguousarray((rng.random((7, 6)) < 0.7).astype(np.float64).T)
+        dead, chunked = [], []
+
+        def node(parent, start, col, sums, state, leaves):
+            ref = weakref.ref(sums)
+            m = len(sums)
+            del sums
+            dead.append(ref() is None)
+            if len(parent) + 3 != r:
+                return np.arange(m), lambda i: True, None, None
+
+            def flag(chunk, sums, starts):
+                # Every other kid busy, so that the busy ones are expanded
+                # from the products the walker held.
+                chunked.append(parent)
+                return np.arange(chunk.start, chunk.stop) % 2 == 0
+
+            return np.arange(m), lambda i: True, flag, lambda run, grand: None
+
+        walk_tree(ZT, r, rng.standard_normal((7, 3)), np.ones((1, 7)), node, None)
+        assert chunked and len(dead) > 5 and all(dead)
 
 
 class TestGateLeafParents:

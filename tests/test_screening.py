@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_instance, record_expanded, walk_every_node
-from selectree import inference, oracle
+from selectree import inference, oracle, screening
 from selectree.cli import binarize_table, emit_report, emit_screen
 from selectree.experiments import SyntheticSpec, gen_synthetic
 from selectree.inference import contrast_for_coefficient, infer, truncation_points
@@ -207,14 +207,40 @@ class TestBenchmarkShapes:
                                       timeout=300).stdout)
         assert out[0] == out[1] and '"score"' in out[0] and '"p_value"' in out[0]
 
-    @pytest.mark.parametrize("name,reached", [("wide_sparse", 100), ("null_study", 67)])
+    @pytest.mark.parametrize("name,reached", [("wide_sparse", 5), ("null_study", 67)])
     def test_truncation_reached_nodes_are_pinned(self, monkeypatch, name, reached):
-        # The truncation nodes the pruned walk reaches, every one of which
-        # the walker hands to ``node``.
+        # The truncation nodes the walker hands to ``node``: those the
+        # pruned walk reaches, less the idle ones it settles in bulk.
         seen = record_expanded(monkeypatch, inference)
         data, k = _benchmark_shape(name, seed=1)
         infer(data, ModelConfig(r=3, k=k, sigma=0.1))
         assert len(seen) == reached
+
+    @pytest.mark.parametrize("name,reached", [("wide_sparse", 1), ("null_study", 71)])
+    def test_screening_reached_nodes_are_pinned(self, monkeypatch, name, reached):
+        seen = record_expanded(monkeypatch, screening)
+        data, k = _benchmark_shape(name, seed=1)
+        marginal_screen(data, k, 3)
+        assert len(seen) == reached
+
+    @pytest.mark.parametrize("name,reached", [("wide_sparse", (99, 100)), ("null_study", (71, 67))])
+    def test_settled_nodes_complete_the_reached_count(self, monkeypatch, name, reached):
+        # A node settled in bulk is one the walk without the chunk level
+        # hands to ``node``: reached plus settled is that walk's count, in
+        # screening and in the truncation walk.  On null_study every tested
+        # chunk is busy, so each test is followed by an untested chunk.
+        data, k = _benchmark_shape(name, seed=1)
+        counts, settled = [], []
+        for module in (screening, inference):
+            seen = record_expanded(monkeypatch, module)
+            if module is screening:
+                metrics = marginal_screen(data, k, 3)[1]
+            else:
+                metrics = infer(data, ModelConfig(r=3, k=k, sigma=0.1)).features[0].interval.metrics
+            counts.append(len(seen) + metrics.settled)
+            settled.append(metrics.settled)
+        assert tuple(counts) == reached
+        assert settled == ([98, 95] if name == "wide_sparse" else [0, 0])
 
     def test_criterion_5_shape_counts_are_pinned(self):
         metrics = [marginal_screen(*_benchmark_shape("null_study", seed), 3)[1]

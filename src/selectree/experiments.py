@@ -23,18 +23,17 @@ from __future__ import annotations
 import functools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .inference import (
     DegenerateTruncationError,
     SingularGramError,
     _gram,
     infer,
+    ndtr,
 )
 from .itemsets import Dataset, Itemset, ModelConfig, feature_column, total_feature_count
 from .screening import ScreeningResult, marginal_screen
@@ -134,7 +133,7 @@ def _z_test(
     coef = np.linalg.solve(G, X.T @ y)
     variances = sigma * sigma * np.linalg.inv(G).diagonal()
     z = coef / np.sqrt(variances)
-    p = 2.0 * ndtr(-np.abs(z))
+    p = np.array([2.0 * ndtr(-abs(float(v))) for v in z])
     return p, p < alpha
 
 
@@ -265,6 +264,9 @@ def _map_trials(worker, spec: SyntheticSpec, threads: int) -> list[dict]:
     indices = range(spec.trials)
     if threads <= 1:
         return [worker(spec, t) for t in indices]
+    # Imported here: the module costs every serial run's start-up ~27 ms.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         # Results collected in trial order: aggregates are identical no
         # matter how many workers ran.

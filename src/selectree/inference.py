@@ -9,7 +9,9 @@ plus the k sign constraints -s_j x_j^T y <= 0.  Conditional on that event and
 on the nuisance directions, eta^T y follows a Normal law truncated to an
 interval [v_minus, v_plus]; its CDF evaluated at the observation is a uniform
 pivot, which yields exact p-values and confidence intervals for the selected
-coefficients.
+coefficients.  The pivot needs only Phi and log Phi: :func:`ndtr` and
+:func:`log_ndtr` here, built on ``math.erf`` and ``math.erfc``, so the
+package imports no scipy.
 
 The interval endpoints are a max/min of one ratio per constraint.  There are
 2*k*kbar + k constraints with kbar = D - k astronomically large, so the ratios
@@ -101,7 +103,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from .itemsets import (
     Dataset,
@@ -128,6 +129,8 @@ __all__ = [
     "contrast_for_coefficient",
     "truncation_points",
     "truncation_windows",
+    "ndtr",
+    "log_ndtr",
     "trunc_norm_cdf",
     "selective_pvalue",
     "selective_interval",
@@ -255,8 +258,14 @@ def contrast_for_coefficient(
     j: int,
     sigma: float | None = None,
     covariance: np.ndarray | None = None,
+    gram: np.ndarray | None = None,
 ) -> Contrast:
-    """Contrast eta = X_S (X_S^T X_S)^{-1} e_j picking out coefficient j (1-based)."""
+    """Contrast eta = X_S (X_S^T X_S)^{-1} e_j picking out coefficient j (1-based).
+
+    ``gram`` is an optional precomputed ``_gram(X_S)``, for callers that form
+    the contrasts of several coefficients of one design; it is used instead
+    of forming and checking X_S^T X_S again.
+    """
     X = np.asarray(X_S, dtype=np.float64)
     k = X.shape[1]
     if not 1 <= j <= k:
@@ -265,7 +274,7 @@ def contrast_for_coefficient(
         raise ValueError("supply exactly one of sigma or covariance")
     e = np.zeros(k)
     e[j - 1] = 1.0
-    eta = X @ np.linalg.solve(_gram(X), e)
+    eta = X @ np.linalg.solve(_gram(X) if gram is None else gram, e)
     # A finite sigma whose square overflows is a numeric failure, not a
     # usage error: report it as one, without numpy's warning.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -711,6 +720,69 @@ def truncation_points(
 # truncated-Normal pivot
 # ---------------------------------------------------------------------------
 
+# 1/sqrt(2) as _SQRTH + _SQRTH_LO, and _SQRTH split by Veltkamp's splitter
+# into two 26-bit halves _SQRTH_HI + _SQRTH_MID, so that Dekker's product
+# in ``ndtr`` is exact.
+_SQRTH = math.sqrt(0.5)
+_SQRTH_LO = -4.833646656726457e-17
+_SPLIT = 134217729.0  # 2**27 + 1
+_SQRTH_HI = _SPLIT * _SQRTH - (_SPLIT * _SQRTH - _SQRTH)
+_SQRTH_MID = _SQRTH - _SQRTH_HI
+_LOG_SQRT_2PI = 0.9189385332046728  # log(2 pi) / 2
+
+
+def ndtr(x: float) -> float:
+    """Phi(x), the standard Normal CDF, to a few ulps wherever it is normal.
+
+    The split of Cephes' ``ndtr``: 0.5 + 0.5 erf(t) for |t| < sqrt(1/2), and
+    0.5 erfc(|t|) otherwise, mirrored for x > 0, with t = x/sqrt(2) rounded.
+    Below x = -1, rounding t moves erfc(-t) by up to about x^2/2 ulps
+    (1.5e-13 relative at x = -37).  There the error delta = x/sqrt(2) - t
+    is formed exactly by Dekker's product, and erfc's logarithmic
+    derivative, about 2t, turns it into the first-order correction
+    -2 t delta.
+    """
+    t = x * _SQRTH
+    if abs(t) < _SQRTH:
+        return 0.5 + 0.5 * math.erf(t)
+    if t > 0:
+        return 1.0 - 0.5 * math.erfc(t)
+    y = 0.5 * math.erfc(-t)
+    if not y:  # x below about -38.5 or -inf, where the split overflows
+        return y
+    c = _SPLIT * x
+    hi = c - (c - x)
+    lo = x - hi
+    delta = (
+        ((hi * _SQRTH_HI - t) + hi * _SQRTH_MID + lo * _SQRTH_HI)
+        + lo * _SQRTH_MID
+        + x * _SQRTH_LO
+    )
+    return y - 2.0 * t * delta * y
+
+
+def log_ndtr(x: float) -> float:
+    """log Phi(x), to a few ulps wherever it is normal; exact at +-inf.
+
+    log1p(-Phi(-x)) for x > -1; log(0.5 erfc(-t)) for -37 < x <= -1, where
+    the rounding of t = x/sqrt(2) costs at most about 2 ulps of the result;
+    and below that the asymptotic series
+
+        log Phi(x) = -x^2/2 - log(-x) - log(2 pi)/2 + log S(1/x^2),
+        S(z) = sum_n (-1)^n (2n - 1)!! z^n,
+
+    cut after z^7, whose next term is below 2e-19 for x <= -37.
+    """
+    if x > -1.0:
+        return math.log1p(-ndtr(-x))
+    if x > -37.0:
+        return math.log(0.5 * math.erfc(-x * _SQRTH))
+    z = 1.0 / (x * x)
+    S = 1.0 + z * (-1.0 + z * (3.0 + z * (-15.0 + z * (105.0 + z * (
+        -945.0 + z * (10395.0 - z * 135135.0))))))
+    return -0.5 * x * x - _LOG_SQRT_2PI - math.log(-x / S)
+
+
 def _phi_integral_poly(alpha: float, u: float) -> float:
     """(1/u) * integral_0^u exp(-alpha*t - t^2/2) dt, as a Taylor polynomial.
 
@@ -767,19 +839,19 @@ def trunc_norm_cdf(x: float, mean: float, variance: float, v: float, w: float) -
         return min(max(num / den, 0.0), 1.0)
 
     if a >= 0:  # window in the upper tail (b may be +inf)
-        la = float(log_ndtr(-a))
-        lx = float(log_ndtr(-xi))
-        lb = float(log_ndtr(-b))
+        la = log_ndtr(-a)
+        lx = log_ndtr(-xi)
+        lb = log_ndtr(-b)
         num = -math.expm1(lx - la)
         den = -math.expm1(lb - la)
     elif b <= 0:  # window in the lower tail (a may be -inf)
-        lb_ = float(log_ndtr(b))
-        lx = float(log_ndtr(xi))
+        lb_ = log_ndtr(b)
+        lx = log_ndtr(xi)
         if a == -math.inf:
             num = math.exp(lx - lb_)
             den = 1.0
         else:
-            la = float(log_ndtr(a))
+            la = log_ndtr(a)
             if lx - la > 690.0:
                 # expm1 would overflow; the -1 is negligible at this scale, so
                 # collapse the product exp(la - lb) * (exp(lx - la) - 1).
@@ -788,8 +860,8 @@ def trunc_norm_cdf(x: float, mean: float, variance: float, v: float, w: float) -
                 num = math.exp(la - lb_) * math.expm1(lx - la)
             den = -math.expm1(la - lb_)
     else:  # window straddles the mean: plain differences are safe
-        num = float(ndtr(xi)) - float(ndtr(a))
-        den = float(ndtr(b)) - float(ndtr(a))
+        num = ndtr(xi) - ndtr(a)
+        den = ndtr(b) - ndtr(a)
 
     if not den > 0:
         raise FloatingPointError(
@@ -808,7 +880,10 @@ def _pivot_and_pvalue(
             f"[{interval.v_minus}, {interval.v_plus}]"
         )
     pivot = trunc_norm_cdf(eta_y, 0.0, eta_var, interval.v_minus, interval.v_plus)
-    return pivot, min(max(2.0 * min(pivot, 1.0 - pivot), 0.0), 1.0)
+    # 1 - pivot, formed without cancelling: the pivot of -eta'y on the
+    # mirrored window.
+    upper = trunc_norm_cdf(-eta_y, 0.0, eta_var, -interval.v_plus, -interval.v_minus)
+    return pivot, min(max(2.0 * min(pivot, upper), 0.0), 1.0)
 
 
 def selective_pvalue(eta_y: float, eta_var: float, interval: TruncationInterval) -> float:
@@ -908,8 +983,11 @@ def infer(
         )
     X_S = np.column_stack([feature_column(it, data.Z) for it in sel.selected])
 
+    G = _gram(X_S)
     cons = [
-        contrast_for_coefficient(X_S, data.y, j, sigma=config.sigma, covariance=config.covariance)
+        contrast_for_coefficient(
+            X_S, data.y, j, sigma=config.sigma, covariance=config.covariance, gram=G
+        )
         for j in range(1, config.k + 1)
     ]
     intervals = truncation_windows(sel, data, cons, config.r, prune)

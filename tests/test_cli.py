@@ -3,6 +3,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -796,3 +798,17 @@ class TestMainEndToEnd:
         assert rc == 0
         lines = out.read_text().splitlines()
         assert [line.split(",")[1] for line in lines[1:]] == ["1", "2"]
+
+
+def test_import_loads_no_scipy_and_no_process_pool():
+    # Every selectree process pays for what the CLI's import path loads: the
+    # pivot needs only Phi and log Phi, and a serial study no process pool.
+    code = (
+        "import sys, selectree.cli, selectree.experiments;"
+        "print(*sorted(m for m in sys.modules"
+        " if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert run.stdout.split() == []

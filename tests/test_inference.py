@@ -1,5 +1,7 @@
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,6 +99,16 @@ class TestContrast:
             contrast_for_coefficient(X, tiny.y, 0, sigma=1.0)
         with pytest.raises(ValueError):
             contrast_for_coefficient(X, tiny.y, 3, sigma=1.0)
+
+    def test_precomputed_gram_gives_the_same_contrast(self, tiny):
+        sel, _ = marginal_screen(tiny, k=2, r=2)
+        X = _design(sel, tiny.Z)
+        G = inference._gram(X)
+        for j in (1, 2):
+            a = contrast_for_coefficient(X, tiny.y, j, sigma=0.7)
+            b = contrast_for_coefficient(X, tiny.y, j, sigma=0.7, gram=G)
+            assert a.eta.tobytes() == b.eta.tobytes() and a.c.tobytes() == b.c.tobytes()
+            assert (a.eta_y, a.eta_var) == (b.eta_y, b.eta_var)
 
 
 class TestTruncationTiny:
@@ -612,6 +624,79 @@ class TestSupportStep:
         assert len(seen) == 1 + math.comb(8, 1) + math.comb(8, 2)
 
 
+def _ulps(x, count):
+    """``count`` consecutive doubles either side of x, and x."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+class TestNormalCdf:
+    """``ndtr`` and ``log_ndtr`` against 50-digit mpmath."""
+
+    # A grid over [-1e150, 40] and the doubles around every branch switch:
+    # ndtr's at x = +-1, log_ndtr's at -37 and -1.
+    GRID = sorted(
+        {float(x) for x in -np.logspace(150, math.log10(40.0), 300)}
+        | {float(x) for x in np.linspace(-40.0, 40.0, 1601)}
+        | {x for s in (-37.0, -1.0, 1.0) for x in _ulps(s, 3)}
+    )
+
+    @staticmethod
+    def _log_phi(x):
+        X = mpmath.mpf(x)
+        if x > 0:  # log(1 - tiny) would round to 0 at 50 digits
+            return mpmath.log1p(-mpmath.ncdf(-X))
+        return mpmath.log(mpmath.ncdf(X))
+
+    @staticmethod
+    def _close(got, want):
+        # Relative error 1e-14 where the rounded reference is a normal double;
+        # a subnormal one has too few digits, so allow 2 of its ulps.
+        want = float(want)
+        tol = 1e-14 * abs(want) if abs(want) >= sys.float_info.min else 2 * math.ulp(0.0)
+        return abs(got - want) <= tol
+
+    def test_ndtr_matches_mpmath(self):
+        with mpmath.workdps(50):
+            bad = [
+                x for x in self.GRID
+                if mpmath.ncdf(x) >= 1e-300
+                and not self._close(inference.ndtr(x), mpmath.ncdf(x))
+            ]
+        assert bad == []
+
+    def test_log_ndtr_matches_mpmath(self):
+        with mpmath.workdps(50):
+            bad = [x for x in self.GRID if not self._close(inference.log_ndtr(x), self._log_phi(x))]
+        assert bad == []
+
+    @pytest.mark.parametrize("switch", [-37.0, -1.0, 1.0])
+    def test_monotone_across_the_switch_points(self, switch):
+        xs = _ulps(switch, 50)
+        for f in (inference.ndtr, inference.log_ndtr):
+            vals = [f(x) for x in xs]
+            assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+    def test_signed_zero_and_infinity(self):
+        assert inference.ndtr(-math.inf) == 0.0
+        assert inference.ndtr(math.inf) == 1.0
+        assert inference.log_ndtr(-math.inf) == -math.inf
+        assert inference.log_ndtr(math.inf) == 0.0
+        assert inference.ndtr(0.0) == inference.ndtr(-0.0) == 0.5
+        assert inference.log_ndtr(0.0) == inference.log_ndtr(-0.0) == -math.log(2.0)
+
+    def test_agrees_with_scipy_in_the_bulk(self):
+        from scipy.special import log_ndtr, ndtr
+
+        # scipy rounds x/sqrt(2) once, which costs it up to x^2/2 ulps.
+        for x in map(float, np.linspace(-8.0, 8.0, 161)):
+            assert inference.ndtr(x) == pytest.approx(float(ndtr(x)), rel=1e-13, abs=0.0)
+            assert inference.log_ndtr(x) == pytest.approx(float(log_ndtr(x)), rel=1e-13, abs=0.0)
+
+
 class TestTruncNormCdf:
     def test_endpoints(self):
         assert trunc_norm_cdf(-1.0, 0.0, 1.0, -1.0, 1.0) == 0.0
@@ -777,6 +862,16 @@ class TestInfer:
 
         assert rows(reused) == rows(fresh)
 
+    def test_checks_the_gram_matrix_once(self, monkeypatch):
+        # The k contrasts share one design, so X'X and its condition number
+        # are formed once.
+        calls = []
+        gram = inference._gram
+        monkeypatch.setattr(inference, "_gram", lambda X: calls.append(X) or gram(X))
+        spec = SyntheticSpec(n=60, d=9, r=3, k=4, sparsity=0.5, sigma=0.1, seed=4)
+        infer(gen_synthetic(spec, 0), spec.config())
+        assert len(calls) == 1
+
     def test_precomputed_screening_must_match_k(self, tiny):
         with pytest.raises(ValueError, match="k = 2"):
             infer(tiny, ModelConfig(r=2, k=2, sigma=1.0),
@@ -829,7 +924,6 @@ class TestRowPermutation:
         # except where rounding is amplified:
         # * an endpoint that is 0 in exact arithmetic comes out as +-1e-16
         #   either way; the pivot reads it only through (v - eta'y)/sd;
-        # * an upper-tail p-value is formed as 1 - pivot, good to ~1e-16;
         # * thousands of sd from eta'y the pivot's log-space tails carry
         #   ~1e-8 relative error, and bisection on the flat pivot passes it
         #   to the CI endpoint.
@@ -858,7 +952,29 @@ class TestRowPermutation:
             assert_allclose([g.interval.v_minus, g.interval.v_plus],
                             [f.interval.v_minus, f.interval.v_plus],
                             rtol=1e-9, atol=1e-9 * sd)
-            assert_allclose(g.p_value, f.p_value, rtol=1e-9, atol=1e-12)
+            assert_allclose(g.p_value, f.p_value, rtol=1e-9, atol=0.0)
             for mine, theirs in ((g.ci_low, f.ci_low), (g.ci_high, f.ci_high)):
                 far = abs(theirs - f.beta_hat) > 1000 * sd
                 assert_allclose(mine, theirs, rtol=1e-6 if far else 1e-9)
+
+    def test_upper_tail_pvalue_matches_the_reference(self):
+        # Seed 2571 of the test above: a p-value of ~5e-10 from a pivot of
+        # 1 - 2.5e-10.  Formed as 2 (1 - pivot) it kept ~1e-16 absolute
+        # error, 3e-7 relative, and the two row orders disagreed by 9e-7.
+        rng = np.random.default_rng(2571)
+        data = random_instance(rng)
+        r = int(rng.integers(1, 4))
+        k = int(rng.integers(1, min(4, total_feature_count(data.d, r)) + 1))
+        perm = rng.permutation(data.n)
+        for inst in (data, Dataset(data.Z[perm], data.y[perm])):
+            report = infer(inst, ModelConfig(r=r, k=k, sigma=1.0))
+            X = _design(report.screening, inst.Z)
+            assert min(f.p_value for f in report.features) < 1e-9
+            for j, f in enumerate(report.features, start=1):
+                con = contrast_for_coefficient(X, inst.y, j, sigma=1.0)
+                lo, hi = f.interval.v_minus, f.interval.v_plus
+                want = 2.0 * min(
+                    oracle.reference_trunc_norm_cdf(con.eta_y, 0.0, con.eta_var, lo, hi),
+                    oracle.reference_trunc_norm_cdf(-con.eta_y, 0.0, con.eta_var, -hi, -lo),
+                )
+                assert f.p_value == pytest.approx(want, rel=1e-13, abs=0.0)

@@ -46,16 +46,16 @@ def _benchmark_shape(name, seed):
 # ``TestBenchmarkShapes.test_report_bytes_are_pinned``).
 _REPORT_SHA256 = {
     "wide_sparse": (
-        "c5010f4722365f52772e274b38460ff47608bdc1ca4139fa245c0a17552a2b39",
-        "bf62ec9eb964021781f2bd8f7309d05752a6cdcccec03b381b5e2f830a374b21",
+        "66bc1a0a5276fd549df31d62d591318c242f13212d66b05367b353360d6fbef9",
+        "16e14ab67116b2c22644e19a3a52091fb868182824f4281e01b0426db20d22c8",
     ),
     "tall_noise": (
         "d2c62ee0a388c785873c3ef155a8c46fee87c04de7b20a939929146f880e65bd",
         "ef642346bc67a0dd649818eae25c296d7b13613914301ffb6f0cab6347c9524c",
     ),
     "null_study": (
-        "e1e2d91ee2184e4da89a72f221ad3e78b7921d5d7ce47ed52c19815d82b64fe8",
-        "a575115601dccce123aa6b0f3de58e49d13d5518647b9185599e1f8bbbf7d90b",
+        "7cd7f3e0c2a5175ebb22d857addefa2cba13e46950ddf3bc633406b4149d29f0",
+        "c84db8151609c729b8bb5cb5dcb11d6a79969cab2d34cc9220705acb17c55a52",
     ),
 }
 

@@ -267,7 +267,9 @@ def _map_trials(worker, spec: SyntheticSpec, threads: int) -> list[dict]:
     # Imported here: the module costs every serial run's start-up ~27 ms.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    # The pool starts all its workers at once, so it gets no more than there
+    # are trials.
+    with ProcessPoolExecutor(max_workers=min(threads, spec.trials)) as pool:
         # Results collected in trial order: aggregates are identical no
         # matter how many workers ran.
         return list(pool.map(worker, [spec] * spec.trials, indices, chunksize=8))

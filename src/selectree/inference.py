@@ -50,31 +50,35 @@ exact-scores only the children that can enter its top k: a cheap test on an
 axis without the selected feature j names the children that can matter, and
 only those get the per-(contrast, endpoint, orientation, child, feature)
 arithmetic.  Few children at a node can move an incumbent or earn a
-descent.  Three gates run the two-stage rule:
+descent.  Two gates run the two-stage rule at every node:
 
 - the offer gate: the node's sums pick the children with a ratio that
   could beat an incumbent, and only their ratios are formed and offered;
 - the subtree gate: the same sums pick the children whose subtree bound
-  could reach its floor, and only their bounds are formed;
+  could reach its floor, and only their bounds are formed.
+
+Two levels above the leaves the walker settles siblings in bulk with one
+test, ``busy``: per chunk of siblings it hands over their children's sums
+joined on the last axis, and one gate's stage one, reduced per sibling
+over its children, names the busy siblings.  An idle one would only count
+its children's visits, which are booked in one step against the live
+floors.
+
 - the leaf gate: at a node whose children are parents of leaves the walker
   passes the entered ones to :func:`selectree.itemsets.gate_leaf_parents`,
-  screening's leaf gate too.  It hands this module, per chunk of those
-  children, every grandchild's approximate x'y and x'c on the node's
-  support; the offer gate's test on them flags the children to expand, and
-  the visits of the cleared ones are counted in one step against the live
-  floors;
+  screening's leaf gate too.  The sums are every grandchild's approximate
+  x'y and x'c on the node's support, and the offer gate's stage one runs
+  on them;
 - the chunk level: one level up, at a node at depth r - 3, the walker forms
   the sums of a chunk of the entered children, each on its own support,
-  before it calls ``node`` on any of them.  The offer gate's and the
-  subtree gate's stage one, reduced per sibling over its children, name
-  the busy siblings; an idle one would only count its children's visits,
-  which the walker books in one step against the live floors.
+  before it calls ``node`` on any of them.  The subtree gate's stage one
+  runs on them alone.
 
 This is exact:
 
 - each test's margin is a ``prune_floor`` slack, which dwarfs the rounding
   of its rearranged expression.  The leaf gate's chunk products hold the
-  terms of the sums a flagged child's own product would give, plus terms
+  terms of the sums a busy child's own product would give, plus terms
   of +0.0, in another order, so the two differ by rounding alone, at most
   about n eps sum|w|, which the slack dwarfs too.  A child ruled out has no
   ratio above its incumbent and no bound at its floor;
@@ -83,17 +87,20 @@ This is exact:
 - the subtree gate runs before the node's offers.  Incumbents only grow,
   so the floors it tests against are at most the live ones the bounds are
   then kept against;
-- incumbents only grow, so a cleared child's offers would change nothing,
-  and the floors stand still between flagged children;
-- a flagged child is re-tested against the live floors and, if still
-  live, yielded to the walker, which expands it as any other node;
+- incumbents only grow, so an idle child's offers would change nothing,
+  and the floors stand still between busy children;
+- a busy child is re-tested against the live floors and, if still live,
+  yielded to the walker, which expands it as any other node;
+- the leaf gate tests the max and min of U over a sibling's children, per
+  (contrast, endpoint), which is each child's own offer test reduced
+  exactly;
 - the chunk level tests the bits the sibling's node would test, against
-  floors no higher than the live ones: per (contrast, endpoint) the max and
-  min of U over the sibling's children for the offer gate, and max sy_o +
-  |f| max(max sc_pos, max sc_neg), which rounds to no less than any child's
-  sy_o + |f| max(sc_pos, sc_neg) since |f| and the sums are >= 0, for the
-  subtree gate.  An idle sibling's node would offer nothing that wins and
-  enter nothing.
+  floors no higher than the live ones: max sy_o + |f| max(max sc_pos, max
+  sc_neg) rounds to no less than any child's sy_o + |f| max(sc_pos,
+  sc_neg), since |f| and the sums are >= 0.  A child's own ratio is one
+  its subtree bound covers, so a child that fails this test has every
+  ratio below f = prune_floor(best) < best and cannot win an offer either.
+  An idle sibling's node would offer nothing that wins and enter nothing.
 """
 
 from __future__ import annotations
@@ -368,29 +375,32 @@ def truncation_windows(
       scale.  The test runs before the node's offers, against floors no
       higher than the live ones the bounds are then kept against.  While
       an incumbent is -inf or a floor is above 0 every child is bounded.
-    - Leaf gate.  At a node at depth r - 2 the walker passes the entered
-      children, the parents of leaves, to ``itemsets.gate_leaf_parents``,
-      which hands over each grandchild's approximate x'y and x'c on the
-      node's support, a chunk of siblings at a time.  A child is flagged
-      only if the largest Q over its grandchildren passes the offer gate's
-      test.  Those sums hold the terms of the sums the child's own product
-      gives, plus terms of +0.0, in another order, so they err by about n
-      eps sum|w|, far below the margin for any n up to ~10^6.  A cleared
-      child's visits are counted against the live floors, as the walker
-      would count them.  A flagged child is re-tested and, if live, yielded
-      to the walker, which forms its sums and runs the two stages on it as
-      on any other node.
-    - Chunk level.  At a node at depth r - 3 the walker hands over the
-      sums of a chunk of entered children, each formed on its own support
-      as the child's node would get them.  A child is busy only if the
-      offer gate's test passes for the max or min of U over its children,
-      or the subtree gate's test for max sy_o + |f| max(max sc_pos, max
-      sc_neg), against the floors as they stand; the first reduces the
-      per-child tests exactly, the second bounds them above.  An idle
-      child's node would form no winning offer and enter nothing, so its
-      visits are counted against the live floors and ``settled`` counts
-      it.  A busy child is re-tested and, if live, expanded from the sums
-      the walker holds.
+    - Bulk levels.  Two levels above the leaves the walker hands ``busy``
+      the sums of a chunk of siblings' children joined on the last axis,
+      sibling s's from ``starts[s]`` on, and ``busy`` runs one stage one
+      per sibling, reduced over its children, against the floors as they
+      stand.  ``offer_hits`` and ``subtree_hits`` hold the two tests; a
+      node runs them per child, ``busy`` per sibling.  An idle sibling's
+      visits are counted against the live floors, as the walker would
+      count them.  A busy one is re-tested and, if live, yielded to the
+      walker, which forms its sums and runs the two stages on it as on any
+      other node.
+    - Leaf gate.  At a node at depth r - 2, through
+      ``itemsets.gate_leaf_parents``, the sums are each grandchild's
+      approximate x'y and x'c on the node's support, and a sibling is busy
+      only if the largest Q over its children passes the offer gate's
+      test.  Those sums hold the terms of the sums the sibling's own
+      product gives, plus terms of +0.0, in another order, so they err by
+      about n eps sum|w|, far below the margin for any n up to ~10^6.
+    - Chunk level.  At a node at depth r - 3 the sums are each child's own,
+      formed on its own support as the child's node would get them, and a
+      sibling is busy only if the subtree gate's test passes for max sy_o
+      + |f| max(max sc_pos, max sc_neg), which bounds its children's tests
+      above.  The offer gate's test is implied: a child's own ratio is one
+      its subtree bound covers, so a child whose bound is below f =
+      prune_floor(best) < best cannot win an offer.  An idle sibling's
+      node would form no winning offer and enter nothing, and ``settled``
+      counts it.
 
     A child a gate rules out has every ratio strictly below its incumbent,
     or every bound below its floor, so it can neither win an offer nor tie
@@ -455,7 +465,7 @@ def truncation_windows(
     # floor every bound is kept against; ``lam_s`` = lam s_e, with lam =
     # best read as 0 where it is -inf; ``offer_floor`` = prune_floor(P,
     # scale) per feature j, -inf where best is -inf, so that the offer and
-    # leaf gates flag every child active for it; and ``subtree_gate`` =
+    # leaf gates pass every child active for it; and ``subtree_gate`` =
     # (|f|, prune_floor(kappa - |f| |rho|, scale)) for the subtree gate,
     # None where some floor f is -inf or above 0.
     kmax = float(kappa.max())
@@ -497,7 +507,7 @@ def truncation_windows(
         # Q that reaches the floor F_j of some feature j active for it, that
         # is, the least such floor?  Q: (K, 2, 2, S), F: (K, 2, k), act: (K,
         # 2, 2, S or 1, k).  A node's children share one mask, so their
-        # least floors are taken first; the siblings of a flag each have
+        # least floors are taken first; the siblings of a chunk each have
         # their own, and every j is compared.
         if act.shape[3] == 1:
             least = np.where(act, F[:, :, None, None], np.inf).min(axis=4)
@@ -511,22 +521,27 @@ def truncation_windows(
     half_tol = 0.5 * DENOM_TOL
     rho5 = rho_e[:, :, None, None, :]
 
-    def offer_kids(M, act):
-        # Stage one of the offer gate: the P - Q test of the docstring picks
-        # the children, in walk order, whose ratios could beat an incumbent.
-        U = M[:, None, 0] + lam_s[:, :, None] * M[:, None, 1]  # (K, 2, m)
-        Q = np.stack([U, -U], axis=2)  # t_o U
-        return np.flatnonzero(reaches(Q, offer_floor, act[:, :, :, None]))
+    def offer_hits(xy, xc, starts, act):
+        # Stage one of the offer gate: the P - Q test of the docstring.  Per
+        # child, in walk order, with ``starts`` None; per sibling of a chunk,
+        # over its children ``starts[s]:starts[s + 1]``, from the max and min
+        # of U.  xy: x'y, (C,) or (K, 1, C); xc: x'c_q, (K, C).
+        U = xy + lam_s[:, :, None] * xc[:, None]  # (K, 2, C)
+        hi, lo = (U, U) if starts is None else (
+            np.maximum.reduceat(U, starts, axis=2), np.minimum.reduceat(U, starts, axis=2))
+        return reaches(np.stack([hi, -lo], axis=2), offer_floor, act)  # Q = t_o U
 
-    def subtree_kids(M, act):
-        # Stage one of the subtree gate: the superset test of the docstring
-        # picks the children, in walk order, whose bounds could reach a floor.
+    def subtree_hits(most, act):
+        # Stage one of the subtree gate: the superset test of the docstring,
+        # on rows sy_pos, sy_neg, sc_pos, sc_neg of a child's sums, (K, 4,
+        # S), or on their max over a sibling's children, which bounds each
+        # child's test from above: rounding is monotone and every term is
+        # >= 0.
         if subtree_gate is None:
-            return np.arange(M.shape[2])
+            return np.ones(most.shape[2], dtype=bool)
         af, F = subtree_gate
-        sc = np.maximum(M[:, 4], M[:, 5])[:, None, None]
-        Q = M[:, None, 2:4] + af[:, :, None, None] * sc  # (K, 2, 2, m)
-        return np.flatnonzero(reaches(Q, F, act[:, :, :, None]))
+        sc = np.maximum(most[:, 2], most[:, 3])[:, None, None]
+        return reaches(most[:, None, :2] + af[:, :, None, None] * sc, F, act)
 
     def offer_pairs(parent, start, M, kids, act):
         # Offer the pair ratios of the children ``kids``.  act: bool (K, 2,
@@ -562,8 +577,9 @@ def truncation_windows(
             # Every child's ratios are offered, and every child is entered.
             offer_pairs(parent, start, M, np.arange(m), act)
             return np.arange(m), lambda i: act, None, None
-        okids = offer_kids(M, act)
-        skids = np.arange(0) if leaves else subtree_kids(M, act)
+        act4 = act[:, :, :, None]  # one mask for all children
+        okids = np.flatnonzero(offer_hits(M[:, None, 0], M[:, 1], None, act4))
+        skids = np.arange(0) if leaves else np.flatnonzero(subtree_hits(M[:, 2:], act4))
         if len(okids):
             offer_pairs(parent, start, M, okids, act)
         if not len(skids):
@@ -598,57 +614,26 @@ def truncation_windows(
             child_act = live(slice(i, i + 1))[:, :, :, 0]
             return child_act if child_act.any() else None
 
-        last = None  # the last flag's floors, first sibling and live()
+        last = None  # the last test's floors, first sibling and live()
         chunked = len(parent) + 3 == r
 
-        def flag(chunk, sums, valid):
-            # The leaf gate: which siblings have a grandchild ratio that
-            # could beat an incumbent?  The P - Q test of the docstring, on
-            # approximate sums over the node's support.
-            nonlocal last
-            act = live(chunk)
-            last = floor, chunk.start, act
-            # U = x'y + lam s_e x'c_q; Q is t_o U.
-            U = sums[0] + lam_s[:, :, None, None] * sums[1:, None]  # (K, 2, S, G)
-            Q = np.stack(
-                [np.where(valid, U, -np.inf).max(axis=3), -np.where(valid, U, np.inf).min(axis=3)],
-                axis=2,
-            )  # (K, 2, 2, S)
-            return reaches(Q, offer_floor, act)
-
         def busy(chunk, sums, starts):
-            # The chunk level: which siblings have a child that could pass
-            # the offer gate's or the subtree gate's stage one against the
-            # floors as they stand?  Each test is reduced per sibling over
-            # its children, ``starts[s]:starts[s + 1]`` on the last axis of
-            # ``sums``.
+            # Both bulk levels: which siblings have a child that could pass
+            # a stage one against the floors as they stand?  At the leaf
+            # level sums holds x'y and x'c_q, and the offer gate's test runs;
+            # at the chunk level it holds the rows of M, and the subtree
+            # gate's test alone runs, which covers the offer gate's: a
+            # child's own ratio is one its subtree bound covers.
             nonlocal last
             act = live(chunk)
             last = floor, chunk.start, act
-            if subtree_gate is None:
-                return np.ones(chunk.stop - chunk.start, dtype=bool)
-            # sums: (K, 6, children), the rows of M.  The subtree gate first:
-            # max sy_o + |f| max(sc_pos, sc_neg) bounds each child's sy_o +
-            # |f| max(sc_pos, sc_neg), as rounding is monotone and every term
-            # is >= 0.
-            af, F = subtree_gate
-            most = np.maximum.reduceat(sums[:, 2:], starts, axis=2)  # (K, 4, S)
-            sc = np.maximum(most[:, 2], most[:, 3])[:, None, None]
-            hit = reaches(most[:, None, :2] + af[:, :, None, None] * sc, F, act)
-            if hit.all():
-                return hit
-            # The offer gate: the same U as offer_kids, its max and min per
-            # sibling.
-            U = sums[:, None, 0] + lam_s[:, :, None] * sums[:, None, 1]  # (K, 2, children)
-            Q = np.stack(
-                [np.maximum.reduceat(U, starts, axis=2), -np.minimum.reduceat(U, starts, axis=2)],
-                axis=2,
-            )  # (K, 2, 2, S)
-            return hit | reaches(Q, offer_floor, act)
+            if chunked:
+                return subtree_hits(np.maximum.reduceat(sums[:, 2:], starts, axis=2), act)
+            return offer_hits(sums[0], sums[1:], starts, act)
 
         def count(run, grand):
             # ``floor`` is a new array once an offer moves an incumbent; until
-            # then the flag's live() still holds.
+            # then the test's live() still holds.
             nonlocal settled
             f, at, act = last
             act = act[:, :, :, run.start - at:run.stop - at] if f is floor else live(run)
@@ -657,7 +642,7 @@ def truncation_windows(
             if chunked:
                 settled += int(hit.any(axis=(0, 2)).sum())
 
-        return kids, enter, busy if chunked else flag, count
+        return kids, enter, busy, count
 
     with np.errstate(divide="ignore", invalid="ignore"):
         # Sign rows kappa_j / rho_j seed the incumbents, so pruning has teeth

@@ -11,10 +11,10 @@ node's column, its children's block and the block's product with the
 search's weights, hands the sums to the search's scoring, and enters the
 children the search's gates name.  Two levels above the leaves it settles
 siblings in bulk: at the parents of leaves (depth r - 2) through
-:func:`gate_leaf_parents`, which lays out the leaf level, and one level up
-(depth r - 3), where it tests chunks of siblings on their own sums before
-it calls the search's node routine on any of them.  Both levels replay
-their chunks with one loop.  Because
+:func:`gate_leaf_parents`, and one level up (depth r - 3), where it tests
+chunks of siblings on their own sums before it calls the search's node
+routine on any of them.  Both levels hand the search's one chunk test the
+same layout of sums and replay their chunks with one loop.  Because
 all covariate values lie in [0,1], a descendant's feature column is
 elementwise no larger than its ancestor's, which is what makes subtree
 bounds possible downstream.
@@ -234,41 +234,42 @@ def walk_tree(
     ``node(parent, start, col, sums, state, leaves)`` then scores the
     children (``leaves`` is true when they are at order ``r`` and have no
     subtrees) and returns None, to enter none of them, or ``(kids, enter,
-    flag, count)``: ``kids`` the positions of the children that may be
+    busy, count)``: ``kids`` the positions of the children that may be
     entered, ascending, and ``enter(i)`` the state of child ``kids[i]``
     re-tested against the search's live incumbents, or None if it is no
     longer live.  The walker holds no reference to ``sums`` while ``node``
-    runs, so a search that compacts them frees the full array.  How the
-    kids are re-tested depends on the node's depth and on ``flag``:
+    runs, so a search that compacts them frees the full array.
 
-    - at depth r - 2, the kids are the parents of leaves and go through
-      :func:`gate_leaf_parents` with the node's factors, block and weight
-      rows ``V[:, rows]``;
-    - at depth r - 3, the chunk level: the kids' own children are the
-      parents of leaves.  The last child has none and is dropped; every
-      position ``i`` below indexes the prefix of ``kids`` left, and kid
-      ``kids[i]`` has ``grand[i]`` children.  The kids are taken in chunks
-      whose factors, ``grand[i]`` rows by the kid's support size, hold at
-      most ``_SETTLE_CELLS`` cells, or of one kid.  For a chunk of two or
-      more the walker forms each kid's column, support, factors, block and
-      sums, as the kid's own visit would, and holds them.  ``flag(chunk,
-      sums, starts)`` gets the chunk's sums joined with the children on
-      the last axis, shape (w, C) or (K, w, C), kid ``s``'s children from
-      ``starts[s]`` on, and returns one bit per kid: true ("busy") for each
-      whose node could do more than count its children's visits against
-      the incumbents as they stand.  The chunk is replayed as the leaf
-      gate replays one: ``count(run, grand[run])`` books each run of idle
-      kids, which must count their visits against the live incumbents,
-      and each busy kid is re-tested by ``enter`` and, if still live,
-      expanded from what the walker holds, so nothing is formed twice.
-      Incumbents only rise, so a kid idle against the incumbents as they
-      stood is idle against the live ones.  A lone kid is not tested (its
-      test would cost what its node costs), nor is the chunk after a
-      tested chunk in which every kid was busy; their kids are re-tested
-      by ``enter`` and formed one by one, as are the kids of a tested
-      chunk in which every kid was busy, whose products are dropped so
-      that they are not held through the descents;
-    - without ``flag``, or at any other depth, each kid is re-tested by
+    Two levels above the leaves, where the kids' children or grandchildren
+    are leaves, ``busy`` and ``count`` settle kids in bulk.  The last child
+    has no children and is dropped; every position ``i`` below indexes the
+    prefix of ``kids`` left, and kid ``kids[i]`` has ``grand[i]`` children.
+    The kids are taken in chunks, and both levels hand ``busy(chunk, sums,
+    starts)`` one layout: the sums of the chunk's kids' children joined on
+    the last axis, shape (w, C) or (K, w, C), kid ``s``'s children in walk
+    order from ``starts[s]`` on.  It returns one bit per kid: true ("busy")
+    for each whose node could do more than count its children's visits
+    against the incumbents as they stand.  One loop replays every chunk:
+    ``count(run, grand[run])`` books each run of idle kids, which must count
+    their visits against the live incumbents, and each busy kid is
+    re-tested by ``enter`` and, if still live, expanded.  Incumbents only
+    rise, so a kid idle against the incumbents as they stood is idle
+    against the live ones.
+
+    - At depth r - 2 the kids are the parents of leaves and go through
+      :func:`gate_leaf_parents`, with the node's factors, block and weight
+      rows ``V[:, rows]``: one product per chunk on the node's support
+      gives the sums, each grandchild's inner product with every row of
+      ``V``.
+    - At depth r - 3, the chunk level, a chunk's factors, ``grand[i]`` rows
+      by the kid's support size, hold at most ``_SETTLE_CELLS`` cells, or
+      the chunk is one kid.  The walker forms each kid's sums on the kid's
+      own support, bit for bit those of the kid's own visit, for the test
+      alone, and drops them before the replay; a busy kid forms them again
+      when it is visited.  A lone kid is not tested (its test would cost
+      what its node costs), nor is the chunk after a tested chunk in which
+      every kid was busy; all their kids count as busy.
+    - Without ``busy``, or at any other depth, each kid is re-tested by
       ``enter`` in turn.
 
     Either way the walker expands an entered child before it re-tests the
@@ -301,11 +302,9 @@ def walk_tree(
             return [np.ceil(block, out=block).sum(axis=1).astype(np.int64), sums]
         return [sums]
 
-    def settle(parent, rows, col, sizes, kids, flag, count, enter, held):
-        # The chunk level at depth r - 3, a generator of (kid, state) that
-        # leaves in ``held`` each busy kid's itemset, support, column and
-        # products.  An untested chunk's kids are all busy and are formed
-        # one by one, as at any other depth.
+    def settle(parent, rows, col, sizes, kids, busy, count, enter):
+        # The chunk level at depth r - 3, a generator of (kid, state).  An
+        # untested chunk's kids are all busy.
         m = d - (parent[-1] if parent else 0)
         kids = kids[kids < m - 1]  # the last child has no children
         grand = m - 1 - kids
@@ -315,55 +314,41 @@ def walk_tree(
                 skip = False
                 yield from _replay(lo, hi, np.ones(hi - lo, dtype=bool), kids, grand, count, enter)
                 continue
-            sums = []
-            for i in kids[lo:hi].tolist():
-                kid = child(parent, rows, col, i)
-                held[i] = (*kid, products(*kid))
-                sums.append(held[i][3][-1].swapaxes(-1, -2))
-            # The joined copy is all the flag sees; the held lists keep the
-            # only references to each kid's own sums.
-            joined = np.concatenate(sums, axis=-1)
-            sums = None
+            # Each kid's sums are formed for the test alone and dropped
+            # before the replay; a busy kid forms them again on its visit.
+            sums = np.concatenate(
+                [products(*child(parent, rows, col, i))[-1].swapaxes(-1, -2)
+                 for i in kids[lo:hi].tolist()],
+                axis=-1,
+            )
             g = grand[lo:hi]
-            busy = flag(slice(lo, hi), joined, np.cumsum(g) - g)
-            joined = None
-            skip = busy.all()
-            if skip:
-                # A chunk that settled nothing drops its products and its
-                # kids are formed again one by one, so that a walk in which
-                # every chunk is busy holds one kid's products at a time.
-                held.clear()
-            for i in kids[lo:hi][~busy].tolist():
-                del held[i]
-            yield from _replay(lo, hi, busy, kids, grand, count, enter)
-            held.clear()  # busy kids the replay found dead
+            bits = busy(slice(lo, hi), sums, np.cumsum(g) - g)
+            sums = None
+            skip = bits.all()
+            yield from _replay(lo, hi, bits, kids, grand, count, enter)
 
-    def visit(parent, rows, col, formed, state):
+    def visit(parent, rows, col, state):
         start = parent[-1] if parent else 0
         depth = len(parent)
-        if formed is None:
-            formed = products(parent, rows, col)
+        formed = products(parent, rows, col)
         # The sums leave the list as they are passed: while ``node`` runs the
         # walker holds no reference to them.
         out = node(parent, start, col, formed.pop(), state, depth + 1 == r)
         if out is None or depth + 1 == r:
             return
-        kids, enter, flag, count = out
-        held: dict[int, tuple] = {}
-        if flag is not None and depth + 2 == r:
-            entered = gate_leaf_parents(kids, *formed, V[:, rows], flag, count, enter)
-        elif flag is not None and depth + 3 == r:
-            entered = settle(parent, rows, col, *formed, kids, flag, count, enter, held)
+        kids, enter, busy, count = out
+        if busy is not None and depth + 2 == r:
+            entered = gate_leaf_parents(kids, *formed, V[:, rows], busy, count, enter)
+        elif busy is not None and depth + 3 == r:
+            entered = settle(parent, rows, col, *formed, kids, busy, count, enter)
         else:
             entered = ((int(kids[p]), enter(p)) for p in range(len(kids)))
         del formed
         for i, child_state in entered:
             if child_state is not None and start + 1 + i < d:
-                # No local keeps the child's products past its visit, so they
-                # are freed before the next chunk is formed.
-                visit(*(held.pop(i, None) or (*child(parent, rows, col, i), None)), child_state)
+                visit(*child(parent, rows, col, i), child_state)
 
-    visit((), np.arange(n), np.ones(n, dtype=np.float64), None, state)
+    visit((), np.arange(n), np.ones(n, dtype=np.float64), state)
 
 
 def _chunks(cells: list[int], budget: int) -> Iterator[tuple[int, int]]:
@@ -402,7 +387,7 @@ def gate_leaf_parents(
     Zr: np.ndarray,
     block: np.ndarray,
     V: np.ndarray,
-    flag: Callable[[slice, np.ndarray, np.ndarray], np.ndarray],
+    busy: Callable[[slice, np.ndarray, np.ndarray], np.ndarray],
     count: Callable[[slice, np.ndarray], None],
     enter: Callable[[int], Any],
 ) -> Iterator[tuple[int, Any]]:
@@ -419,24 +404,29 @@ def gate_leaf_parents(
     children.
 
     The siblings are taken in chunks holding at most ``_LEAF_GATE_CELLS``
-    grandchildren (or one sibling).  Per chunk, one product gives ``sums``,
-    (w, S, G): sums[v, s, g] is V[v]'s inner product with sibling s's
-    column times ``Zr[1 + i0 + g]``, i0 the chunk's first sibling, and
-    ``valid[s, g]`` marks the factors that name one of sibling s's
-    children.  ``flag(chunk, sums, valid)`` returns a boolean per sibling:
+    grandchildren (or one sibling).  Per chunk, one product of the
+    siblings' columns, times each row of ``V``, with the factors ``Zr[1 +
+    i0:]``, i0 the chunk's first sibling, gives every grandchild's inner
+    product with every row of ``V``.  ``busy(chunk, sums, starts)`` gets
+    them in the chunk level's layout (see :func:`walk_tree`): shape (w,
+    C), sibling s's ``grand[s]`` children in walk order from ``starts[s]``
+    on.  Row v of a sibling's slice holds the terms of the sums its own
+    product on its own support gives with ``V[v]``, plus terms of +0.0, in
+    another order, so the two differ by rounding alone, at most n eps
+    sum|V[v]| for n = len(rows).  ``busy`` returns a boolean per sibling:
     true for each that could change the search's state.  The chunk is then
     replayed in walk order:
 
-    - ``count(run, grand[run])`` once for each run of cleared siblings,
-      which must count their visits against the live incumbents, as the
-      walker would.  A cleared sibling changes no incumbent, so the
-      incumbents stand still across the run;
-    - ``enter(i)`` for each flagged sibling, which must re-test it against
+    - ``count(run, grand[run])`` once for each run of idle siblings, which
+      must count their visits against the live incumbents, as the walker
+      would.  An idle sibling changes no incumbent, so the incumbents stand
+      still across the run;
+    - ``enter(i)`` for each busy sibling, which must re-test it against
       the live incumbents, raised by the siblings before it, and return its
       state, or None if it is no longer live.  A live sibling is yielded as
       ``(kids[i], state)``; the walker expands it before the replay goes on.
 
-    The search's ``node`` supplies ``flag``, ``count`` and ``enter``.  The
+    The search's ``node`` supplies ``busy``, ``count`` and ``enter``.  The
     replay is the one loop that the chunk level at depth r - 3 runs too (see
     :func:`walk_tree`).
     """
@@ -451,8 +441,12 @@ def gate_leaf_parents(
         # The row count is named, not -1, so that an empty support reshapes.
         AV = (block[sib] * V[:, None]).reshape(w * len(sib), nr)
         sums = (AV @ G.T).reshape(w, len(sib), len(G))
+        # Row-major, the valid cells are each sibling's children in walk
+        # order: the chunk level's joined layout.
         valid = np.arange(len(G)) >= (sib - i0)[:, None]
-        yield from _replay(lo, hi, flag(slice(lo, hi), sums, valid), kids, grand, count, enter)
+        g = grand[lo:hi]
+        bits = busy(slice(lo, hi), sums[:, valid], np.cumsum(g) - g)
+        yield from _replay(lo, hi, bits, kids, grand, count, enter)
 
 
 def column_score(col: np.ndarray, v: np.ndarray) -> float:

@@ -32,34 +32,35 @@ change the result:
 - ``column_score`` on the full column, the kernel the brute-force
   enumeration uses, still makes every selection decision.
 
-The leaf gate.  At a node at depth r - 2 the walker passes the children
-screening may enter, the parents of leaves, to
-:func:`selectree.itemsets.gate_leaf_parents`, the chunk-and-replay the
-truncation search runs too, with screening's ``flag``, ``count`` and
-``enter``.  Per chunk of siblings it hands over every grandchild's
-approximate x^T y on the node's support.
-While the top k is full, a sibling is flagged only if one of its
-grandchildren's |x^T y| reaches ``prune_floor(floor, sum|y|)``, the floor
-of the floor; a cleared sibling whose bound reaches the live floor adds its
-grandchildren to the visits.  The margin between the two floors covers the
-rounding of both products, so every grandchild the walk without the leaf
-gate would score exactly lies in a flagged sibling, which the walker then
-expands as any other node.  A cleared sibling has no grandchild that can
-enter the top k, so the threshold stands still across it, and
-``exact_scores`` and ``nodes_visited`` are those of the walk without the
-leaf gate.
+Two bulk levels settle siblings above the leaves, with one test, ``busy``,
+on one layout: per chunk of siblings, the sums of their children joined
+on the last axis, each sibling's children from ``starts[s]`` on.  While the
+top k is full a sibling is busy only if the largest |sum| over its
+children reaches the level's edge; the others are idle, and ``count`` adds
+the children of each live one to the visits.
 
-The chunk level.  One level up, at a node at depth r - 3, the walker forms
-the sums of a chunk of the children screening may enter, each on its own
-support, before it calls ``node`` on any of them, and asks screening's
-``busy`` which could do more than count visits.  While the top k is full a
-sibling is idle when none of its children's approximate |x^T y| and none of
-their bounds reaches the floor as it stands: its node would score no child
-exactly and enter none.  The floor only rises, so an idle sibling stays
-idle; ``count`` adds the children of each live one to the visits and
-``settled`` counts it.  The bits are those the sibling's node would test,
-so selections and both counters are those of the walk without the chunk
-level.
+- The leaf gate.  At a node at depth r - 2 the walker passes the children
+  screening may enter, the parents of leaves, to
+  :func:`selectree.itemsets.gate_leaf_parents`, the chunk-and-replay the
+  truncation search runs too.  The sums are every grandchild's
+  approximate x^T y on the node's support, and the edge is
+  ``prune_floor(floor, sum|y|)``, the floor of the floor.  The margin
+  between the two floors covers the rounding of both products, so every
+  grandchild the walk without the leaf gate would score exactly lies in a
+  busy sibling, which the walker then expands as any other node.  An idle
+  sibling has no grandchild that can enter the top k, so the threshold
+  stands still across it, and ``exact_scores`` and ``nodes_visited`` are
+  those of the walk without the leaf gate.
+- The chunk level.  One level up, at a node at depth r - 3, the walker
+  forms the sums of a chunk of the children screening may enter, each on
+  its own support, before it calls ``node`` on any of them.  The sums are
+  each child's approximate x^T y, sy_pos and sy_neg, and the edge is the
+  floor as it stands: an idle sibling has no child whose approximate
+  |x^T y| or bound reaches it, so its node would score no child exactly
+  and enter none.  The floor only rises, so an idle sibling stays idle,
+  and ``settled`` counts it.  The bits are those the sibling's node would
+  test, so selections and both counters are those of the walk without the
+  chunk level.
 
 Determinism contract: features are ordered by :func:`rank` (ties in |score|
 go to the smaller itemset), a zero score gets sign +1, and the selected
@@ -92,7 +93,7 @@ __all__ = ["ScreeningResult", "marginal_screen", "rank"]
 @dataclass(frozen=True)
 class ScreeningResult:
     """The selection event: k itemsets, ordered by :func:`rank`, and their
-    scores x_j^T y, from which ``signs`` and ``kth_abs_score`` derive."""
+    scores x_j^T y, from which ``signs`` derives."""
 
     selected: tuple[Itemset, ...]
     scores: tuple[float, ...]
@@ -101,11 +102,6 @@ class ScreeningResult:
     def signs(self) -> tuple[int, ...]:
         """sign(x_j^T y) per selected feature, +1 on a zero score."""
         return tuple(1 if s >= 0 else -1 for s in self.scores)
-
-    @property
-    def kth_abs_score(self) -> float:
-        """The smallest selected |score|: the screening threshold."""
-        return abs(self.scores[-1])
 
 
 def rank(score: float, indices: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
@@ -179,23 +175,15 @@ def marginal_screen(
             # has passed.
             return None if len(top) == k and bounds[kids[i]] < floor() else True
 
-        def flag(chunk, sums, valid):
-            # The leaf gate: which siblings have a grandchild whose
-            # approximate |score| reaches the floor of the floor?
-            if len(top) < k:
-                return np.ones(chunk.stop - chunk.start, dtype=bool)
-            approx = np.abs(sums[0])  # (S, G)
-            approx[~valid] = -np.inf
-            return (approx >= prune_floor(floor(), ysum)).any(axis=1)
-
         def busy(chunk, sums, starts):
-            # The chunk level: which siblings have a child whose approximate
-            # |score| or bound reaches the floor as it stands?  The others
-            # would only count their children's visits.
+            # Both bulk levels: which siblings have a child with an |x'y|
+            # that reaches the level's edge, or, at the chunk level, where
+            # the sums hold sy_pos and sy_neg too, both >= 0, a bound that
+            # does?  The others would only count their children's visits.
             if len(top) < k:
                 return np.ones(chunk.stop - chunk.start, dtype=bool)
-            most = np.maximum(np.abs(sums[0]), np.maximum(sums[1], sums[2]))
-            return np.maximum.reduceat(most, starts) >= floor()
+            edge = floor() if chunked else prune_floor(floor(), ysum)
+            return np.maximum.reduceat(np.abs(sums).max(axis=0), starts) >= edge
 
         def count(run, grand):
             nonlocal visited, settled
@@ -204,7 +192,7 @@ def marginal_screen(
             if chunked:
                 settled += int(np.count_nonzero(live))
 
-        return kids, enter, busy if chunked else flag, count
+        return kids, enter, busy, count
 
     walk_tree(ZT, r, W, y[None], node, None)
 

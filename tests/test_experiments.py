@@ -270,6 +270,31 @@ class TestStudies:
         assert serial.rates == parallel.rates
         assert serial.pivots == parallel.pivots
 
+    def test_workers_never_outnumber_trials(self, monkeypatch):
+        # A pool that records its worker count and maps in-process: two
+        # trials at 16 threads get two workers, and no process starts.
+        import concurrent.futures
+
+        workers = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        spec = SyntheticSpec(n=20, d=4, r=1, k=1, sparsity=0.5, sigma=1.0, seed=1, trials=2)
+        rows = experiments._map_trials(lambda spec, t: {"t": t}, spec, 16)
+        assert workers == [2] and rows == [{"t": 0}, {"t": 1}]
+
     def test_perf_study_first_order_never_prunes(self):
         base = SyntheticSpec(
             n=60, d=20, r=2, k=4, sparsity=0.5, sigma=0.2, seed=13, trials=3

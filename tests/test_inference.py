@@ -511,6 +511,39 @@ class TestChunkLevel:
         _assert_exact(data, r, k, seed)
         assert self._visits(data, r, k, seed) == unchunked
 
+    def test_no_subtree_stage_one_moves_no_incumbent(self, monkeypatch):
+        # The chunk level tests the subtree gate's stage one alone: a child's
+        # own ratio is one its subtree bound covers, so a node at depth r - 2
+        # none of whose children passes that stage moves no incumbent.  The
+        # walk without the chunk level calls every such node; each is tested
+        # with the stage one from its own closure before it runs, and its
+        # ``floor`` is a new array iff an offer moved an incumbent.
+        monkeypatch.setattr(itemsets, "_SETTLE_CELLS", 0)
+        walk = inference.walk_tree
+        checked = []
+
+        def checking_walk(ZT, r, W, V, node, state):
+            cells = dict(zip(node.__code__.co_freevars, node.__closure__))
+
+            def checked_node(parent, start, col, sums, act, leaves):
+                if len(parent) + 2 != r:
+                    return node(parent, start, col, sums, act, leaves)
+                most = sums.transpose(0, 2, 1)[:, 2:]
+                idle = not cells["subtree_hits"].cell_contents(most, act[:, :, :, None]).any()
+                floor = cells["floor"].cell_contents
+                out = node(parent, start, col, sums, act, leaves)
+                if idle:
+                    checked.append(parent)
+                    assert cells["floor"].cell_contents is floor, parent
+                return out
+
+            return walk(ZT, r, W, V, checked_node, state)
+
+        monkeypatch.setattr(inference, "walk_tree", checking_walk)
+        for seed in range(6300, 6318):
+            self._visits(*_chunk_instance(seed), seed)
+        assert len(checked) >= 50
+
     def test_the_cases_mix_idle_and_busy_siblings(self, monkeypatch):
         # Across the seeds both searches settle some siblings in bulk and
         # hand others to ``node``.

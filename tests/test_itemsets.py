@@ -344,31 +344,31 @@ class TestWalkTree:
 
     @pytest.mark.parametrize("r", [2, 3, 4])
     def test_leaf_gate_runs_only_at_depth_r_minus_2(self, r):
-        # A node that returns a flag at every depth is leaf-gated only at
-        # depth r - 2, once per node with a grandchild; without a flag every
-        # child is re-tested lazily.  Flagging every sibling enters what the
-        # lazy re-test enters; clearing every sibling enters no leaf parent.
-        # (At depth r - 3 the flag is the chunk level's, which keeps every
-        # sibling busy here.)
+        # A node that returns a chunk test at every depth is leaf-gated only
+        # at depth r - 2, once per node with a grandchild; without one every
+        # child is re-tested lazily.  Marking every sibling busy enters what
+        # the lazy re-test enters; marking every one idle enters no leaf
+        # parent.  (At depth r - 3 the test is the chunk level's, which keeps
+        # every sibling busy here.)
         d = 5
 
-        def walk(flagged):
+        def walk(marked):
             seen, gated, counted = [], [], []
 
             def node(parent, start, col, sums, state, leaves):
                 seen.append(parent)
 
-                def flag(chunk, sums, valid):
+                def busy(chunk, sums, starts):
                     if len(parent) + 3 == r:
                         return np.ones(chunk.stop - chunk.start, dtype=bool)
                     gated.append(parent)
-                    return np.full(chunk.stop - chunk.start, flagged)
+                    return np.full(chunk.stop - chunk.start, marked)
 
                 def count(run, grand):
                     counted.append((parent, run.start, run.stop, grand.tolist()))
 
                 kids = np.arange(len(sums))
-                return kids, lambda i: True, None if flagged is None else flag, count
+                return kids, lambda i: True, None if marked is None else busy, count
 
             walk_tree(np.ones((d, 2)), r, np.ones((2, 1)), np.ones((1, 2)), node, None)
             return seen, gated, counted
@@ -392,8 +392,8 @@ class TestWalkTree:
 
     @staticmethod
     def _chunk_walk(ZT, r, W, pattern):
-        # A walk whose nodes at depth r - 3 return a chunk-level flag that
-        # marks sibling i busy iff pattern(parent, i); every node enters all
+        # A walk whose nodes at depth r - 3 return a chunk test that marks
+        # sibling i busy iff pattern(parent, i); every node enters all
         # its children otherwise.  Returns the sums each node got and the
         # calls of the chunk level, in order.
         got, calls = {}, []
@@ -404,8 +404,8 @@ class TestWalkTree:
             if len(parent) + 3 != r:
                 return kids, lambda i: True, None, None
 
-            def flag(chunk, sums, starts):
-                calls.append(("flag", parent, chunk.start, chunk.stop, sums, starts))
+            def busy(chunk, sums, starts):
+                calls.append(("busy", parent, chunk.start, chunk.stop, sums, starts))
                 return np.array([pattern(parent, int(kids[i]))
                                  for i in range(chunk.start, chunk.stop)], dtype=bool)
 
@@ -416,7 +416,7 @@ class TestWalkTree:
                 calls.append(("enter", parent, i))
                 return True
 
-            return kids, enter, flag, count
+            return kids, enter, busy, count
 
         walk_tree(ZT, r, W, None, node, None)
         return got, calls
@@ -424,10 +424,10 @@ class TestWalkTree:
     @pytest.mark.parametrize("r", [3, 4])
     @pytest.mark.parametrize("three_d", [False, True])
     def test_chunk_level_at_depth_r_minus_3(self, monkeypatch, r, three_d):
-        # The flag sees each sibling's own sums, bit for bit those its node
+        # The test sees each sibling's own sums, bit for bit those its node
         # gets, joined with the children on the last axis; idle siblings are
-        # counted and never reach ``node``; busy ones are expanded from the
-        # walker's held products, as the walk without the chunk level would.
+        # counted and never reach ``node``; busy ones form their sums again
+        # on their own visits, as the walk without the chunk level would.
         # The budget makes chunks of a few siblings and some of one, which
         # are never tested; the last child, with no children, is dropped.
         monkeypatch.setattr(itemsets, "_SETTLE_CELLS", 100)
@@ -440,7 +440,7 @@ class TestWalkTree:
         full, _ = self._chunk_walk(ZT, r, W, lambda parent, i: True)
         idle = lambda parent, i: (sum(parent) + i) % 3 != 0
         got, calls = self._chunk_walk(ZT, r, W, lambda parent, i: not idle(parent, i))
-        tested = [c for c in calls if c[0] == "flag"]
+        tested = [c for c in calls if c[0] == "busy"]
         assert tested and all(c[3] - c[2] > 1 for c in tested)
         for _, parent, lo, hi, sums, starts in tested:
             start = parent[-1] if parent else 0
@@ -466,8 +466,9 @@ class TestWalkTree:
     @pytest.mark.parametrize("r", [3, 4])
     def test_node_gets_the_only_reference_to_its_sums(self, monkeypatch, r):
         # The walker keeps no reference to the sums it hands to ``node``,
-        # neither at a node it forms itself nor at a sibling whose products
-        # it held for a chunk: once ``node`` drops its own, they are freed.
+        # neither at a node outside the chunk level nor at a busy sibling of
+        # a tested chunk, whose sums it formed for the test and formed again
+        # for the visit: once ``node`` drops its own, they are freed.
         monkeypatch.setattr(itemsets, "_SETTLE_CELLS", 60)
         rng = np.random.default_rng(5)
         ZT = np.ascontiguousarray((rng.random((7, 6)) < 0.7).astype(np.float64).T)
@@ -481,13 +482,12 @@ class TestWalkTree:
             if len(parent) + 3 != r:
                 return np.arange(m), lambda i: True, None, None
 
-            def flag(chunk, sums, starts):
-                # Every other kid busy, so that the busy ones are expanded
-                # from the products the walker held.
+            def busy(chunk, sums, starts):
+                # Every other kid busy, so that tested chunks expand some.
                 chunked.append(parent)
                 return np.arange(chunk.start, chunk.stop) % 2 == 0
 
-            return np.arange(m), lambda i: True, flag, lambda run, grand: None
+            return np.arange(m), lambda i: True, busy, lambda run, grand: None
 
         walk_tree(ZT, r, rng.standard_normal((7, 3)), np.ones((1, 7)), node, None)
         assert chunked and len(dead) > 5 and all(dead)
@@ -495,12 +495,12 @@ class TestWalkTree:
 
 class TestGateLeafParents:
     @staticmethod
-    def _run(kids, m, flag, enter, calls, rows=2):
+    def _run(kids, m, busy, enter, calls, rows=2):
         # A node with m children on ``rows`` support rows; every yield is
         # logged between the calls around it.
         Zr = np.ones((m, rows))
         gen = gate_leaf_parents(
-            np.array(kids), Zr, Zr.copy(), np.ones((1, rows)), flag,
+            np.array(kids), Zr, Zr.copy(), np.ones((1, rows)), busy,
             lambda run, grand: calls.append(("count", run.start, run.stop, grand.tolist())),
             enter,
         )
@@ -512,21 +512,21 @@ class TestGateLeafParents:
         # each: 300 grandchildren fill a chunk alone; 130 + 120 + 60 would
         # pass 256, so the next chunk is 130 and 120; the last holds 60, 5, 3.
         calls = []
-        flags = {0: [False], 1: [False, True], 3: [True, False, True]}
+        bits = {0: [False], 1: [False, True], 3: [True, False, True]}
 
-        def flag(chunk, sums, valid):
-            calls.append(("flag", chunk.start, chunk.stop))
-            return np.array(flags[chunk.start])
+        def busy(chunk, sums, starts):
+            calls.append(("busy", chunk.start, chunk.stop))
+            return np.array(bits[chunk.start])
 
         def enter(i):
             calls.append(("enter", i))
             return f"state{i}"
 
-        self._run([1, 171, 181, 241, 296, 298], 302, flag, enter, calls)
+        self._run([1, 171, 181, 241, 296, 298], 302, busy, enter, calls)
         assert calls == [
-            ("flag", 0, 1), ("count", 0, 1, [300]),
-            ("flag", 1, 3), ("count", 1, 2, [130]), ("enter", 2), ("yield", 181, "state2"),
-            ("flag", 3, 6), ("enter", 3), ("yield", 241, "state3"), ("count", 4, 5, [5]),
+            ("busy", 0, 1), ("count", 0, 1, [300]),
+            ("busy", 1, 3), ("count", 1, 2, [130]), ("enter", 2), ("yield", 181, "state2"),
+            ("busy", 3, 6), ("enter", 3), ("yield", 241, "state3"), ("count", 4, 5, [5]),
             ("enter", 5), ("yield", 298, "state5"),
         ]
 
@@ -534,43 +534,51 @@ class TestGateLeafParents:
         # Child 4 of a node with five children has no children of its own.
         calls = []
 
-        def flag(chunk, sums, valid):
-            calls.append(("flag", chunk.start, chunk.stop))
+        def busy(chunk, sums, starts):
+            calls.append(("busy", chunk.start, chunk.stop))
             return np.ones(chunk.stop - chunk.start, dtype=bool)
 
-        self._run([0, 2, 4], 5, flag, lambda i: i, calls)
-        assert calls == [("flag", 0, 2), ("yield", 0, 0), ("yield", 2, 1)]
+        self._run([0, 2, 4], 5, busy, lambda i: i, calls)
+        assert calls == [("busy", 0, 2), ("yield", 0, 0), ("yield", 2, 1)]
 
     def test_failed_retest_yields_nothing(self):
         calls = []
-        flag = lambda chunk, sums, valid: np.ones(chunk.stop - chunk.start, dtype=bool)
-        self._run([0, 1, 2], 6, flag, lambda i: None if i == 1 else i, calls)
+        busy = lambda chunk, sums, starts: np.ones(chunk.stop - chunk.start, dtype=bool)
+        self._run([0, 1, 2], 6, busy, lambda i: None if i == 1 else i, calls)
         assert calls == [("yield", 0, 0), ("yield", 2, 2)]
 
     @pytest.mark.parametrize("rows", [7, 0])
-    def test_sums_and_valid_cells(self, rows):
-        # sums[v, s, g] is V[v]'s inner product with sibling s's column times
-        # the grandchild factor Zr[1 + i0 + g]; valid marks the factors that
-        # lie above sibling s.  An empty support gives zero sums.
+    def test_sums_in_the_joined_layout(self, rows):
+        # The test gets the chunk level's layout: sibling s's grandchildren
+        # in walk order from starts[s] on, each cell V's inner products with
+        # the sibling's column times the grandchild's factor.  An empty
+        # support gives zero sums.
         rng = np.random.default_rng(3)
-        Zr = rng.random((9, rows))
+        Zr = rng.random((9, rows)) * (rng.random((9, rows)) < 0.7)
         block = Zr * rng.random(rows)
         V = rng.standard_normal((3, rows))
         kids = np.array([2, 4, 5])
         seen = []
 
-        def flag(chunk, sums, valid):
-            seen.append((sums, valid))
+        def busy(chunk, sums, starts):
+            seen.append((sums, starts))
             return np.zeros(chunk.stop - chunk.start, dtype=bool)
 
-        list(gate_leaf_parents(kids, Zr, block, V, flag, lambda run, grand: None, None))
-        (sums, valid), = seen
-        assert sums.shape == (3, 3, 6) and valid.shape == (3, 6)
-        for s, kid in enumerate(kids):
-            for g in range(6):
-                assert valid[s, g] == (3 + g > kid)
-                want = V @ (block[kid] * Zr[3 + g])
-                np.testing.assert_allclose(sums[:, s, g], want, rtol=1e-12, atol=1e-12)
+        list(gate_leaf_parents(kids, Zr, block, V, busy, lambda run, grand: None, None))
+        (sums, starts), = seen
+        assert sums.shape == (3, 6 + 4 + 3) and starts.tolist() == [0, 6, 10]
+        bounds = rows * np.finfo(float).eps * np.abs(V).sum(axis=1)
+        for kid, lo, hi in zip(kids, starts, [*starts[1:], sums.shape[1]]):
+            got = sums[:, lo:hi]
+            want = V @ (block[kid] * Zr[kid + 1:]).T
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+            # The sibling's own node sums on its own support differ by
+            # rounding alone, within the documented n eps sum|V[v]|.
+            own = block[kid] != 0
+            node_sums = (Zr[kid + 1:, own] * block[kid, own]) @ V[:, own].T
+            assert (np.abs(got - node_sums.T) <= bounds[:, None]).all()
+        if rows == 0:
+            assert not sums.any()
 
     def test_no_children(self):
         Zr = np.ones((3, 2))

@@ -75,7 +75,6 @@ class TestTinyExample:
         assert [it.indices for it in sel.selected] == [(1,), (1, 2)]
         assert sel.scores == (3.0, 2.0)
         assert sel.signs == (1, 1)
-        assert sel.kth_abs_score == 2.0
         assert metrics.total_nodes == total_feature_count(3, 2) == 6
 
     def test_matches_oracle(self, tiny):
@@ -126,13 +125,12 @@ class TestTieBreaking:
                        (1.0, (3,)), (-0.0, (1,)), (0.0, (4,))]
         assert rank(0.0, (1,)) == rank(-0.0, (1,))
 
-    def test_signs_and_threshold_derive_from_scores(self):
+    def test_signs_derive_from_scores(self):
         sel = ScreeningResult(
             selected=tuple(Itemset((j,)) for j in (1, 2, 3)), scores=(3.0, -2.0, -0.0)
         )
         assert sel.signs == (1, -1, 1)
-        assert sel.kth_abs_score == 0.0 and not np.signbit(sel.kth_abs_score)
-        assert ScreeningResult(sel.selected[:2], (3.0, -2.0)).kth_abs_score == 2.0
+        assert ScreeningResult(sel.selected[:2], (3.0, -2.0)).signs == (1, -1)
 
 
 class TestBound:
@@ -415,7 +413,6 @@ class TestOracleAgreement:
         assert sel.selected == ref.selected
         assert sel.signs == ref.signs
         assert sel.scores == ref.scores
-        assert sel.kth_abs_score == ref.kth_abs_score
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)

@@ -326,6 +326,8 @@ class PerfRow:
     sd_elapsed: float
     mean_visit_rate: float
     sd_visit_rate: float
+    mean_screen_visit_rate: float
+    sd_screen_visit_rate: float
     trials_used: int
     failures: int
 
@@ -338,6 +340,8 @@ class PerfRow:
             "sd_elapsed": self.sd_elapsed,
             "mean_visit_rate": self.mean_visit_rate,
             "sd_visit_rate": self.sd_visit_rate,
+            "mean_screen_visit_rate": self.mean_screen_visit_rate,
+            "sd_screen_visit_rate": self.sd_screen_visit_rate,
             "trials": self.trials_used,
             "failures": self.failures,
         }
@@ -355,7 +359,12 @@ def _perf_trial(spec: SyntheticSpec, t: int, config: ModelConfig) -> dict:
         f.interval.metrics.nodes_visited / f.interval.metrics.total_nodes
         for f in report.features
     ]
-    return {"elapsed": elapsed, "rate": sum(rates) / len(rates)}
+    screen = report.screen_metrics
+    return {
+        "elapsed": elapsed,
+        "rate": sum(rates) / len(rates),
+        "screen_rate": screen.nodes_visited / screen.total_nodes,
+    }
 
 
 def run_perf_study(
@@ -370,7 +379,8 @@ def run_perf_study(
     The visit rate is the fraction of itemset-tree nodes the truncation walk
     actually touched, averaged over the k coefficients, then over trials.  At
     r = 1 it equals 1 exactly: the tree is a single level of d nodes and
-    there is no subtree to skip.
+    there is no subtree to skip.  The screen visit rate is the same fraction
+    for the screening walk, averaged over trials.
 
     The grid's r caps the model, not the data: each (d, sparsity) cell draws
     one set of trials under ``base.r``'s truth and reuses it for every model
@@ -393,6 +403,7 @@ def run_perf_study(
                 rows = [row for row in _map_trials(worker, spec, threads) if row]
                 times = [row["elapsed"] for row in rows]
                 rates = [row["rate"] for row in rows]
+                screen_rates = [row["screen_rate"] for row in rows]
                 ddof = 1 if len(rows) > 1 else 0
                 out.append(
                     PerfRow(
@@ -403,6 +414,12 @@ def run_perf_study(
                         sd_elapsed=float(np.std(times, ddof=ddof)) if rows else math.nan,
                         mean_visit_rate=float(np.mean(rates)) if rows else math.nan,
                         sd_visit_rate=float(np.std(rates, ddof=ddof)) if rows else math.nan,
+                        mean_screen_visit_rate=(
+                            float(np.mean(screen_rates)) if rows else math.nan
+                        ),
+                        sd_screen_visit_rate=(
+                            float(np.std(screen_rates, ddof=ddof)) if rows else math.nan
+                        ),
                         trials_used=len(rows),
                         failures=spec.trials - len(rows),
                     )

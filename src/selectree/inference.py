@@ -57,6 +57,11 @@ descent.  Two gates run the two-stage rule at every node:
 - the subtree gate: the same sums pick the children whose subtree bound
   could reach its floor, and only their bounds are formed.
 
+Both gates start near their final floors: screening's runners-up, the best
+unselected features it scored exactly, give each window a seed, a ratio of
+a real constraint less its rounding margin.  The gates compare against the
+larger of the seed and the incumbent; the seed never becomes an endpoint.
+
 Two levels above the leaves the walker settles siblings in bulk with one
 test, ``busy``: per chunk of siblings it hands over their children's sums
 joined on the last axis, and one gate's stage one, reduced per sibling
@@ -87,6 +92,8 @@ This is exact:
 - the subtree gate runs before the node's offers.  Incumbents only grow,
   so the floors it tests against are at most the live ones the bounds are
   then kept against;
+- a seed is at most the final incumbent, so gating against it rules out
+  only ratios below the endpoint the unpruned walk finds;
 - incumbents only grow, so an idle child's offers would change nothing,
   and the floors stand still between busy children;
 - a busy child is re-tested against the live floors and, if still live,
@@ -347,8 +354,9 @@ def truncation_windows(
     j, picks the children that can matter, and only those get the (K, 2, 2,
     m, k) arithmetic, which forms the ratios of the children the offer gate
     passed and the bounds of those the subtree gate passed without testing
-    them again.  With lam = best[q, e], a ratio whose denominator is
-    negative beats lam iff P - Q < 0, where
+    them again.  With lam = best[q, e], or the seed where that is higher
+    (see Seeds below), a ratio whose denominator is negative beats lam iff
+    P - Q < 0, where
 
         P[q, e, j] = kappa_j - lam s_e rho_qj,
         Q[q, e, o] = t_o (x'y + lam s_e x'c_q).
@@ -362,10 +370,9 @@ def truncation_windows(
       the features j active for it.  Q and the ratio read the same sums,
       and the test rearranges the ratio's arithmetic: a ratio that rounds
       above lam has P - Q below c eps * scale for a small constant c, and
-      the margin is at least PRUNE_SLACK * scale.  An incumbent of -inf
-      reads as lam = 0 with P = -inf, which keeps every child active for
-      it.
-    - Subtree gate.  Let f = prune_floor(best, ysum), the floor a bound
+      the margin is at least PRUNE_SLACK * scale.  A lam of -inf reads as
+      lam = 0 with P = -inf, which keeps every child active for it.
+    - Subtree gate.  Let f = prune_floor(lam, ysum), the floor a bound
       must reach.  For f <= 0 and den > 0, (sy_o - kappa_j) / den >= f iff
       sy_o + |f| den >= kappa_j, and den <= |rho_qj| + max(sc_pos, sc_neg).
       So a child's bounds are formed only if, for some (q, e, o), sy_o +
@@ -374,7 +381,7 @@ def truncation_windows(
       scale.  The rearrangement again rounds by at most about c eps *
       scale.  The test runs before the node's offers, against floors no
       higher than the live ones the bounds are then kept against.  While
-      an incumbent is -inf or a floor is above 0 every child is bounded.
+      a lam is -inf or a floor is above 0 every child is bounded.
     - Bulk levels.  Two levels above the leaves the walker hands ``busy``
       the sums of a chunk of siblings' children joined on the last axis,
       sibling s's from ``starts[s]`` on, and ``busy`` runs one stage one
@@ -402,10 +409,27 @@ def truncation_windows(
       node would form no winning offer and enter nothing, and ``settled``
       counts it.
 
-    A child a gate rules out has every ratio strictly below its incumbent,
-    or every bound below its floor, so it can neither win an offer nor tie
-    the winner, nor be entered.  The survivors keep their walk order, so
-    the first argmax over (o, child, j) names the same constraint.
+    - Seeds.  With prune=True the gates start from ``sel.runners_up``,
+      unselected features that screening scored exactly.  One product
+      forms their x'y and x'c_q over all n rows, and per (q, e) the best of
+      their pair ratios, formed with the walk's kappa, rho and ec and a
+      denominator below -DENOM_TOL, is taken as ``seed[q, e]``.  It is then
+      lowered by the rounding that can separate those sums from the walk's
+      support sums, about 2 n eps sum|w| each, so it is at most the walk's
+      own ratio of that constraint, and hence at most the final
+      incumbent.  The gates read lam = max(best, seed): ``floor``,
+      ``lam_s``, ``offer_floor`` and ``subtree_gate`` all come from it.
+      ``best``, the offers and ``argmin_info`` never see a seed.  Each
+      contrast's seeds are its own, so a joint walk still gives each
+      contrast what a walk for it alone gives.  A runner-up that is
+      selected or above order r names no constraint of the walk and is
+      skipped.
+
+    A child a gate rules out has every ratio strictly below lam, or every
+    bound below the floor of lam.  lam is at most the final incumbent, so
+    the child can neither win an offer nor tie the winner, nor be entered.
+    The survivors keep their walk order, so the first argmax over (o,
+    child, j) names the same constraint.
     Windows and ``argmin_info`` are bit for bit those of the walk with
     prune=False, which forms every child's offers and bounds from the same
     sums, and ``nodes_visited`` is that of a pruned walk that formed them
@@ -425,8 +449,13 @@ def truncation_windows(
     y = data.y
     n = len(y)
     columns = [feature_column(it, data.Z) for it in sel.selected]
-    ZT = np.ascontiguousarray(data.Z.T)
+    # ZT with a row of ones below it, which pads short itemsets' factor lists.
+    ZT1 = np.empty((data.d + 1, n))
+    ZT1[:-1] = data.Z.T
+    ZT1[-1] = 1.0
+    ZT = ZT1[:-1]
     C = np.stack([np.asarray(con.c, dtype=np.float64) for con in contrasts])
+    V = np.vstack([y, C])  # x'y and x'c_q as rows, for the leaf gate and the seeds
     # One (n, 6) slice [y, c, y+, y-, c+, c-] per contrast.  The walker's
     # batched matmul runs the same product per slice as a lone contrast's
     # ``block @ W[q]``, so every contrast sees the same sums bit for bit;
@@ -459,24 +488,71 @@ def truncation_windows(
 
     best = np.full((K, 2), -np.inf)
     info: list[list[ActiveConstraint | None]] = [[None, None] for _ in range(K)]
-
-    # The terms of the gates that depend on the incumbents alone, refreshed
-    # whenever an offer moves one: ``floor`` = prune_floor(best, ysum), the
-    # floor every bound is kept against; ``lam_s`` = lam s_e, with lam =
-    # best read as 0 where it is -inf; ``offer_floor`` = prune_floor(P,
-    # scale) per feature j, -inf where best is -inf, so that the offer and
-    # leaf gates pass every child active for it; and ``subtree_gate`` =
-    # (|f|, prune_floor(kappa - |f| |rho|, scale)) for the subtree gate,
-    # None where some floor f is -inf or above 0.
     kmax = float(kappa.max())
     rcsum = (np.abs(rho).max(axis=1) + np.abs(C).sum(axis=1))[:, None]  # (K, 1)
+
+    def seeds(ups):
+        # Per (contrast, endpoint), a lower bound on the walk's own ratio of
+        # the best pair constraint over the unselected itemsets ``ups``.
+        # Their sums here run over all n rows and the walk's over a support;
+        # each is within n eps sum|w| of the exact sum, so they differ by at
+        # most twice that.  ``tol`` times the largest |num| or |den| covers
+        # it and the rounding of forming num and den.  Within those margins
+        # the walk's denominator is below -DENOM_TOL and its ratio at least
+        # the corner formed last.
+        pad = (data.d + 1,)  # the row of ones
+        idx = np.array([ix + pad * (r - len(ix)) for ix in ups]) - 1
+        cols = ZT1[idx[:, 0]]
+        for p in range(1, r):  # left to right, as feature_column forms them
+            cols *= ZT1[idx[:, p]]
+        xy, xc = np.split(V @ cols.T, [1])  # (1, S) and (K, S)
+        # The walk's num and den along c (e = 0), on the axes (contrast,
+        # orientation, feature j, itemset l); along -c (e = 1) every
+        # denominator and ratio is negated exactly.
+        t = ec[0][:, None, None]
+        num = kappa[:, None] - t * xy
+        den = rho[:, None, :, None] + t * xc[:, None, None]
+        tol = 4.0 * (n + 2) * np.finfo(np.float64).eps
+        b = tol * rcsum  # (K, 1)
+        edge = (DENOM_TOL + b)[:, :, None, None]
+        R = num / den
+        at = np.stack([
+            np.where(den < -edge, R, -np.inf).reshape(K, -1).argmax(axis=1),
+            np.where(den > edge, R, np.inf).reshape(K, -1).argmin(axis=1),
+        ], axis=1)  # (K, 2)
+        nu = num.reshape(-1)[at] + tol * (kmax + ysum)
+        de = den.reshape(K, -1)[np.arange(K)[:, None], at] * ec[:, 0]  # along s_e c
+        low = nu / np.where(nu >= 0, de + b, de - b)
+        low -= 16.0 * np.finfo(np.float64).eps * np.abs(low)
+        return np.where(de < -DENOM_TOL - b, low, -np.inf)
+
+    # Seeds raise what the gates compare against, never ``best``: each is at
+    # most the walk's ratio of a real constraint, so the final incumbent
+    # reaches it.  The unpruned walk runs no gate and needs none.
+    chosen = set(sel.selected)
+    ups = [it.indices for it, _ in sel.runners_up if it.order <= r and it not in chosen]
+    seed = np.full((K, 2), -np.inf)
+    if prune and ups:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            seed = seeds(ups)
+
+    # The terms of the gates that depend on the incumbents alone, refreshed
+    # whenever an offer moves one past its seed.  With lead = max(best,
+    # seed): ``floor`` = prune_floor(lead, ysum), the floor every bound is
+    # kept against; ``lam_s`` = lam s_e, with lam = lead read as 0 where it
+    # is -inf; ``offer_floor`` = prune_floor(P, scale) per feature j, -inf
+    # where lead is -inf, so that the offer and leaf gates pass every child
+    # active for it; and ``subtree_gate`` = (|f|, prune_floor(kappa - |f|
+    # |rho|, scale)) for the subtree gate, None where some floor f is -inf
+    # or above 0.
     arho = np.abs(rho)[:, None]  # (K, 1, k)
 
     def incumbents_moved():
         nonlocal floor, lam_s, offer_floor, subtree_gate
-        floor = prune_floor(best, ysum)
-        fin = np.isfinite(best)
-        lam = np.where(fin, best, 0.0)
+        lead = np.maximum(best, seed)
+        floor = prune_floor(lead, ysum)
+        fin = np.isfinite(lead)
+        lam = np.where(fin, lead, 0.0)
         lam_s = lam * ec[:, 0]
         P = np.where(fin[:, :, None], kappa - lam[:, :, None] * rho_e, -np.inf)
         offer_floor = prune_floor(P, (kmax + ysum + np.abs(lam) * rcsum)[:, :, None])
@@ -499,7 +575,7 @@ def truncation_windows(
         for q, e in zip(*better):
             best[q, e] = top[q, e]
             info[q][e] = constraint(int(arg[q, e]))
-        if len(better[0]):
+        if (best[better] > seed[better]).any():
             incumbents_moved()
 
     def reaches(Q, F, act):
@@ -652,7 +728,7 @@ def truncation_windows(
             lambda j: ActiveConstraint("sign", sel.selected[j], None, None),
         )
         # The leaf gate's sums are x'y and x'c_q.
-        walk_tree(ZT, r, W, np.vstack([y, C]), node, np.ones((K, 2, 2, k), dtype=bool))
+        walk_tree(ZT, r, W, V, node, np.ones((K, 2, 2, k), dtype=bool))
 
     intervals = []
     for con, b, ends, seen in zip(contrasts, best, info, visits):

@@ -15,9 +15,13 @@ and max(sy_pos, sy_neg) bounds |x_l^T y| for every descendant l (descending
 multiplies the column by further [0,1] factors, so both sums can only
 shrink).
 
-The best k so far form a list sorted by :func:`rank`.  Once it is full,
-both uses of the sums are two-stage gates against the ``prune_floor`` of its
-last (k-th best) |score|, and both are exact.  Only a child whose
+The best k so far form a list sorted by :func:`rank`, which runs on for up
+to m = ``_RUNNERS_UP`` entries past the k-th: the runners-up, returned with
+the selection for the truncation search to seed its gates with.  Once the
+top k are full, both uses of the sums are two-stage gates against the
+``prune_floor`` of the k-th best |score|, and both are exact.  The
+runners-up do not move that threshold, so they cost no extra scoring and
+are the best of the children the gates send to be scored.  Only a child whose
 approximate |score| reaches the floor is scored exactly (``column_score`` on
 its full column ``ZT[start + i] * col``) and offered to the list; and only a
 subtree whose bound reaches it is entered, the walker re-testing each
@@ -72,7 +76,7 @@ agree bit for bit.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -89,14 +93,29 @@ from .itemsets import (
 
 __all__ = ["ScreeningResult", "marginal_screen", "rank"]
 
+# The list of the best scores so far runs this many entries past the k-th,
+# so that screening returns the best exact-scored runners-up with its
+# selection.  They cost no extra scoring: every gate still compares against
+# the k-th entry.
+_RUNNERS_UP = 50
+
 
 @dataclass(frozen=True)
 class ScreeningResult:
     """The selection event: k itemsets, ordered by :func:`rank`, and their
-    scores x_j^T y, from which ``signs`` derives."""
+    scores x_j^T y, from which ``signs`` derives.
+
+    ``runners_up`` holds up to ``_RUNNERS_UP`` unselected ``(itemset,
+    score)`` pairs that screening scored exactly, the best first by
+    :func:`rank`; the truncation search seeds its gates with them.  They are
+    not part of the selection event, so equality ignores them.
+    """
 
     selected: tuple[Itemset, ...]
     scores: tuple[float, ...]
+    runners_up: tuple[tuple[Itemset, float], ...] = field(
+        default=(), compare=False, repr=False
+    )
 
     @property
     def signs(self) -> tuple[int, ...]:
@@ -122,6 +141,8 @@ def marginal_screen(
     every child exactly; the output is identical either way (the gates only
     ever skip children and subtrees that provably cannot reach the current
     threshold).  ``metrics.exact_scores`` counts the children scored exactly.
+    The runners-up are the best of those scored exactly: with ``prune=False``
+    they are the ``min(_RUNNERS_UP, D - k)`` features ranked after the k-th.
     """
     D = total_feature_count(data.d, r)
     if k < 1:
@@ -134,14 +155,16 @@ def marginal_screen(
     W = np.stack([y, *sign_split(y)], axis=1)  # (n, 3): [y, y+, y-]
     ysum = float(np.abs(y).sum())
 
-    # The best k so far, as (rank key..., score) sorted by rank.
+    # The best k so far and their runners-up, as (rank key..., score) sorted
+    # by rank.
     top: list[tuple[float, tuple[int, ...], float]] = []
+    keep = k + _RUNNERS_UP
     visited = 0
     exact = 0
     settled = 0
 
     def floor() -> float:
-        return prune_floor(abs(top[-1][2]), ysum)
+        return prune_floor(abs(top[k - 1][2]), ysum)
 
     def node(parent, start, col, sums, state, leaves):
         # Score the node's children from the walker's sums: per child an
@@ -151,14 +174,14 @@ def marginal_screen(
         m = len(sums)
         visited += m
         cand = range(m)
-        if prune and len(top) == k:
+        if prune and len(top) >= k:
             cand = np.flatnonzero(np.abs(sums[:, 0]) >= floor()).tolist()
         exact += len(cand)
         for i in cand:
             child = parent + (start + 1 + i,)
             s = column_score(ZT[start + i] * col, y)
             bisect.insort(top, (*rank(s, child), s))
-            del top[k:]
+            del top[keep:]
         if leaves:
             return None
         if not prune:
@@ -173,7 +196,7 @@ def marginal_screen(
         def enter(i):
             # The walk carries no state; None drops a child the live floor
             # has passed.
-            return None if len(top) == k and bounds[kids[i]] < floor() else True
+            return None if len(top) >= k and bounds[kids[i]] < floor() else True
 
         def busy(chunk, sums, starts):
             # Both bulk levels: which siblings have a child with an |x'y|
@@ -197,8 +220,9 @@ def marginal_screen(
     walk_tree(ZT, r, W, y[None], node, None)
 
     result = ScreeningResult(
-        selected=tuple(Itemset(e[1]) for e in top),
-        scores=tuple(e[2] for e in top),
+        selected=tuple(Itemset(e[1]) for e in top[:k]),
+        scores=tuple(e[2] for e in top[:k]),
+        runners_up=tuple((Itemset(e[1]), e[2]) for e in top[k:]),
     )
     metrics = TraversalMetrics(
         nodes_visited=visited,

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from selectree.itemsets import Dataset, column_score, walk_tree
+from selectree.screening import marginal_screen
 
 
 @pytest.fixture
@@ -48,6 +51,14 @@ def degenerate_designs():
         "all_ones_column": Dataset(ones, y),
         "single_row": Dataset(np.array([[1.0, 0.0, 1.0]]), np.array([0.7])),
     }
+
+
+def unseeded(data, k, r):
+    """``marginal_screen(data, k, r)`` with the runners-up stripped from its
+    result, to hand ``infer`` as ``screened``: the truncation walk then
+    seeds no gate and starts from the sign rows alone."""
+    sel, metrics = marginal_screen(data, k, r)
+    return dataclasses.replace(sel, runners_up=()), metrics
 
 
 def record_expanded(monkeypatch, module):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -304,6 +305,25 @@ class TestStudies:
         assert by_r[1].mean_visit_rate == 1.0
         assert by_r[1].sd_visit_rate == 0.0
         assert 0.0 < by_r[2].mean_visit_rate <= 1.0
+
+    def test_perf_study_screen_visit_rate(self):
+        # The screen visit rate is the screening walk's nodes_visited over
+        # total_nodes, per trial, then its mean and sd over the trials.
+        base = SyntheticSpec(n=50, d=12, r=3, k=3, sparsity=0.5, sigma=0.2, seed=5, trials=3)
+        rows = run_perf_study(base, d_values=[10, 12], r_values=[1, 3], sparsity_values=[0.5])
+        assert len(rows) == 4
+        for row in rows:
+            spec = replace(base, d=row.d)
+            rates = []
+            for t in range(spec.trials):
+                metrics = marginal_screen(gen_synthetic(spec, t), spec.k, row.r)[1]
+                rates.append(metrics.nodes_visited / metrics.total_nodes)
+            assert row.trials_used == spec.trials
+            assert row.mean_screen_visit_rate == float(np.mean(rates))
+            assert row.sd_screen_visit_rate == float(np.std(rates, ddof=1))
+            assert row.to_row()["mean_screen_visit_rate"] == row.mean_screen_visit_rate
+        assert {row.mean_screen_visit_rate for row in rows if row.r == 1} == {1.0}
+        assert all(row.mean_screen_visit_rate < 1.0 for row in rows if row.r == 3)
 
     @pytest.mark.parametrize(
         "d_values,r_values,sparsity_values",

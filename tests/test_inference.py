@@ -1,3 +1,5 @@
+import dataclasses
+import io
 import math
 import sys
 
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import degenerate_designs, random_instance, record_expanded
+from conftest import degenerate_designs, random_instance, record_expanded, unseeded
 from selectree import inference, itemsets, oracle, screening
 from selectree.inference import (
     DegenerateTruncationError,
@@ -22,6 +24,7 @@ from selectree.inference import (
     truncation_points,
     truncation_windows,
 )
+from selectree.cli import emit_report
 from selectree.experiments import SyntheticSpec, gen_synthetic
 from selectree.itemsets import Dataset, ModelConfig, feature_column, total_feature_count
 from selectree.screening import marginal_screen
@@ -323,14 +326,25 @@ class TestJointWalk:
         # one walk, carrying (contrast, endpoint, orientation, feature) masks
         assert states == [(5, 2, 2, 5)]
 
+    @staticmethod
+    def _visits(seeded, **shape):
+        # Per contrast, the visits of the seed-1 instance's walk, with the
+        # runners-up that seed its gates or with them stripped.
+        spec = SyntheticSpec(sigma=0.1, seed=1, k=10, **shape)
+        data = gen_synthetic(spec, 0)
+        report = infer(data, spec.config(), screened=None if seeded else unseeded(data, 10, spec.r))
+        return [f.interval.metrics.nodes_visited for f in report.features], report
+
+    # The three pins below walk with the runners-up stripped, so they pin
+    # the gates alone; the seeded pins after them pin the seeds' effect.
+
     def test_visit_counts_are_pinned(self):
         # A walk that gates a child against an incumbent older than the live
         # one still gets the windows right but enters more subtrees; these
         # are the counts of one walk per contrast that re-tests every child
         # against the live incumbents.
-        spec = SyntheticSpec(n=100, d=100, r=3, k=10, sparsity=0.9, sigma=0.1, seed=1)
-        report = infer(gen_synthetic(spec, 0), spec.config())
-        assert [f.interval.metrics.nodes_visited for f in report.features] == [
+        visits, report = self._visits(False, n=100, d=100, r=3, sparsity=0.9)
+        assert visits == [
             17627, 14046, 14359, 13828, 13595, 20111, 13395, 12473, 15570, 17737
         ]
         assert {f.interval.metrics.total_nodes for f in report.features} == {10 * 166_750}
@@ -340,9 +354,8 @@ class TestJointWalk:
         # At sparsity 0.5 most expanded nodes are parents of leaves, so these
         # counts pin the leaf gate's replay: a cleared sibling's visits must
         # be counted against the live floors, as the per-node walk does.
-        spec = SyntheticSpec(n=100, d=50, r=3, k=10, sparsity=0.5, sigma=0.1, seed=1)
-        report = infer(gen_synthetic(spec, 0), spec.config())
-        assert [f.interval.metrics.nodes_visited for f in report.features] == [
+        visits, _ = self._visits(False, n=100, d=50, r=3, sparsity=0.5)
+        assert visits == [
             78132, 64352, 93059, 76285, 67926, 72339, 66373, 85150, 78188, 64941
         ]
 
@@ -350,11 +363,30 @@ class TestJointWalk:
         # At r = 4 the subtree gate's compact child index runs at two levels
         # above the leaf gate, and at the lower one it is carried into the
         # leaf gate's replay.
-        spec = SyntheticSpec(n=100, d=30, r=4, k=10, sparsity=0.5, sigma=0.1, seed=1)
-        report = infer(gen_synthetic(spec, 0), spec.config())
-        assert [f.interval.metrics.nodes_visited for f in report.features] == [
+        visits, _ = self._visits(False, n=100, d=30, r=4, sparsity=0.5)
+        assert visits == [
             34394, 26482, 33407, 25751, 26613, 31729, 36103, 20513, 30856, 28003
         ]
+
+    @pytest.mark.parametrize("shape, want", [
+        (dict(n=100, d=100, r=3, sparsity=0.9),
+         [17627, 14046, 14359, 13828, 13595, 20111, 13395, 12473, 15570, 17737]),
+        (dict(n=100, d=50, r=3, sparsity=0.5),
+         [61338, 60817, 83166, 57860, 58167, 60694, 56256, 53942, 63060, 50815]),
+        (dict(n=100, d=30, r=4, sparsity=0.5),
+         [20918, 22722, 21327, 19745, 21313, 21815, 19982, 19458, 19105, 22212]),
+    ], ids=["d100", "criterion5", "order4"])
+    def test_seeded_visit_counts_are_pinned(self, shape, want):
+        # The walk infer runs, its gates seeded from screening's runners-up.
+        # At sparsity 0.9 the sign rows already prune what the seeds would.
+        assert self._visits(True, **shape)[0] == want
+
+    def test_seeds_cut_visits_on_the_criterion_5_shape(self):
+        # A seed hook that silently does nothing passes every exactness
+        # test; here every contrast's walk must visit strictly fewer nodes.
+        shape = dict(n=100, d=50, r=3, sparsity=0.5)
+        seeded, stripped = self._visits(True, **shape)[0], self._visits(False, **shape)[0]
+        assert all(a < b for a, b in zip(seeded, stripped))
 
 
 def _ternary_instance(seed):
@@ -407,6 +439,76 @@ def _assert_exact(data, r, k, seed):
                 for got, w in zip((lo, hi), want):
                     got, w = float.fromhex(got), float.fromhex(w)
                     assert got == w or abs(got - w) <= 1e-9 * max(1.0, abs(got), abs(w))
+
+
+def _report_or_error(data, k, r, screened, prune):
+    """``emit_report`` of ``infer`` in both formats, or the typed error."""
+    try:
+        report = infer(data, ModelConfig(r=r, k=k, sigma=1.0), prune=prune, screened=screened)
+    except (ValueError, DegenerateTruncationError, InternalConsistencyError) as exc:
+        return type(exc), str(exc)
+    names = [f"z{j}" for j in range(1, data.d + 1)]
+    out = []
+    for fmt in ("json", "csv"):
+        buf = io.StringIO()
+        emit_report(report, names, buf, fmt)
+        out.append(buf.getvalue())
+    return out
+
+
+class TestSeeds:
+    """Screening's runners-up seed the truncation walk's gates, which must
+    change no window, active constraint, error or report byte."""
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_seeds_change_no_output(self, seed):
+        # Every other instance is binary with y in {-1, 0, 1}, heavy with
+        # ties; the others mix binary and continuous Z and integer and
+        # continuous y.
+        if seed % 2:
+            data, r, k = _ternary_instance(seed)
+        else:
+            rng = np.random.default_rng(seed)
+            data = random_instance(rng, n_max=40, d_max=9)
+            r = int(rng.integers(1, 4))
+            k = int(rng.integers(1, min(6, total_feature_count(data.d, r)) + 1))
+        c = np.random.default_rng(seed).integers(-2, 3, data.n).astype(np.float64)
+        lattice = inference.Contrast(c, 0.0, 1.0, c)
+        for screen_prune in (True, False):
+            sel, sm = marginal_screen(data, k, r, prune=screen_prune)
+            bare = dataclasses.replace(sel, runners_up=())
+            try:
+                cons = [contrast_for_coefficient(_design(sel, data.Z), data.y, j, sigma=1.0)
+                        for j in range(1, k + 1)]
+            except SingularGramError:
+                cons = []
+            for prune in (True, False):
+                for group in (cons, [lattice]):
+                    if group:
+                        assert (_windows_or_error(sel, data, group, r, prune)
+                                == _windows_or_error(bare, data, group, r, prune))
+                assert (_report_or_error(data, k, r, (sel, sm), prune)
+                        == _report_or_error(data, k, r, (bare, sm), prune))
+
+    @pytest.mark.parametrize("seed", range(2, 6))
+    def test_criterion_5_shape_reports_alike(self, seed):
+        spec = SyntheticSpec(n=100, d=50, r=3, k=10, sparsity=0.5, sigma=0.1, seed=seed)
+        data = gen_synthetic(spec, 0)
+        got = _report_or_error(data, 10, 3, marginal_screen(data, 10, 3), True)
+        assert got == _report_or_error(data, 10, 3, unseeded(data, 10, 3), True)
+        assert got == _report_or_error(data, 10, 3, None, False)
+
+    def test_foreign_runners_up_are_ignored(self, tiny):
+        # Runners-up that name a selected itemset or one above order r
+        # form no constraint of the walk, and seed nothing.
+        sel, _ = marginal_screen(tiny, k=2, r=2)
+        cons = [contrast_for_coefficient(_design(sel, tiny.Z), tiny.y, j, sigma=1.0)
+                for j in (1, 2)]
+        want = _windows_or_error(dataclasses.replace(sel, runners_up=()), tiny, cons, 2, True)
+        for odd in (sel.selected[0], itemsets.Itemset((1, 2, 3))):
+            foreign = dataclasses.replace(sel, runners_up=((odd, 0.0),))
+            assert _windows_or_error(foreign, tiny, cons, 2, True) == want
 
 
 class TestLeafGate:
@@ -1011,3 +1113,97 @@ class TestRowPermutation:
                     oracle.reference_trunc_norm_cdf(-con.eta_y, 0.0, con.eta_var, -hi, -lo),
                 )
                 assert f.p_value == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+class TestRelabeling:
+    """Covariate labels are not part of the model: ``infer`` on ``Z[:,
+    perm]`` selects the relabeled itemsets and reports the same numbers."""
+
+    @staticmethod
+    def _case(seed, binary):
+        rng = np.random.default_rng(seed)
+        n, d, r = int(rng.integers(20, 81)), int(rng.integers(3, 13)), int(rng.integers(1, 4))
+        if binary:
+            Z = (rng.random((n, d)) < rng.uniform(0.3, 0.7)).astype(np.float64)
+        else:
+            Z = rng.random((n, d))
+        y = rng.integers(-3, 4, n).astype(np.float64) if rng.random() < 0.2 else rng.standard_normal(n)
+        k = int(rng.integers(1, min(8, total_feature_count(d, r)) + 1))
+        perm = rng.permutation(d)
+        back = lambda it: itemsets.Itemset(tuple(sorted(int(perm[i - 1]) + 1 for i in it.indices)))
+        return Dataset(Z, y), Dataset(Z[:, perm], y), r, k, back
+
+    @staticmethod
+    def _tied(scores, rel):
+        # Equal |score|s break by index, which relabeling changes; on
+        # continuous Z the factor order moves a score's bits, so near-ties
+        # count too.
+        a = np.abs(np.array(scores))
+        return bool(np.any(a[:-1] - a[1:] <= rel * a[:-1]))
+
+    def _reports(self, seed, binary):
+        data, moved, r, k, back = self._case(seed, binary)
+        D = total_feature_count(data.d, r)
+        head = oracle.oracle_screen(data, min(k + 1, D), r).scores
+        if self._tied(head, 0.0 if binary else 1e-9):
+            return None
+        config = ModelConfig(r=r, k=k, sigma=1.0)
+        try:
+            ref = infer(data, config)
+        except (SingularGramError, DegenerateTruncationError) as exc:
+            with pytest.raises(type(exc)):
+                infer(moved, config)
+            return None
+        got = infer(moved, config)
+        assert [back(f.itemset) for f in got.features] == [f.itemset for f in ref.features]
+        if binary:
+            self._runners_up_map(data, moved, r, k, back)
+        return data, ref, got
+
+    def _runners_up_map(self, data, moved, r, k, back):
+        # The unpruned runners-up are the features ranked after the k-th,
+        # ordered by the same tie rule: relabeled and re-ranked, they are
+        # the original ones unless a tie straddles the last of them.
+        m, D = screening._RUNNERS_UP, total_feature_count(data.d, r)
+        ranked = oracle.oracle_screen(data, min(k + m + 1, D), r).scores
+        if k + m < D and abs(ranked[k + m - 1]) == abs(ranked[k + m]):
+            return
+        ups = marginal_screen(data, k, r, prune=False)[0].runners_up
+        mapped = [(back(it), s) for it, s in marginal_screen(moved, k, r, prune=False)[0].runners_up]
+        mapped.sort(key=lambda e: screening.rank(e[1], e[0].indices))
+        assert [(it, s.hex()) for it, s in mapped] == [(it, s.hex()) for it, s in ups]
+
+    def _check(self, seed, binary):
+        out = self._reports(seed, binary)
+        if out is None:
+            return
+        data, ref, got = out
+        X = _design(ref.screening, data.Z)
+        for j, (f, g) in enumerate(zip(ref.features, got.features), start=1):
+            sd = math.sqrt(contrast_for_coefficient(X, data.y, j, sigma=1.0).eta_var)
+            if binary:
+                # Every product is exact in any factor order, so the
+                # selected columns, and eta'y from them, keep their bits.
+                assert g.beta_hat.hex() == f.beta_hat.hex()
+            assert_allclose(g.beta_hat, f.beta_hat, rtol=1e-9, atol=1e-9 * sd)
+            # The walk sums a feature's x'y and x'c on its parent's support,
+            # and relabeling gives it another parent: the windows, and all
+            # read from them, move by summation order alone, even on 0/1 Z.
+            # They agree to TestRowPermutation's tolerances, for its reasons.
+            assert_allclose([g.interval.v_minus, g.interval.v_plus],
+                            [f.interval.v_minus, f.interval.v_plus],
+                            rtol=1e-9, atol=1e-9 * sd)
+            assert_allclose(g.p_value, f.p_value, rtol=1e-9, atol=0.0)
+            for mine, theirs in ((g.ci_low, f.ci_low), (g.ci_high, f.ci_high)):
+                far = abs(theirs - f.beta_hat) > 1000 * sd
+                assert_allclose(mine, theirs, rtol=1e-6 if far else 1e-9)
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_binary_covariates_report_alike(self, seed):
+        self._check(seed, binary=True)
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_continuous_covariates_report_alike(self, seed):
+        self._check(seed, binary=False)

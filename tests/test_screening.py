@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_instance, record_expanded, walk_every_node
+from conftest import random_instance, record_expanded, unseeded, walk_every_node
 from selectree import inference, oracle, screening
 from selectree.cli import binarize_table, emit_report, emit_screen
 from selectree.experiments import SyntheticSpec, gen_synthetic
@@ -19,6 +19,7 @@ from selectree.itemsets import (
     Dataset,
     Itemset,
     ModelConfig,
+    column_score,
     feature_column,
     sign_split,
     total_feature_count,
@@ -208,11 +209,26 @@ class TestBenchmarkShapes:
     @pytest.mark.parametrize("name,reached", [("wide_sparse", 5), ("null_study", 67)])
     def test_truncation_reached_nodes_are_pinned(self, monkeypatch, name, reached):
         # The truncation nodes the walker hands to ``node``: those the
-        # pruned walk reaches, less the idle ones it settles in bulk.
+        # pruned walk reaches, less the idle ones it settles in bulk.  The
+        # runners-up are stripped, so the walk's gates start from the sign
+        # rows alone.
         seen = record_expanded(monkeypatch, inference)
         data, k = _benchmark_shape(name, seed=1)
-        infer(data, ModelConfig(r=3, k=k, sigma=0.1))
+        infer(data, ModelConfig(r=3, k=k, sigma=0.1), screened=unseeded(data, k, 3))
         assert len(seen) == reached
+
+    @pytest.mark.parametrize("name,reached,settled", [
+        ("wide_sparse", 5, 95), ("null_study", 58, 0),
+    ])
+    def test_seeded_truncation_reached_and_settled_nodes_are_pinned(
+        self, monkeypatch, name, reached, settled
+    ):
+        # The same walk as infer runs it, its gates seeded from screening's
+        # runners-up.
+        seen = record_expanded(monkeypatch, inference)
+        data, k = _benchmark_shape(name, seed=1)
+        report = infer(data, ModelConfig(r=3, k=k, sigma=0.1))
+        assert (len(seen), report.features[0].interval.metrics.settled) == (reached, settled)
 
     @pytest.mark.parametrize("name,reached", [("wide_sparse", 1), ("null_study", 71)])
     def test_screening_reached_nodes_are_pinned(self, monkeypatch, name, reached):
@@ -225,8 +241,9 @@ class TestBenchmarkShapes:
     def test_settled_nodes_complete_the_reached_count(self, monkeypatch, name, reached):
         # A node settled in bulk is one the walk without the chunk level
         # hands to ``node``: reached plus settled is that walk's count, in
-        # screening and in the truncation walk.  On null_study every tested
-        # chunk is busy, so each test is followed by an untested chunk.
+        # screening and in the truncation walk, here with the runners-up
+        # stripped.  On null_study every tested chunk is busy, so each test
+        # is followed by an untested chunk.
         data, k = _benchmark_shape(name, seed=1)
         counts, settled = [], []
         for module in (screening, inference):
@@ -234,7 +251,8 @@ class TestBenchmarkShapes:
             if module is screening:
                 metrics = marginal_screen(data, k, 3)[1]
             else:
-                metrics = infer(data, ModelConfig(r=3, k=k, sigma=0.1)).features[0].interval.metrics
+                report = infer(data, ModelConfig(r=3, k=k, sigma=0.1), screened=unseeded(data, k, 3))
+                metrics = report.features[0].interval.metrics
             counts.append(len(seen) + metrics.settled)
             settled.append(metrics.settled)
         assert tuple(counts) == reached
@@ -424,6 +442,64 @@ class TestOracleAgreement:
         assert pruned == full
         assert mp.nodes_visited <= mf.nodes_visited
         assert mf.nodes_visited == mf.total_nodes
+
+
+def _runner_up_instance(seed):
+    """A small random instance, every other one binary with y in {-1, 0, 1}
+    and heavy with ties, and its (k, r)."""
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        data = random_instance(rng, n_max=20, d_max=9)
+    else:
+        n, d = int(rng.integers(3, 20)), int(rng.integers(2, 9))
+        Z = (rng.random((n, d)) < rng.uniform(0.2, 0.8)).astype(np.float64)
+        data = Dataset(Z, rng.integers(-1, 2, n).astype(np.float64))
+    r = int(rng.integers(1, 4))
+    k = int(rng.integers(1, min(12, total_feature_count(data.d, r)) + 1))
+    return data, k, r
+
+
+class TestRunnersUp:
+    """Screening keeps the best exact-scored unselected features past the
+    k-th; they seed the truncation walk's gates."""
+
+    m = screening._RUNNERS_UP
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_unpruned_runners_up_are_the_next_entries(self, seed):
+        data, k, r = _runner_up_instance(seed)
+        D = total_feature_count(data.d, r)
+        sel, _ = marginal_screen(data, k, r, prune=False)
+        ref = oracle.oracle_screen(data, min(k + self.m, D), r)
+        assert len(sel.runners_up) == min(self.m, D - k)
+        assert [it for it, _ in sel.runners_up] == list(ref.selected[k:])
+        assert [s.hex() for _, s in sel.runners_up] == [s.hex() for s in ref.scores[k:]]
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=40, deadline=None)
+    def test_pruned_runners_up_are_ranked_exact_scores(self, seed):
+        data, k, r = _runner_up_instance(seed)
+        sel, _ = marginal_screen(data, k, r)
+        ups = [it for it, _ in sel.runners_up]
+        assert len(ups) <= self.m and not set(ups) & set(sel.selected)
+        keys = [rank(s, it.indices) for it, s in sel.runners_up]
+        assert keys == sorted(keys) and len(set(ups)) == len(ups)
+        for it, s in sel.runners_up:
+            assert s.hex() == column_score(feature_column(it, data.Z), data.y).hex()
+        # None of them outranks the k-th selected feature.
+        assert not keys or rank(sel.scores[-1], sel.selected[-1].indices) < keys[0]
+
+    def test_small_tree_keeps_every_unselected_feature(self, tiny):
+        sel, _ = marginal_screen(tiny, k=2, r=2, prune=False)
+        assert [(it.indices, s) for it, s in sel.runners_up] == [
+            ((1, 3), 1.0), ((2,), 1.0), ((2, 3), -1.0), ((3,), 0.0)
+        ]
+
+    def test_equality_and_repr_ignore_them(self, tiny):
+        sel, _ = marginal_screen(tiny, k=2, r=2)
+        bare = ScreeningResult(sel.selected, sel.scores)
+        assert sel.runners_up and sel == bare and repr(sel) == repr(bare)
 
 
 def test_metrics_accounting(tiny):

@@ -203,44 +203,34 @@ def ingest_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     return names, table[:, :-1], table[:, -1]
 
 
-def binarize_continuous(column: np.ndarray, name: str) -> list[tuple[str, np.ndarray]]:
-    """Standardize to mean 0 / variance 1, then threshold at +-1.
-
-    Returns the two indicator columns [(name>1, ...), (name<-1, ...)].
-    """
-    mu = float(np.mean(column))
-    sd = float(np.std(column))
-    if sd == 0.0:
-        raise DataError(f"column {name!r} has zero variance; cannot standardize")
-    z = (column - mu) / sd
-    return [
-        (f"{name}>1", (z > 1.0).astype(np.float64)),
-        (f"{name}<-1", (z < -1.0).astype(np.float64)),
-    ]
-
-
 def binarize_table(
     names: list[str], Z: np.ndarray
 ) -> tuple[list[str], np.ndarray]:
-    """Binarize every covariate column, dropping duplicate results.
+    """Standardize every covariate column to mean 0 / variance 1, then
+    threshold it at +-1 into the indicator pair (name>1, name<-1).
 
     Duplicates (identical binary columns) are collapsed keeping the first,
     since co-selecting two copies guarantees a singular Gram matrix.
     """
-    out_names: list[str] = []
-    cols: list[np.ndarray] = []
-    seen: dict[bytes, str] = {}
-    for j, name in enumerate(names):
-        for new_name, col in binarize_continuous(Z[:, j], name):
-            key = col.tobytes()
-            if key in seen:
-                continue
-            seen[key] = new_name
-            out_names.append(new_name)
-            cols.append(col)
-    if not cols:
+    # Each column as a contiguous row: its mean and std are then summed
+    # exactly as np.mean and np.std sum the column alone.
+    ZT = np.ascontiguousarray(Z.T)
+    mu = ZT.mean(axis=1, keepdims=True)
+    sd = ZT.std(axis=1, keepdims=True)
+    flat = np.flatnonzero(sd == 0.0)
+    if flat.size:
+        raise DataError(f"column {names[flat[0]]!r} has zero variance; cannot standardize")
+    z = (ZT - mu) / sd
+    pairs = np.stack([z > 1.0, z < -1.0], axis=1).reshape(-1, ZT.shape[1])
+    first: dict[bytes, int] = {}
+    for i, row in enumerate(pairs):
+        first.setdefault(row.tobytes(), i)
+    if not first:
         raise DataError("binarization left no covariate columns")
-    return out_names, np.column_stack(cols)
+    keep = list(first.values())
+    pair_names = [f"{name}{cut}" for name in names for cut in (">1", "<-1")]
+    Zb = np.ascontiguousarray(pairs[keep].T, dtype=np.float64)
+    return [pair_names[i] for i in keep], Zb
 
 
 def subsample(Z: np.ndarray, y: np.ndarray, max_rows: int, seed) -> tuple[np.ndarray, np.ndarray]:
@@ -560,19 +550,16 @@ def _write_rows(rows, ns) -> None:
             write_rows_csv(rows, fh)
 
 
-def _cmd_synth(ns) -> int:
-    spec = SyntheticSpec(
-        n=ns.rows,
-        d=ns.cols,
-        r=ns.order,
-        k=ns.topk,
-        sparsity=ns.sparsity,
-        sigma=ns.sigma,
-        truth=ns.truth,
-        alpha=ns.alpha,
-        seed=ns.seed,
-        trials=ns.trials,
+def _study_spec(ns, **fields) -> SyntheticSpec:
+    """The ``synth`` / ``perf`` spec from the flags both commands share."""
+    return SyntheticSpec(
+        n=ns.rows, k=ns.topk, sigma=ns.sigma, truth=ns.truth, alpha=ns.alpha,
+        seed=ns.seed, trials=ns.trials, **fields,
     )
+
+
+def _cmd_synth(ns) -> int:
+    spec = _study_spec(ns, d=ns.cols, r=ns.order, sparsity=ns.sparsity)
     study = run_tpr_study if spec.truth else run_fpr_study
     summary = study(spec, threads=ns.threads)
     _write_rows(summary.to_rows(), ns)
@@ -582,17 +569,11 @@ def _cmd_synth(ns) -> int:
 def _cmd_perf(ns) -> int:
     # The grid's orders cap the model, not the data: the spec's order must
     # hold the truth too.
-    spec = SyntheticSpec(
-        n=ns.rows,
+    spec = _study_spec(
+        ns,
         d=min(ns.cols_list),
         r=max([*ns.order_list, *map(len, ns.truth)]),
-        k=ns.topk,
         sparsity=ns.sparsity_list[0],
-        sigma=ns.sigma,
-        truth=ns.truth,
-        alpha=ns.alpha,
-        seed=ns.seed,
-        trials=ns.trials,
     )
     rows = run_perf_study(
         spec, ns.cols_list, ns.order_list, ns.sparsity_list, threads=ns.threads

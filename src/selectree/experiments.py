@@ -64,17 +64,12 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 1:
             raise ValueError(f"need n, d >= 1, got n={self.n}, d={self.d}")
-        if not 1 <= self.r:
-            raise ValueError(f"need r >= 1, got {self.r}")
-        if not 1 <= self.k <= total_feature_count(self.d, self.r):
+        self.config()  # checks r, k >= 1, sigma and alpha
+        if self.k > total_feature_count(self.d, self.r):
             raise ValueError(f"k={self.k} out of range for d={self.d}, r={self.r}")
         if not 0.0 <= self.sparsity < 1.0:
             # 1.0 would make every design column identically zero
             raise ValueError(f"sparsity must lie in [0, 1), got {self.sparsity}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.trials < 1:
             raise ValueError(f"need trials >= 1, got {self.trials}")
         norm: dict[Itemset, float] = {}
@@ -367,6 +362,14 @@ def _perf_trial(spec: SyntheticSpec, t: int, config: ModelConfig) -> dict:
     }
 
 
+def _mean_sd(values: list[float]) -> tuple[float, float]:
+    """Mean and sample s.d. (population s.d. of a single value); NaN for none."""
+    if not values:
+        return math.nan, math.nan
+    ddof = 1 if len(values) > 1 else 0
+    return float(np.mean(values)), float(np.std(values, ddof=ddof))
+
+
 def run_perf_study(
     base: SyntheticSpec,
     d_values: Sequence[int],
@@ -401,25 +404,20 @@ def run_perf_study(
                 spec = specs[d, sp]
                 worker = functools.partial(_perf_trial, config=configs[r])
                 rows = [row for row in _map_trials(worker, spec, threads) if row]
-                times = [row["elapsed"] for row in rows]
-                rates = [row["rate"] for row in rows]
-                screen_rates = [row["screen_rate"] for row in rows]
-                ddof = 1 if len(rows) > 1 else 0
+                mean_elapsed, sd_elapsed = _mean_sd([row["elapsed"] for row in rows])
+                mean_rate, sd_rate = _mean_sd([row["rate"] for row in rows])
+                mean_screen, sd_screen = _mean_sd([row["screen_rate"] for row in rows])
                 out.append(
                     PerfRow(
                         d=d,
                         r=r,
                         sparsity=sp,
-                        mean_elapsed=float(np.mean(times)) if rows else math.nan,
-                        sd_elapsed=float(np.std(times, ddof=ddof)) if rows else math.nan,
-                        mean_visit_rate=float(np.mean(rates)) if rows else math.nan,
-                        sd_visit_rate=float(np.std(rates, ddof=ddof)) if rows else math.nan,
-                        mean_screen_visit_rate=(
-                            float(np.mean(screen_rates)) if rows else math.nan
-                        ),
-                        sd_screen_visit_rate=(
-                            float(np.std(screen_rates, ddof=ddof)) if rows else math.nan
-                        ),
+                        mean_elapsed=mean_elapsed,
+                        sd_elapsed=sd_elapsed,
+                        mean_visit_rate=mean_rate,
+                        sd_visit_rate=sd_rate,
+                        mean_screen_visit_rate=mean_screen,
+                        sd_screen_visit_rate=sd_screen,
                         trials_used=len(rows),
                         failures=spec.trials - len(rows),
                     )

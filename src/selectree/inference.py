@@ -931,10 +931,11 @@ def trunc_norm_cdf(x: float, mean: float, variance: float, v: float, w: float) -
     return min(max(num / den, 0.0), 1.0)
 
 
-def _pivot_and_pvalue(
+def selective_pvalue(
     eta_y: float, eta_var: float, interval: TruncationInterval
 ) -> tuple[float, float]:
-    """The truncated pivot under H0: eta^T mu = 0, and its two-sided p-value."""
+    """The truncated pivot under H0: eta^T mu = 0, and its two-sided p-value,
+    as ``(pivot, p_value)``; :func:`infer` calls it for every coefficient."""
     if not interval.v_minus <= eta_y <= interval.v_plus:
         raise InternalConsistencyError(
             f"eta^T y = {eta_y} outside its truncation interval "
@@ -945,11 +946,6 @@ def _pivot_and_pvalue(
     # mirrored window.
     upper = trunc_norm_cdf(-eta_y, 0.0, eta_var, -interval.v_plus, -interval.v_minus)
     return pivot, min(max(2.0 * min(pivot, upper), 0.0), 1.0)
-
-
-def selective_pvalue(eta_y: float, eta_var: float, interval: TruncationInterval) -> float:
-    """Two-sided p-value from the truncated pivot under H0: eta^T mu = 0."""
-    return _pivot_and_pvalue(eta_y, eta_var, interval)[1]
 
 
 def _solve_pivot_mean(
@@ -1055,7 +1051,7 @@ def infer(
 
     feats = []
     for itemset, con, interval in zip(sel.selected, cons, intervals):
-        pivot, p_value = _pivot_and_pvalue(con.eta_y, con.eta_var, interval)
+        pivot, p_value = selective_pvalue(con.eta_y, con.eta_var, interval)
         ci_low, ci_high = selective_interval(con.eta_y, con.eta_var, interval, config.alpha)
         feats.append(
             FeatureInference(

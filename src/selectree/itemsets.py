@@ -60,9 +60,11 @@ PRUNE_SLACK = 1e-9
 # arrays stay small.
 _LEAF_GATE_CELLS = 256
 
-# The chunk level at depth r - 3 holds its children's factors and blocks on
-# their supports for a chunk; a chunk's factors hold at most this many cells
-# (or one child).
+# The chunk level at depth r - 3 forms, for a tested chunk's test alone, each
+# child's block on its support: a chunk's blocks hold at most this many cells
+# (grandchildren times support rows), or the chunk is one child.  A lone child
+# is not tested, so a child with a large support, such as every child of a
+# tall table's root, stays untested and is visited.
 _SETTLE_CELLS = 16384
 
 # The longest dot product the score kernel hands to BLAS in one call; see
@@ -159,13 +161,13 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         if self.r < 1:
-            raise ValueError("maximum interaction order r must be >= 1")
+            raise ValueError(f"maximum interaction order r must be >= 1, got {self.r}")
         if self.k < 1:
-            raise ValueError("screening size k must be >= 1")
+            raise ValueError(f"screening size k must be >= 1, got {self.k}")
         if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma > 0):
             raise ValueError(f"sigma must be finite and positive, got {self.sigma}")
         if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.covariance is not None:
             cov = np.asarray(self.covariance, dtype=np.float64)
             if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:

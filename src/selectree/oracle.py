@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 
-import mpmath
 import numpy as np
 
 from .itemsets import (
@@ -174,6 +173,8 @@ def reference_trunc_norm_cdf(
         return 0.0
     if x >= w:
         return 1.0
+    import mpmath  # a test-only dependency: loaded by its only user
+
     with mpmath.workdps(80):
         s = mpmath.sqrt(mpmath.mpf(variance))
         mu = mpmath.mpf(mean)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -18,7 +19,6 @@ from selectree import cli, inference
 from selectree.cli import (
     DataError,
     SigmaEstimationError,
-    binarize_continuous,
     binarize_table,
     emit_report,
     emit_screen,
@@ -253,19 +253,79 @@ class TestIngestPaths:
         assert len(calls) == loops
 
 
+def _binarize_reference(names, Z):
+    """binarize_table column by column: np.mean / np.std of each column, the
+    +-1 thresholds, and the first copy of duplicate indicators kept."""
+    out_names, cols, seen = [], [], set()
+    for j, name in enumerate(names):
+        mu, sd = float(np.mean(Z[:, j])), float(np.std(Z[:, j]))
+        if sd == 0.0:
+            raise DataError(f"column {name!r} has zero variance; cannot standardize")
+        z = (Z[:, j] - mu) / sd
+        for cut, col in ((">1", z > 1.0), ("<-1", z < -1.0)):
+            col = col.astype(np.float64)
+            if col.tobytes() not in seen:
+                seen.add(col.tobytes())
+                out_names.append(name + cut)
+                cols.append(col)
+    return out_names, np.column_stack(cols)
+
+
+@st.composite
+def _tables(draw):
+    n = draw(st.integers(2, 40))
+    d = draw(st.integers(1, 6))
+    cols = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(("normal", "integer", "constant", "copy")))
+        if kind == "copy" and cols:
+            cols.append(cols[draw(st.integers(0, len(cols) - 1))].copy())
+            continue
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        if kind == "constant":
+            col = np.full(n, draw(st.floats(-1e3, 1e3)))
+        elif kind == "integer":
+            col = rng.integers(-3, 4, n).astype(np.float64)
+        else:
+            col = rng.standard_normal(n)
+        scale = 10.0 ** draw(st.integers(-8, 8))
+        cols.append(col * scale + draw(st.floats(-1e3, 1e3)))
+    return [f"c{j}" for j in range(d)], np.column_stack(cols)
+
+
 class TestBinarize:
     def test_indicator_pair(self):
         rng = np.random.default_rng(1)
         col = rng.standard_normal(500) * 2.0 + 1.0
-        out = binarize_continuous(col, "v")
-        assert [name for name, _ in out] == ["v>1", "v<-1"]
+        names, out = binarize_table(["v"], col[:, None])
+        assert names == ["v>1", "v<-1"]
         z = (col - col.mean()) / col.std()
-        assert_array_equal(out[0][1], (z > 1.0).astype(np.float64))
-        assert_array_equal(out[1][1], (z < -1.0).astype(np.float64))
+        assert_array_equal(out[:, 0], (z > 1.0).astype(np.float64))
+        assert_array_equal(out[:, 1], (z < -1.0).astype(np.float64))
 
     def test_constant_column_rejected(self):
         with pytest.raises(DataError, match="zero variance"):
-            binarize_continuous(np.full(10, 3.3), "flat")
+            binarize_table(["flat"], np.full((10, 1), 3.3))
+
+    def test_first_constant_column_is_named(self):
+        Z = np.column_stack([np.arange(6.0), np.full(6, 2.0), np.zeros(6)])
+        with pytest.raises(DataError, match="^column 'b' has zero variance"):
+            binarize_table(["a", "b", "c"], Z)
+
+    @given(_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_per_column_reference(self, table):
+        names, Z = table
+        try:
+            want = _binarize_reference(names, Z)
+        except DataError as exc:
+            with pytest.raises(DataError, match=f"^{re.escape(str(exc))}$"):
+                binarize_table(names, Z)
+            return
+        got = binarize_table(names, Z)
+        assert got[0] == want[0]
+        assert got[1].dtype == want[1].dtype and got[1].shape == want[1].shape
+        assert got[1].tobytes() == want[1].tobytes()
 
     def test_table_binarizes_every_column(self):
         # a balanced 0/1 column standardizes to exactly +-1, so both of its
@@ -807,6 +867,18 @@ def test_import_loads_no_scipy_and_no_process_pool():
         "import sys, selectree.cli, selectree.experiments;"
         "print(*sorted(m for m in sys.modules"
         " if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process'))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert run.stdout.split() == []
+
+
+def test_oracle_import_loads_no_mpmath():
+    # mpmath is a test dependency: only the oracle's reference CDF loads it.
+    code = (
+        "import sys, selectree.oracle;"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'mpmath'))"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

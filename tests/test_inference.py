@@ -893,9 +893,27 @@ class TestPValuesAndIntervals:
         con = contrast_for_coefficient(_design(sel, tiny.Z), tiny.y, 1, sigma=1.0)
         iv = truncation_points(sel, tiny, con, r=2)
         pivot = trunc_norm_cdf(con.eta_y, 0.0, con.eta_var, iv.v_minus, iv.v_plus)
-        assert selective_pvalue(con.eta_y, con.eta_var, iv) == pytest.approx(
-            2.0 * min(pivot, 1.0 - pivot)
-        )
+        got_pivot, p_value = selective_pvalue(con.eta_y, con.eta_var, iv)
+        assert got_pivot == pivot
+        assert p_value == pytest.approx(2.0 * min(pivot, 1.0 - pivot))
+
+    def test_infer_takes_each_pivot_from_selective_pvalue(self, monkeypatch):
+        # selective_pvalue is the one pivot function: infer calls it through
+        # the module attribute, once per selected feature, and reports the
+        # pair it returns.
+        pairs = []
+        real = inference.selective_pvalue
+
+        def counted(eta_y, eta_var, interval):
+            pairs.append(real(eta_y, eta_var, interval))
+            return pairs[-1]
+
+        monkeypatch.setattr(inference, "selective_pvalue", counted)
+        spec = SyntheticSpec(n=60, d=8, r=2, k=4, sparsity=0.5, sigma=0.5,
+                             truth={(1, 2): 1.0}, seed=3)
+        report = infer(gen_synthetic(spec, 0), spec.config())
+        assert len(pairs) == len(report.features) == 4
+        assert [(f.pivot, f.p_value) for f in report.features] == pairs
 
     def test_pvalue_outside_window_is_inconsistent(self, tiny):
         sel, _ = marginal_screen(tiny, k=2, r=2)

@@ -397,6 +397,8 @@ def _truth_arg(text: str) -> dict:
         try:
             indices, coef = part.split(":")
             key = tuple(int(tok) for tok in indices.split(","))
+            if key in truth:
+                raise argparse.ArgumentTypeError(f"itemset {{{indices}}} appears twice")
             truth[key] = float(coef)
         except ValueError:
             raise argparse.ArgumentTypeError(
@@ -438,7 +440,14 @@ def _add_common_flags(sub) -> None:
     sub.add_argument("--seed", type=int, default=0, metavar="N")
 
 
-def _add_study_flags(sub) -> None:
+def _add_study_flags(sub, trials: int, truth: dict, truth_help: str) -> None:
+    """The flags ``_study_spec`` reads, then the output flags and --threads."""
+    sub.add_argument("--rows", type=int, default=100, metavar="N")
+    sub.add_argument("--topk", type=int, default=10, metavar="K")
+    sub.add_argument("--alpha", type=_alpha_arg, default=0.05, metavar="A")
+    sub.add_argument("--sigma", type=_positive_float, default=0.1, metavar="S")
+    sub.add_argument("--trials", type=int, default=trials)
+    sub.add_argument("--truth", type=_truth_arg, default=truth, help=truth_help)
     _add_common_flags(sub)
     sub.add_argument("--threads", type=_positive_int, default=1, metavar="N",
                      help="worker processes running the trials")
@@ -464,29 +473,18 @@ def build_parser() -> argparse.ArgumentParser:
     synth = commands.add_parser(
         "synth", description="Synthetic error-rate study (FPR when --truth is empty, else TPR)."
     )
-    synth.add_argument("--rows", type=int, default=100, metavar="N")
     synth.add_argument("--cols", type=int, default=50, metavar="D")
     synth.add_argument("--order", type=int, default=3, metavar="R")
-    synth.add_argument("--topk", type=int, default=10, metavar="K")
-    synth.add_argument("--alpha", type=_alpha_arg, default=0.05, metavar="A")
-    synth.add_argument("--sigma", type=_positive_float, default=0.1, metavar="S")
     synth.add_argument("--sparsity", type=float, default=0.5)
-    synth.add_argument("--trials", type=int, default=100)
-    synth.add_argument("--truth", type=_truth_arg, default={},
-                       help="planted coefficients, e.g. '1,2,3:1.0'")
-    _add_study_flags(synth)
+    _add_study_flags(synth, trials=100, truth={},
+                     truth_help="planted coefficients, e.g. '1,2,3:1.0'")
 
     perf = commands.add_parser("perf", description="Timing / visit-rate grid study.")
-    perf.add_argument("--rows", type=int, default=100, metavar="N")
-    perf.add_argument("--topk", type=int, default=10, metavar="K")
-    perf.add_argument("--alpha", type=_alpha_arg, default=0.05, metavar="A")
-    perf.add_argument("--sigma", type=_positive_float, default=0.1, metavar="S")
-    perf.add_argument("--trials", type=int, default=10)
-    perf.add_argument("--truth", type=_truth_arg, default={(1, 2, 3): 1.0})
     perf.add_argument("--cols-list", type=_int_list, default=[100], metavar="D,D,...")
     perf.add_argument("--order-list", type=_int_list, default=[1, 2, 3], metavar="R,R,...")
     perf.add_argument("--sparsity-list", type=_float_list, default=[0.5, 0.9])
-    _add_study_flags(perf)
+    _add_study_flags(perf, trials=10, truth={(1, 2, 3): 1.0},
+                     truth_help="planted coefficients (default '1,2,3:1.0')")
 
     return parser
 

@@ -9,9 +9,14 @@ Three inference routes test a top-k marginal screening:
 * ``SPLIT`` -- data splitting: screen on one half, z-test on the held-out
   half (valid but uses half the data twice over).
 
-An FPR trial screens its full data once and hands that selection to both PSI
-and OLS; only SPLIT screens again, on its own half.  The OLS and SPLIT routes
-return the itemsets they declare significant.
+One trial routine serves both studies, and the truth names the study: an
+empty truth an FPR study of all three routes, any other a TPR study of PSI
+and SPLIT.  Every trial screens its full data once and hands that selection
+to PSI, and in an FPR trial to OLS; only SPLIT screens again, on its own
+half.  Each route yields the itemsets it declares significant (OLS and SPLIT
+through one z-test step), and one rule turns them into the trial's rate: the
+share of the k selected features for FPR, and whether every truth itemset
+was found for TPR.
 
 Every trial draws its data from an independent counter-based RNG stream keyed
 by ``(seed, trial_index)``, so studies are reproducible bit-for-bit regardless
@@ -23,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -77,6 +82,8 @@ class SyntheticSpec:
             it = key if isinstance(key, Itemset) else Itemset(tuple(sorted(key)))
             if len(it.indices) > self.r or (it.indices and it.indices[-1] > self.d):
                 raise ValueError(f"truth itemset {it} exceeds d={self.d}, r={self.r}")
+            if it in norm:
+                raise ValueError(f"truth itemset {it} appears twice")
             if not math.isfinite(coef):
                 raise ValueError(f"truth coefficient for {it} must be finite, got {coef}")
             if coef == 0.0:
@@ -132,6 +139,16 @@ def _z_test(
     return p, p < alpha
 
 
+def _significant(
+    Z: np.ndarray, y: np.ndarray, selected: Sequence[Itemset], config: ModelConfig
+) -> tuple[Itemset, ...]:
+    """The itemsets of ``selected`` whose z-test of y ~ their columns of Z
+    rejects at ``config.alpha``: the test step of the OLS and SPLIT routes."""
+    X = np.column_stack([feature_column(it, Z) for it in selected])
+    _, sig_mask = _z_test(X, y, config.sigma, config.alpha)
+    return tuple(it for it, s in zip(selected, sig_mask) if s)
+
+
 def naive_ols_inference(
     data: Dataset, config: ModelConfig, sel: ScreeningResult
 ) -> tuple[Itemset, ...]:
@@ -139,9 +156,7 @@ def naive_ols_inference(
     no selection adjustment."""
     if config.sigma is None:
         raise ValueError("naive_ols_inference requires a known sigma")
-    X = np.column_stack([feature_column(it, data.Z) for it in sel.selected])
-    _, sig_mask = _z_test(X, data.y, config.sigma, config.alpha)
-    return tuple(it for it, s in zip(sel.selected, sig_mask) if s)
+    return _significant(data.Z, data.y, sel.selected, config)
 
 
 def split_inference(data: Dataset, config: ModelConfig, seed) -> tuple[Itemset, ...]:
@@ -160,11 +175,7 @@ def split_inference(data: Dataset, config: ModelConfig, seed) -> tuple[Itemset, 
     test_rows = np.sort(perm[cut:])
     half = Dataset(data.Z[screen_rows], data.y[screen_rows])
     sel, _ = marginal_screen(half, config.k, config.r)
-    X = np.column_stack(
-        [feature_column(it, data.Z[test_rows]) for it in sel.selected]
-    )
-    _, sig_mask = _z_test(X, data.y[test_rows], config.sigma, config.alpha)
-    return tuple(it for it, s in zip(sel.selected, sig_mask) if s)
+    return _significant(data.Z[test_rows], data.y[test_rows], sel.selected, config)
 
 
 # ---------------------------------------------------------------------------
@@ -209,49 +220,49 @@ def _split_seed(spec: SyntheticSpec, trial_index: int) -> np.random.SeedSequence
     return np.random.SeedSequence(entropy=spec.seed, spawn_key=(trial_index, 1))
 
 
-def _fpr_trial(spec: SyntheticSpec, t: int) -> dict:
+def _methods(spec: SyntheticSpec) -> tuple[str, ...]:
+    # The study an empty truth names is FPR, of all three routes; any other
+    # is TPR, of PSI and SPLIT.
+    return ("PSI", "SPLIT") if spec.truth else METHODS
+
+
+def _trial(spec: SyntheticSpec, t: int) -> dict:
+    """Trial ``t``: each route's rate, or None where it fails.
+
+    In an FPR trial a route's rate is the share of the k features it
+    declares significant; in a TPR trial it is 1.0 if the route declares
+    every truth itemset significant, else 0.0.
+    """
     data = gen_synthetic(spec, t)
     config = spec.config()
     screened = marginal_screen(data, config.k, config.r)
     out: dict = {}
-    try:
+
+    def psi():
         report = infer(data, config, screened=screened)
-        out["PSI"] = sum(f.significant for f in report.features) / spec.k
-        # One pivot per trial, from the lexicographically smallest selected
-        # itemset: that choice depends on y only through the selection event
-        # itself, so under the null these pivots are exactly Unif(0, 1).
-        # (The top-|score| feature's pivot is NOT uniform -- ranking within
-        # the selected set is extra data-dependent selection.)
-        out["pivot"] = min(report.features, key=lambda f: f.itemset).pivot
-    except (SingularGramError, DegenerateTruncationError):
-        out["PSI"] = None
-    try:
-        out["OLS"] = len(naive_ols_inference(data, config, screened[0])) / spec.k
-    except SingularGramError:
-        out["OLS"] = None
-    try:
-        out["SPLIT"] = len(split_inference(data, config, _split_seed(spec, t))) / spec.k
-    except SingularGramError:
-        out["SPLIT"] = None
-    return out
+        if not spec.truth:
+            # One pivot per trial, from the lexicographically smallest
+            # selected itemset: that choice depends on y only through the
+            # selection event itself, so under the null these pivots are
+            # exactly Unif(0, 1).  (The top-|score| feature's pivot is NOT
+            # uniform -- ranking within the selected set is extra
+            # data-dependent selection.)
+            out["pivot"] = min(report.features, key=lambda f: f.itemset).pivot
+        return [f.itemset for f in report.features if f.significant]
 
-
-def _tpr_trial(spec: SyntheticSpec, t: int) -> dict:
-    data = gen_synthetic(spec, t)
-    config = spec.config()
-    targets = set(spec.truth)
-    out: dict = {}
-    try:
-        report = infer(data, config)
-        hits = {f.itemset for f in report.features if f.significant}
-        out["PSI"] = float(targets <= hits)
-    except (SingularGramError, DegenerateTruncationError):
-        out["PSI"] = None
-    try:
-        split = split_inference(data, config, _split_seed(spec, t))
-        out["SPLIT"] = float(targets <= set(split))
-    except SingularGramError:
-        out["SPLIT"] = None
+    routes = {
+        "PSI": psi,
+        "OLS": lambda: naive_ols_inference(data, config, screened[0]),
+        "SPLIT": lambda: split_inference(data, config, _split_seed(spec, t)),
+    }
+    for method in _methods(spec):
+        try:
+            found = routes[method]()
+        except (SingularGramError, DegenerateTruncationError):
+            out[method] = None
+        else:
+            out[method] = (float(set(spec.truth) <= set(found)) if spec.truth
+                           else len(found) / spec.k)
     return out
 
 
@@ -270,16 +281,13 @@ def _map_trials(worker, spec: SyntheticSpec, threads: int) -> list[dict]:
         return list(pool.map(worker, [spec] * spec.trials, indices, chunksize=8))
 
 
-def _summarize(
-    kind: str,
-    spec: SyntheticSpec,
-    rows: list[dict],
-    methods: Sequence[str],
-    denominator: int,
-) -> StudySummary:
+def _study(spec: SyntheticSpec, threads: int) -> StudySummary:
+    """Run the study ``spec.truth`` names and summarize each route's rates."""
+    rows = _map_trials(_trial, spec, threads)
+    denominator = 1 if spec.truth else spec.k
     rates, errs, used, fails = {}, {}, {}, {}
-    for m in methods:
-        vals = [row[m] for row in rows if row.get(m) is not None]
+    for m in _methods(spec):
+        vals = [row[m] for row in rows if row[m] is not None]
         used[m] = len(vals)
         fails[m] = spec.trials - len(vals)
         if not vals:
@@ -289,6 +297,7 @@ def _summarize(
         rates[m] = p
         errs[m] = math.sqrt(max(p * (1.0 - p), 0.0) / (len(vals) * denominator))
     pivots = tuple(row["pivot"] for row in rows if "pivot" in row)
+    kind = "tpr" if spec.truth else "fpr"
     return StudySummary(kind, spec, rates, errs, used, fails, pivots)
 
 
@@ -296,16 +305,14 @@ def run_fpr_study(spec: SyntheticSpec, threads: int = 1) -> StudySummary:
     """False-positive rates of the three routes on pure-noise data."""
     if spec.truth:
         raise ValueError("an FPR study requires an empty truth")
-    rows = _map_trials(_fpr_trial, spec, threads)
-    return _summarize("fpr", spec, rows, METHODS, denominator=spec.k)
+    return _study(spec, threads)
 
 
 def run_tpr_study(spec: SyntheticSpec, threads: int = 1) -> StudySummary:
     """Detection rates of PSI and SPLIT for the planted truth itemsets."""
     if not spec.truth:
         raise ValueError("a TPR study requires a nonempty truth")
-    rows = _map_trials(_tpr_trial, spec, threads)
-    return _summarize("tpr", spec, rows, ("PSI", "SPLIT"), denominator=1)
+    return _study(spec, threads)
 
 
 # ---------------------------------------------------------------------------
@@ -327,19 +334,8 @@ class PerfRow:
     failures: int
 
     def to_row(self) -> dict:
-        return {
-            "d": self.d,
-            "r": self.r,
-            "sparsity": self.sparsity,
-            "mean_elapsed": self.mean_elapsed,
-            "sd_elapsed": self.sd_elapsed,
-            "mean_visit_rate": self.mean_visit_rate,
-            "sd_visit_rate": self.sd_visit_rate,
-            "mean_screen_visit_rate": self.mean_screen_visit_rate,
-            "sd_screen_visit_rate": self.sd_screen_visit_rate,
-            "trials": self.trials_used,
-            "failures": self.failures,
-        }
+        return {("trials" if key == "trials_used" else key): value
+                for key, value in asdict(self).items()}
 
 
 def _perf_trial(spec: SyntheticSpec, t: int, config: ModelConfig) -> dict:
@@ -404,24 +400,14 @@ def run_perf_study(
                 spec = specs[d, sp]
                 worker = functools.partial(_perf_trial, config=configs[r])
                 rows = [row for row in _map_trials(worker, spec, threads) if row]
-                mean_elapsed, sd_elapsed = _mean_sd([row["elapsed"] for row in rows])
-                mean_rate, sd_rate = _mean_sd([row["rate"] for row in rows])
-                mean_screen, sd_screen = _mean_sd([row["screen_rate"] for row in rows])
-                out.append(
-                    PerfRow(
-                        d=d,
-                        r=r,
-                        sparsity=sp,
-                        mean_elapsed=mean_elapsed,
-                        sd_elapsed=sd_elapsed,
-                        mean_visit_rate=mean_rate,
-                        sd_visit_rate=sd_rate,
-                        mean_screen_visit_rate=mean_screen,
-                        sd_screen_visit_rate=sd_screen,
-                        trials_used=len(rows),
-                        failures=spec.trials - len(rows),
-                    )
+                elapsed, rate, screen = (
+                    _mean_sd([row[key] for row in rows])
+                    for key in ("elapsed", "rate", "screen_rate")
                 )
+                # PerfRow's fields in order: the cell, three (mean, sd) pairs
+                # and the trial counts.
+                out.append(PerfRow(d, r, sp, *elapsed, *rate, *screen,
+                                   len(rows), spec.trials - len(rows)))
     return out
 
 

@@ -299,9 +299,7 @@ def walk_tree(
         block = np.multiply(Zr, col[rows], out=Zr)
         sums = np.matmul(block, W.take(rows, axis=-2))
         if len(parent) + 3 == r:
-            # The block is spent: in place, each entry in [0, 1] rounds up
-            # to 1 on the child's support and stays 0 off it.
-            return [np.ceil(block, out=block).sum(axis=1).astype(np.int64), sums]
+            return [np.count_nonzero(block, axis=1), sums]
         return [sums]
 
     def settle(parent, rows, col, sizes, kids, busy, count, enter):

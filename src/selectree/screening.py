@@ -17,16 +17,16 @@ shrink).
 
 The best k so far form a list sorted by :func:`rank`, which runs on for up
 to m = ``_RUNNERS_UP`` entries past the k-th: the runners-up, returned with
-the selection for the truncation search to seed its gates with.  Once the
-top k are full, both uses of the sums are two-stage gates against the
-``prune_floor`` of the k-th best |score|, and both are exact.  The
-runners-up do not move that threshold, so they cost no extra scoring and
-are the best of the children the gates send to be scored.  Only a child whose
-approximate |score| reaches the floor is scored exactly (``column_score`` on
-its full column ``ZT[start + i] * col``) and offered to the list; and only a
-subtree whose bound reaches it is entered, the walker re-testing each
-survivor of the vectorized test against the live floor first.  This cannot
-change the result:
+the selection for the truncation search to seed its gates with.  Both uses
+of the sums are two-stage gates against the floor, the ``prune_floor`` of
+the k-th best |score| (-inf while the top k is not full), and both are
+exact.  The runners-up do not move that threshold, so they cost no extra
+scoring and are the best of the children the gates send to be scored.
+Only a child whose approximate |score| reaches the floor is scored exactly
+(``column_score`` on its full column ``ZT[start + i] * col``) and offered to
+the list; and only a subtree whose bound reaches it is entered, the walker
+re-testing each survivor of the vectorized test against the live floor
+first.  This cannot change the result:
 
 - the floor's slack dwarfs the product's rounding, so a child the gate rules
   out scores strictly below the threshold, and no descendant of a pruned
@@ -38,10 +38,10 @@ change the result:
 
 Two bulk levels settle siblings above the leaves, with one test, ``busy``,
 on one layout: per chunk of siblings, the sums of their children joined
-on the last axis, each sibling's children from ``starts[s]`` on.  While the
-top k is full a sibling is busy only if the largest |sum| over its
-children reaches the level's edge; the others are idle, and ``count`` adds
-the children of each live one to the visits.
+on the last axis, each sibling's children from ``starts[s]`` on.  A sibling
+is busy only if the largest |sum| over its children reaches the level's
+edge; the others are idle, and ``count`` adds the children of each live one
+to the visits.
 
 - The leaf gate.  At a node at depth r - 2 the walker passes the children
   screening may enter, the parents of leaves, to
@@ -76,6 +76,7 @@ agree bit for bit.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,10 +151,15 @@ def marginal_screen(
     if k > D:
         raise ValueError(f"k = {k} exceeds the number of features D = {D}")
 
-    ZT = np.ascontiguousarray(data.Z.T)
     y = data.y
+    # sum |y| bounds every score and every floor: one that overflows is a
+    # numeric failure, reported without numpy's warning.
+    with np.errstate(over="ignore"):
+        ysum = float(np.abs(y).sum())
+    if not math.isfinite(ysum):
+        raise FloatingPointError("the sum of |y| overflows")
+    ZT = np.ascontiguousarray(data.Z.T)
     W = np.stack([y, *sign_split(y)], axis=1)  # (n, 3): [y, y+, y-]
-    ysum = float(np.abs(y).sum())
 
     # The best k so far and their runners-up, as (rank key..., score) sorted
     # by rank.
@@ -164,7 +170,8 @@ def marginal_screen(
     settled = 0
 
     def floor() -> float:
-        return prune_floor(abs(top[k - 1][2]), ysum)
+        # -inf, which keeps everything, until the top k is full.
+        return prune_floor(abs(top[k - 1][2]) if len(top) >= k else -math.inf, ysum)
 
     def node(parent, start, col, sums, state, leaves):
         # Score the node's children from the walker's sums: per child an
@@ -173,9 +180,7 @@ def marginal_screen(
         nonlocal visited, exact
         m = len(sums)
         visited += m
-        cand = range(m)
-        if prune and len(top) >= k:
-            cand = np.flatnonzero(np.abs(sums[:, 0]) >= floor()).tolist()
+        cand = np.flatnonzero(np.abs(sums[:, 0]) >= floor()).tolist() if prune else range(m)
         exact += len(cand)
         for i in cand:
             child = parent + (start + 1 + i,)
@@ -190,21 +195,19 @@ def marginal_screen(
         # Gate all children against the floor as it stands; the walker
         # re-tests each survivor against the live one, which earlier
         # siblings' subtrees may have raised, before it enters it.
-        kids = np.arange(m) if len(top) < k else np.flatnonzero(bounds >= floor())
+        kids = np.flatnonzero(bounds >= floor())
         chunked = len(parent) + 3 == r
 
         def enter(i):
             # The walk carries no state; None drops a child the live floor
             # has passed.
-            return None if len(top) >= k and bounds[kids[i]] < floor() else True
+            return None if bounds[kids[i]] < floor() else True
 
         def busy(chunk, sums, starts):
             # Both bulk levels: which siblings have a child with an |x'y|
             # that reaches the level's edge, or, at the chunk level, where
             # the sums hold sy_pos and sy_neg too, both >= 0, a bound that
             # does?  The others would only count their children's visits.
-            if len(top) < k:
-                return np.ones(chunk.stop - chunk.start, dtype=bool)
             edge = floor() if chunked else prune_floor(floor(), ysum)
             return np.maximum.reduceat(np.abs(sums).max(axis=0), starts) >= edge
 

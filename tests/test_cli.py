@@ -1,4 +1,7 @@
+import argparse
 import contextlib
+import csv
+import hashlib
 import io
 import json
 import math
@@ -691,6 +694,44 @@ class TestMainExitCodes:
         assert err == ("selectree: degenerate instance: "
                        "the response of the truth plus noise overflows\n")
 
+    @pytest.mark.parametrize("command", ["synth", "perf"])
+    def test_study_truth_itemset_given_twice_is_1(self, capsys, command):
+        rc = main([command, "--rows", "20", "--topk", "2", "--trials", "1",
+                   *self._STUDY_SHAPE[command], "--truth", "3:1.0;3:-1.0"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "argument --truth: itemset {3} appears twice" in err
+        assert "Traceback" not in err
+
+    def test_truth_itemset_given_twice_in_another_order_is_1(self, capsys):
+        rc = main(["synth", "--rows", "20", "--topk", "2", "--trials", "1",
+                   *self._STUDY_SHAPE["synth"], "--truth", "1,2:1.0;2,1:3.0"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "selectree: error: truth itemset {1,2} appears twice\n"
+
+    def test_truth_arg_rejects_a_repeated_itemset(self):
+        with pytest.raises(argparse.ArgumentTypeError, match=r"itemset \{3\} appears twice"):
+            cli._truth_arg("3:1.0;3:-1.0")
+        assert cli._truth_arg("1,2:1.0;2,3:-1.0") == {(1, 2): 1.0, (2, 3): -1.0}
+
+    @pytest.mark.parametrize("command", ["screen", "infer"])
+    def test_response_whose_absolute_sum_overflows_is_3(self, tmp_path, capsys, command):
+        # Each response entry is finite; the sum of their absolute values,
+        # which bounds every score, is not.
+        rows = [f"{(i >> 1) & 1},{(i >> 2) & 1},{(-1) ** i * 1.5e308!r}" for i in range(12)]
+        p = _write(tmp_path, "a,b,y\n" + "\n".join(rows) + "\n")
+        args = [command, "--input", p, "--topk", "2", "--order", "2"]
+        if command == "infer":
+            args += ["--sigma", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(args)
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert out == ""
+        assert err == "selectree: degenerate instance: the sum of |y| overflows\n"
+
     def test_sigma_whose_square_overflows_is_3(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -858,6 +899,56 @@ class TestMainEndToEnd:
         assert rc == 0
         lines = out.read_text().splitlines()
         assert [line.split(",")[1] for line in lines[1:]] == ["1", "2"]
+
+
+class TestStudyOutputs:
+    """The bytes a refactor of the studies must keep, on small grids whose
+    rates are neither 0 nor 1."""
+
+    STUDIES = {
+        "fpr": ["synth", "--rows", "40", "--cols", "8", "--order", "2", "--topk", "3",
+                "--sigma", "0.3", "--alpha", "0.3", "--trials", "10", "--seed", "5"],
+        "tpr": ["synth", "--rows", "60", "--cols", "8", "--order", "2", "--topk", "3",
+                "--sigma", "0.5", "--trials", "10", "--seed", "2",
+                "--truth", "1,2:1.0;3:-0.8"],
+        "perf": ["perf", "--rows", "40", "--topk", "2", "--sigma", "0.3", "--trials", "2",
+                 "--cols-list", "6,8", "--order-list", "1,2,3",
+                 "--sparsity-list", "0.5,0.8", "--truth", "1,2:1.0"],
+    }
+    # sha256 of each study's output; perf's without its two timing columns.
+    SHA256 = {
+        ("fpr", "json"):
+            "fba5e02159b00098fe95ec8213e6816212007c4e13e0b2710278a95d5bc241f4",
+        ("fpr", "csv"):
+            "2c2c41fc8e6ed8f5828afa5d6f48ff8869e4b488576cc5a599c3d9d1686c18d3",
+        ("tpr", "json"):
+            "c6d415daf4f8b959cdcf486ade14ee4ba865983eedc19b5250b89bb65055d7af",
+        ("tpr", "csv"):
+            "187b10b785a35c78ec75383f38c368a67df77507d23c97e30f65e8efa91c5ace",
+        ("perf", "json"):
+            "6a281470454a451649cf67ba861ece1036dcdc814a2311abd7842dff1ae887c1",
+        ("perf", "csv"):
+            "2147e2573491b7bae76e04ad1464fd0f1ea15e8362bd9512e3b6e6edf7221f6d",
+    }
+    TIMING = ("mean_elapsed", "sd_elapsed")
+
+    def _untimed(self, text, fmt):
+        if fmt == "json":
+            rows = json.loads(text)
+            return json.dumps([{k: v for k, v in row.items() if k not in self.TIMING}
+                               for row in rows])
+        rows = list(csv.reader(io.StringIO(text)))
+        keep = [i for i, name in enumerate(rows[0]) if name not in self.TIMING]
+        return "\n".join(",".join(row[i] for i in keep) for row in rows)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("study", ["fpr", "tpr", "perf"])
+    def test_study_output_bytes_are_pinned(self, capsys, study, fmt):
+        assert main(self.STUDIES[study] + ["--format", fmt]) == 0
+        text = capsys.readouterr().out
+        if study == "perf":
+            text = self._untimed(text, fmt)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SHA256[study, fmt]
 
 
 def test_import_loads_no_scipy_and_no_process_pool():

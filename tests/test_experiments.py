@@ -59,6 +59,12 @@ class TestSyntheticSpec:
                 n=10, d=5, r=2, k=2, sparsity=0.5, sigma=0.1, truth={(1, 2): coef}
             )
 
+    def test_rejects_a_repeated_truth_itemset(self):
+        # {1,2} and {2,1} name one itemset: neither term may silently win.
+        with pytest.raises(ValueError, match=r"truth itemset \{1,2\} appears twice"):
+            SyntheticSpec(n=10, d=5, r=2, k=2, sparsity=0.5, sigma=0.1,
+                          truth={(1, 2): 1.0, (2, 1): 3.0})
+
     def test_response_that_overflows_is_a_numeric_failure(self):
         spec = SyntheticSpec(n=10, d=5, r=2, k=2, sparsity=0.0, sigma=0.1,
                              truth={(1, 2): 1e308, (1,): 1e308})
@@ -219,10 +225,13 @@ class TestMethods:
         [(_, half_sel)] = calls
         assert split and set(split) <= set(half_sel.selected)
 
-    def test_fpr_trial_screens_the_full_data_once(self, monkeypatch):
-        # one full-data screening shared by PSI and OLS, one on SPLIT's half
+    @pytest.mark.parametrize("truth", [{}, {(1, 2): 1.0}], ids=["fpr", "tpr"])
+    def test_trial_screens_the_full_data_once(self, monkeypatch, truth):
+        # one full-data screening, which PSI (and in an FPR trial OLS) reads,
+        # and one on SPLIT's half
+        spec = replace(SMALL, truth=truth)
         calls = _recording_screen(monkeypatch)
-        experiments._fpr_trial(SMALL, 0)
+        experiments._trial(spec, 0)
         assert [data.n for data, _ in calls] == [SMALL.n, SMALL.n // 2]
 
 

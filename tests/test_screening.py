@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -283,6 +284,18 @@ class TestBenchmarkShapes:
             buf = io.StringIO()
             emit(result, names, buf, fmt)
             assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == sha
+
+
+@pytest.mark.parametrize("prune", [True, False])
+def test_response_whose_absolute_sum_overflows(prune):
+    # Every entry is finite, sum |y| is not: no score or floor can be
+    # trusted, so screening fails at once, with no numpy warning.
+    Z = (np.arange(24).reshape(12, 2) % 3 != 0).astype(np.float64)
+    y = np.array([1.5e308, -1.5e308] * 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError, match=r"sum of \|y\| overflows"):
+            marginal_screen(Dataset(Z, y), 2, 2, prune=prune)
 
 
 class TestGateHazards:

@@ -251,10 +251,17 @@ def estimate_sigma(data: Dataset, sel: ScreeningResult) -> float:
         )
     X = np.column_stack([feature_column(it, data.Z) for it in sel.selected])
     resid = data.y - X @ np.linalg.lstsq(X, data.y, rcond=None)[0]
-    sigma = math.sqrt(column_score(resid, resid) / (data.n - k))
+    # An RSS that overflows is a numeric failure, reported without numpy's
+    # warning.
+    with np.errstate(over="ignore"):
+        rss = column_score(resid, resid)
+    if not math.isfinite(rss):
+        raise FloatingPointError("the residual sum of squares overflows")
+    sigma = math.sqrt(rss / (data.n - k))
     # An (almost) exact fit leaves only rounding noise in the residual; any
-    # inference at that scale would be meaningless.
-    if sigma <= 1e-12 * math.sqrt(float(data.y @ data.y) / data.n):
+    # inference at that scale would be meaningless.  ``hypot`` forms |y|
+    # without overflow where y'y would overflow.
+    if sigma <= 1e-12 * math.hypot(*data.y) / math.sqrt(data.n):
         raise SigmaEstimationError(
             f"residual estimate {sigma:.3g} is indistinguishable from an exact fit"
         )

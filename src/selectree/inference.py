@@ -32,9 +32,10 @@ the depth-first walker screening runs on too.  At each node, with pruning
 on or off, the walker forms one block, the children's columns on the node's
 support ``rows``, ``ZT[start:, rows] * col[rows]``, and one batched product
 of that block with every contrast's weight columns gives the children's
-sums.  Every gate, offer,
-bound and entry decision at the node reads those sums, so pruning cannot
-change the bits any ratio or bound is formed from.  All contrasts, both
+sums, in the walker's one layout: per contrast, a row per weight column
+and a column per child.  Every gate, offer, bound and entry decision at the
+node reads those sums, so pruning cannot change the bits any ratio or
+bound is formed from.  All contrasts, both
 endpoints, both constraint orientations ("C1" rows -s_j x_j + x_l, "C2" rows
 -s_j x_j - x_l) and all k selected features are scored and gated in one
 broadcast, with per-(contrast, endpoint, orientation, feature) activity
@@ -289,8 +290,8 @@ def contrast_for_coefficient(
     e = np.zeros(k)
     e[j - 1] = 1.0
     eta = X @ np.linalg.solve(_gram(X) if gram is None else gram, e)
-    # A finite sigma whose square overflows is a numeric failure, not a
-    # usage error: report it as one, without numpy's warning.
+    # A finite sigma whose square overflows or underflows is a numeric
+    # failure, not a usage error: report it as one, without numpy's warning.
     with np.errstate(over="ignore", invalid="ignore"):
         if covariance is None:
             sig_eta = (sigma * sigma) * eta
@@ -299,6 +300,8 @@ def contrast_for_coefficient(
         eta_var = column_score(eta, sig_eta)
     if not math.isfinite(eta_var):
         raise FloatingPointError(f"eta^T Sigma eta = {eta_var}: the noise covariance overflows")
+    if not eta_var > 0 and covariance is None:
+        raise FloatingPointError(f"eta^T Sigma eta = {eta_var}: the noise covariance underflows")
     if not eta_var > 0:
         raise ValueError(f"eta^T Sigma eta = {eta_var} is not positive")
     return Contrast(
@@ -348,15 +351,16 @@ def truncation_windows(
     Each node gets one set of sums from the walker, pruned or not: its
     children's block on the node's support ``rows``, ``ZT[start:, rows] *
     col[rows]``, times six columns of y and c_q there, one batched product
-    per contrast q.  With
-    prune=True each node then runs two stages on those sums: a test on the
-    (contrast, endpoint, orientation, child) axes, without the feature axis
-    j, picks the children that can matter, and only those get the (K, 2, 2,
-    m, k) arithmetic, which forms the ratios of the children the offer gate
-    passed and the bounds of those the subtree gate passed without testing
-    them again.  With lam = best[q, e], or the seed where that is higher
-    (see Seeds below), a ratio whose denominator is negative beats lam iff
-    P - Q < 0, where
+    per contrast q, handed over as M of shape (K, 6, m): rows x'y, x'c_q,
+    sy_pos, sy_neg, sc_pos and sc_neg, each contiguous over the m children.
+    With prune=True each node then runs two stages on those sums: a test on
+    the (contrast, endpoint, orientation, child) axes, without the feature
+    axis j, picks the children that can matter, and only those get the (K,
+    2, 2, m, k) arithmetic, which forms the ratios of the children the offer
+    gate passed and the bounds of those the subtree gate passed without
+    testing them again.  With lam = best[q, e], or the seed where that is
+    higher (see Seeds below), a ratio whose denominator is negative beats
+    lam iff P - Q < 0, where
 
         P[q, e, j] = kappa_j - lam s_e rho_qj,
         Q[q, e, o] = t_o (x'y + lam s_e x'c_q).
@@ -456,10 +460,11 @@ def truncation_windows(
     ZT = ZT1[:-1]
     C = np.stack([np.asarray(con.c, dtype=np.float64) for con in contrasts])
     V = np.vstack([y, C])  # x'y and x'c_q as rows, for the leaf gate and the seeds
-    # One (n, 6) slice [y, c, y+, y-, c+, c-] per contrast.  The walker's
-    # batched matmul runs the same product per slice as a lone contrast's
-    # ``block @ W[q]``, so every contrast sees the same sums bit for bit;
-    # one wide (n, 6K) product would round differently.
+    # One (n, 6) slice [y, c, y+, y-, c+, c-] per contrast, which the walker
+    # turns into the node's six rows of sums.  Its batched matmul runs the
+    # same product per slice as a walk with contrast q alone, so every
+    # contrast sees the same sums bit for bit; one wide (n, 6K) product would
+    # round differently.
     W = np.empty((K, n, 6))
     W[:, :, 0] = y
     W[:, :, 1] = C
@@ -642,11 +647,10 @@ def truncation_windows(
                 mask[:, :, :, p] = False
         offer(np.divide(num, den, out=np.full(den.shape, -np.inf), where=mask), pair)
 
-    def node(parent, start, col, sums, act, leaves):
+    def node(parent, start, col, M, act, leaves):
         # Every gate, offer, bound and entry decision below reads the
-        # walker's sums of the node, with pruning on or off.
-        # rows of M: xy, xc, sy_pos, sy_neg, sc_pos, sc_neg
-        M = sums.transpose(0, 2, 1)  # (K, 6, m)
+        # walker's sums of the node, M, with pruning on or off.
+        # rows of M, (K, 6, m): xy, xc, sy_pos, sy_neg, sc_pos, sc_neg
         m = M.shape[2]
         visits[act.any(axis=(1, 2))] += m
         if not prune:

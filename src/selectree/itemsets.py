@@ -13,11 +13,11 @@ children the search's gates name.  Two levels above the leaves it settles
 siblings in bulk: at the parents of leaves (depth r - 2) through
 :func:`gate_leaf_parents`, and one level up (depth r - 3), where it tests
 chunks of siblings on their own sums before it calls the search's node
-routine on any of them.  Both levels hand the search's one chunk test the
-same layout of sums and replay their chunks with one loop.  Because
-all covariate values lie in [0,1], a descendant's feature column is
-elementwise no larger than its ancestor's, which is what makes subtree
-bounds possible downstream.
+routine on any of them.  The search's node routine and its one chunk test,
+at both levels, read the sums in one layout, and both levels replay their
+chunks with one loop.  Because all covariate values lie in [0,1], a
+descendant's feature column is elementwise no larger than its ancestor's,
+which is what makes subtree bounds possible downstream.
 
 Indices are 1-based throughout: itemset (1, 3) means the product z_1 * z_3.
 """
@@ -104,9 +104,6 @@ class Itemset:
 
     def __str__(self) -> str:
         return "{" + ",".join(map(str, self.indices)) + "}"
-
-
-ROOT = Itemset(())
 
 
 @dataclass(frozen=True)
@@ -226,12 +223,14 @@ def walk_tree(
     The walker runs the whole node routine; a search supplies only its
     scoring and gates.  At each node it forms the children's block on the
     support, ``ZT[start:, rows] * col[rows]``, and its product with the
-    search's weights, ``sums = np.matmul(block, W.take(rows, axis=-2))``:
-    shape (m, w) for a 2-D ``W`` of shape (n, w), or (K, m, w) for a 3-D one
-    of shape (K, n, w), one product per slice, so each slice's sums are bit
-    for bit those of a walk with that slice alone.  Only the leaf gate reads
-    the block again, so below depth r - 2 it is formed in place and freed
-    before the search's arithmetic.
+    search's weights, ``np.matmul(block, W.take(rows, axis=-2))``, one
+    product per slice of a 3-D ``W`` of shape (K, n, w), so each slice's
+    sums are bit for bit those of a walk with that slice alone.  The sums
+    have one layout, which every consumer reads: C-contiguous, a row per
+    weight column and the children on the last axis, shape (w, m) for a 2-D
+    ``W`` of shape (n, w), or (K, w, m) for a 3-D one.  Only the leaf gate
+    reads the block again, so below depth r - 2 it is formed in place and
+    freed before the search's arithmetic.
 
     ``node(parent, start, col, sums, state, leaves)`` then scores the
     children (``leaves`` is true when they are at order ``r`` and have no
@@ -247,16 +246,16 @@ def walk_tree(
     has no children and is dropped; every position ``i`` below indexes the
     prefix of ``kids`` left, and kid ``kids[i]`` has ``grand[i]`` children.
     The kids are taken in chunks, and both levels hand ``busy(chunk, sums,
-    starts)`` one layout: the sums of the chunk's kids' children joined on
-    the last axis, shape (w, C) or (K, w, C), kid ``s``'s children in walk
-    order from ``starts[s]`` on.  It returns one bit per kid: true ("busy")
-    for each whose node could do more than count its children's visits
-    against the incumbents as they stand.  One loop replays every chunk:
-    ``count(run, grand[run])`` books each run of idle kids, which must count
-    their visits against the live incumbents, and each busy kid is
-    re-tested by ``enter`` and, if still live, expanded.  Incumbents only
-    rise, so a kid idle against the incumbents as they stood is idle
-    against the live ones.
+    starts)`` the layout ``node`` gets: the sums of the chunk's kids'
+    children joined on the last axis, shape (w, C) or (K, w, C), kid ``s``'s
+    children in walk order from ``starts[s]`` on.  It returns one bit per
+    kid: true ("busy") for each whose node could do more than count its
+    children's visits against the incumbents as they stand.  One loop
+    replays every chunk: ``count(run, grand[run])`` books each run of idle
+    kids, which must count their visits against the live incumbents, and
+    each busy kid is re-tested by ``enter`` and, if still live, expanded.
+    Incumbents only rise, so a kid idle against the incumbents as they
+    stood is idle against the live ones.
 
     - At depth r - 2 the kids are the parents of leaves and go through
       :func:`gate_leaf_parents`, with the node's factors, block and weight
@@ -293,11 +292,14 @@ def walk_tree(
         # the block is formed in place and freed.  At depth r - 3 the
         # support size of each child comes first, for the chunk budget.
         Zr = ZT[parent[-1] if parent else 0:].take(rows, axis=1)
-        if len(parent) + 2 == r:
-            block = Zr * col[rows]
-            return [Zr, block, np.matmul(block, W.take(rows, axis=-2))]
-        block = np.multiply(Zr, col[rows], out=Zr)
-        sums = np.matmul(block, W.take(rows, axis=-2))
+        leaf_parents = len(parent) + 2 == r
+        block = np.multiply(Zr, col[rows], out=None if leaf_parents else Zr)
+        # The one orientation of the sums: C-contiguous, a row per weight
+        # column and the children on the last axis.  The copy changes no bit;
+        # a product of the transposed operands can round differently.
+        sums = np.ascontiguousarray(np.matmul(block, W.take(rows, axis=-2)).swapaxes(-1, -2))
+        if leaf_parents:
+            return [Zr, block, sums]
         if len(parent) + 3 == r:
             return [np.count_nonzero(block, axis=1), sums]
         return [sums]
@@ -317,8 +319,7 @@ def walk_tree(
             # Each kid's sums are formed for the test alone and dropped
             # before the replay; a busy kid forms them again on its visit.
             sums = np.concatenate(
-                [products(*child(parent, rows, col, i))[-1].swapaxes(-1, -2)
-                 for i in kids[lo:hi].tolist()],
+                [products(*child(parent, rows, col, i))[-1] for i in kids[lo:hi].tolist()],
                 axis=-1,
             )
             g = grand[lo:hi]
@@ -408,12 +409,13 @@ def gate_leaf_parents(
     siblings' columns, times each row of ``V``, with the factors ``Zr[1 +
     i0:]``, i0 the chunk's first sibling, gives every grandchild's inner
     product with every row of ``V``.  ``busy(chunk, sums, starts)`` gets
-    them in the chunk level's layout (see :func:`walk_tree`): shape (w,
-    C), sibling s's ``grand[s]`` children in walk order from ``starts[s]``
-    on.  Row v of a sibling's slice holds the terms of the sums its own
-    product on its own support gives with ``V[v]``, plus terms of +0.0, in
-    another order, so the two differ by rounding alone, at most n eps
-    sum|V[v]| for n = len(rows).  ``busy`` returns a boolean per sibling:
+    them in the walker's one layout (see :func:`walk_tree`): a row per row
+    of ``V`` and the grandchildren on the last axis, shape (w, C), sibling
+    s's ``grand[s]`` children in walk order from ``starts[s]`` on.  Row v
+    of a sibling's slice holds the terms of the sums its own product on its
+    own support gives with ``V[v]``, plus terms of +0.0, in another order,
+    so the two differ by rounding alone, at most n eps sum|V[v]| for n =
+    len(rows).  ``busy`` returns a boolean per sibling:
     true for each that could change the search's state.  The chunk is then
     replayed in walk order:
 
@@ -442,7 +444,7 @@ def gate_leaf_parents(
         AV = (block[sib] * V[:, None]).reshape(w * len(sib), nr)
         sums = (AV @ G.T).reshape(w, len(sib), len(G))
         # Row-major, the valid cells are each sibling's children in walk
-        # order: the chunk level's joined layout.
+        # order: the walker's joined layout.
         valid = np.arange(len(G)) >= (sib - i0)[:, None]
         g = grand[lo:hi]
         bits = busy(slice(lo, hi), sums[:, valid], np.cumsum(g) - g)

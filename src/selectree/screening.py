@@ -5,9 +5,10 @@ D = sum_{rho<=r} C(d,rho) interaction features without ever materializing the
 design matrix.  The search runs on :func:`selectree.itemsets.walk_tree`, the
 depth-first walker it shares with the truncation search.  At each node the
 walker forms the children's columns on the node's support, ``block =
-ZT[start:, rows] * col[rows]``, and one product ``block @ W[rows]`` with ``W =
-[y, y+, y-]``, which gives every child an approximate score x^T y and the
-sign-partitioned sums
+ZT[start:, rows] * col[rows]``, and one product of the block with ``W = [y,
+y+, y-]`` on the support, handed over in the walker's one layout: three
+rows, one column per child.  They give every child an approximate score
+x^T y and the sign-partitioned sums
 
     sy_pos = sum_{i: y_i>0} x_i y_i,      sy_neg = -sum_{i: y_i<0} x_i y_i,
 
@@ -37,8 +38,9 @@ first.  This cannot change the result:
   enumeration uses, still makes every selection decision.
 
 Two bulk levels settle siblings above the leaves, with one test, ``busy``,
-on one layout: per chunk of siblings, the sums of their children joined
-on the last axis, each sibling's children from ``starts[s]`` on.  A sibling
+on the layout ``node`` reads: per chunk of siblings, the sums of their
+children joined on the last axis, each sibling's children from
+``starts[s]`` on.  A sibling
 is busy only if the largest |sum| over its children reaches the level's
 edge; the others are idle, and ``count`` adds the children of each live one
 to the visits.
@@ -174,13 +176,13 @@ def marginal_screen(
         return prune_floor(abs(top[k - 1][2]) if len(top) >= k else -math.inf, ysum)
 
     def node(parent, start, col, sums, state, leaves):
-        # Score the node's children from the walker's sums: per child an
-        # approximate x'y, then sy_pos and sy_neg for the bound; the exact
-        # score for those that can enter the top k.
+        # Score the node's children from the walker's sums, a column per
+        # child: an approximate x'y, then sy_pos and sy_neg for the bound;
+        # the exact score for those that can enter the top k.
         nonlocal visited, exact
-        m = len(sums)
+        m = sums.shape[1]
         visited += m
-        cand = np.flatnonzero(np.abs(sums[:, 0]) >= floor()).tolist() if prune else range(m)
+        cand = np.flatnonzero(np.abs(sums[0]) >= floor()).tolist() if prune else range(m)
         exact += len(cand)
         for i in cand:
             child = parent + (start + 1 + i,)
@@ -191,7 +193,7 @@ def marginal_screen(
             return None
         if not prune:
             return np.arange(m), lambda i: True, None, None
-        bounds = np.maximum(sums[:, 1], sums[:, 2])
+        bounds = np.maximum(sums[1], sums[2])
         # Gate all children against the floor as it stands; the walker
         # re-tests each survivor against the live one, which earlier
         # siblings' subtrees may have raised, before it enters it.

@@ -81,16 +81,16 @@ def record_expanded(monkeypatch, module):
 def walk_every_node(Z, r, W, y):
     """Run ``walk_tree`` over the whole tree (no pruning) and record, per
     itemset: its full column, formed from its parent's ``col`` as the
-    searches form it, its row of the walker's ``block @ W[rows]`` sums on
-    the parent's support, and its ``column_score`` against y.  Insertion
-    order is the walk's visiting order."""
+    searches form it, its column of the walker's sums on the parent's
+    support (one entry per column of ``W``), and its ``column_score``
+    against y.  Insertion order is the walk's visiting order."""
     nodes = {}
     ZT = np.ascontiguousarray(Z.T)
 
     def node(parent, start, col, sums, state, leaves):
         cols = ZT[start:] * col
         for i in range(cols.shape[0]):
-            nodes[parent + (start + 1 + i,)] = (cols[i], sums[i], column_score(cols[i], y))
+            nodes[parent + (start + 1 + i,)] = (cols[i], sums[..., i], column_score(cols[i], y))
         return np.arange(len(cols)), lambda i: True, None, None
 
     walk_tree(ZT, r, W, None, node, None)

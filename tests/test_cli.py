@@ -401,6 +401,25 @@ class TestEstimateSigma:
         with pytest.raises(SigmaEstimationError):
             estimate_sigma(data, sel)
 
+    def test_residual_sum_of_squares_that_overflows(self):
+        # Every y and sum |y| are finite, the squared residuals are not: a
+        # numeric failure, raised without numpy's warning.
+        rng = np.random.default_rng(0)
+        Z = (rng.random((30, 5)) < 0.5).astype(np.float64)
+        data = Dataset(Z, rng.standard_normal(30) * 1e160)
+        sel, _ = marginal_screen(data, k=3, r=2)
+        with pytest.raises(FloatingPointError, match="the residual sum of squares overflows"):
+            estimate_sigma(data, sel)
+
+    def test_response_whose_square_sum_overflows_is_no_exact_fit(self):
+        # y'y overflows but the RSS does not: the residual is far from the
+        # rounding noise of an exact fit, so sigma is estimated.
+        rng = np.random.default_rng(0)
+        Z = (rng.random((30, 5)) < 0.5).astype(np.float64)
+        data = Dataset(Z, 1e160 * Z[:, 0] + 1e150 * rng.standard_normal(30))
+        sel, _ = marginal_screen(data, k=3, r=2)
+        assert 1e149 < estimate_sigma(data, sel) < 1e151
+
     def test_too_few_rows(self):
         Z = np.eye(3)
         y = np.array([1.0, 2.0, 3.0])
@@ -732,15 +751,35 @@ class TestMainExitCodes:
         assert out == ""
         assert err == "selectree: degenerate instance: the sum of |y| overflows\n"
 
-    def test_sigma_whose_square_overflows_is_3(self, capsys):
+    @pytest.mark.parametrize("sigma,fails", [("1e300", "overflows"), ("1e-300", "underflows")])
+    def test_sigma_whose_square_overflows_is_3(self, capsys, sigma, fails):
+        # Each sigma passes every input check; its square does not fit a
+        # float, which is a numeric failure, not a usage error.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = main(["infer", "--binarize", "--input", FIXTURE, "--topk", "2", "--order", "2",
-                       "--sigma", "1e300"])
+                       "--sigma", sigma])
         err = capsys.readouterr().err
         assert rc == 3
         assert err.startswith("selectree: degenerate instance: eta^T Sigma eta = ")
-        assert err.endswith(": the noise covariance overflows\n") and err.count("\n") == 1
+        assert err.endswith(f": the noise covariance {fails}\n") and err.count("\n") == 1
+
+    def test_response_whose_residual_sum_of_squares_overflows_is_3(self, tmp_path, capsys):
+        # Every y and sum |y| are finite, so screening runs; the squared
+        # residuals of the sigma estimate are not.
+        rng = np.random.default_rng(0)
+        Z = (rng.random((30, 5)) < 0.5).astype(int)
+        y = rng.standard_normal(30) * 1e160
+        rows = [",".join(map(str, z)) + f",{float(v)!r}" for z, v in zip(Z, y)]
+        p = _write(tmp_path, "a,b,c,d,e,y\n" + "\n".join(rows) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["infer", "--input", p, "--order", "2", "--topk", "3",
+                       "--sigma", "estimate"])
+        out, err = capsys.readouterr()
+        assert rc == 3
+        assert out == ""
+        assert err == "selectree: degenerate instance: the residual sum of squares overflows\n"
 
     def test_continuous_data_without_binarize_is_2(self, tmp_path, capsys):
         p = _write(tmp_path, "a,b,y\n5.5,0,2\n0,1,1\n")

@@ -630,7 +630,7 @@ class TestChunkLevel:
             def checked_node(parent, start, col, sums, act, leaves):
                 if len(parent) + 2 != r:
                     return node(parent, start, col, sums, act, leaves)
-                most = sums.transpose(0, 2, 1)[:, 2:]
+                most = sums[:, 2:]
                 idle = not cells["subtree_hits"].cell_contents(most, act[:, :, :, None]).any()
                 floor = cells["floor"].cell_contents
                 out = node(parent, start, col, sums, act, leaves)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import walk_every_node
 from selectree import itemsets
 from selectree.itemsets import (
-    ROOT,
     Dataset,
     Itemset,
     ModelConfig,
@@ -21,6 +20,8 @@ from selectree.itemsets import (
     total_feature_count,
     walk_tree,
 )
+
+ROOT = Itemset(())  # the traversal root, which names no feature
 
 
 class TestItemset:
@@ -62,8 +63,8 @@ class _RowLog:
 
 
 def _children(d, r):
-    """Each node's children as ``walk_tree`` hands them to ``node`` (row i
-    of the sums is ``parent + (start + 1 + i,)``) when it descends
+    """Each node's children as ``walk_tree`` hands them to ``node`` (column
+    i of the sums is ``parent + (start + 1 + i,)``) when it descends
     everywhere; a node it never expands has no children."""
     kids = {}
 
@@ -234,8 +235,8 @@ class TestModelConfig:
 
 class TestNodeStats:
     """The per-node statistics the walks form: each child's full column,
-    formed from its parent's ``col``, and its sign-partitioned sums as a row
-    of the walker's ``block @ W[rows]`` on the parent's support (with the
+    formed from its parent's ``col``, and its sign-partitioned sums as a
+    column of the walker's sums on the parent's support (with the
     truncation's ``W``)."""
 
     @staticmethod
@@ -318,9 +319,10 @@ class TestWalkTree:
     @given(seed=st.integers(0, 10_000), density=st.sampled_from([0.0, 0.3, 0.7, 1.0]))
     @settings(max_examples=40, deadline=None)
     def test_sums_are_the_block_product(self, seed, density):
-        # sums is bit for bit (ZT[start:, rows] * col[rows]) @ W[rows] at
+        # sums is bit for bit ((ZT[start:, rows] * col[rows]) @ W[rows]).T at
         # every node, on a 2-D W and on each slice of a 3-D one, whether the
-        # walker formed the block in place or not; ZT is left as it was.
+        # walker formed the block in place or not, in one C-contiguous
+        # layout, (w, m) or (K, w, m); ZT is left as it was.
         rng = np.random.default_rng(seed)
         n, d = int(rng.integers(1, 13)), int(rng.integers(1, 7))
         Z = Dataset(rng.random((n, d)) * (rng.random((n, d)) < density), np.zeros(n)).Z
@@ -332,9 +334,11 @@ class TestWalkTree:
             def node(parent, start, col, sums, state, leaves):
                 rows = np.flatnonzero(col)
                 block = ZT[start:, rows] * col[rows]
+                assert sums.shape == (*W.shape[:-2], W.shape[-1], len(block))
+                assert sums.flags.c_contiguous
                 for q, Wq in enumerate(W if W.ndim == 3 else [W]):
                     got = sums[q] if W.ndim == 3 else sums
-                    assert got.tobytes() == (block @ Wq[rows]).tobytes()
+                    assert got.tobytes() == (block @ Wq[rows]).T.tobytes()
                 nodes.append(parent)
                 return np.arange(len(block)), lambda i: True, None, None
 
@@ -367,7 +371,7 @@ class TestWalkTree:
                 def count(run, grand):
                     counted.append((parent, run.start, run.stop, grand.tolist()))
 
-                kids = np.arange(len(sums))
+                kids = np.arange(sums.shape[-1])
                 return kids, lambda i: True, None if marked is None else busy, count
 
             walk_tree(np.ones((d, 2)), r, np.ones((2, 1)), np.ones((1, 2)), node, None)
@@ -400,7 +404,7 @@ class TestWalkTree:
 
         def node(parent, start, col, sums, state, leaves):
             got[parent] = sums.copy()
-            kids = np.arange(sums.shape[-2])
+            kids = np.arange(sums.shape[-1])
             if len(parent) + 3 != r:
                 return kids, lambda i: True, None, None
 
@@ -448,7 +452,7 @@ class TestWalkTree:
             for s, i in enumerate(range(lo, hi)):
                 own = full[parent + (start + 1 + i,)]
                 stop = starts[s + 1] if s + 1 < len(starts) else sums.shape[-1]
-                assert sums[..., starts[s]:stop].tobytes() == own.swapaxes(-1, -2).copy().tobytes()
+                assert sums[..., starts[s]:stop].tobytes() == own.tobytes()
         counted = {(c[1], i) for c in calls if c[0] == "count" for i in range(c[2], c[3])}
         assert counted
         for parent, i in counted:
@@ -476,7 +480,7 @@ class TestWalkTree:
 
         def node(parent, start, col, sums, state, leaves):
             ref = weakref.ref(sums)
-            m = len(sums)
+            m = sums.shape[-1]
             del sums
             dead.append(ref() is None)
             if len(parent) + 3 != r:

@@ -229,7 +229,8 @@ def binarize_table(
         raise DataError("binarization left no covariate columns")
     keep = list(first.values())
     pair_names = [f"{name}{cut}" for name in names for cut in (">1", "<-1")]
-    Zb = np.ascontiguousarray(pairs[keep].T, dtype=np.float64)
+    # Column-major, the layout Dataset stores, so it takes Zb without a copy.
+    Zb = pairs[keep].T.astype(np.float64)
     return [pair_names[i] for i in keep], Zb
 
 

@@ -106,7 +106,8 @@ def trial_rng(seed: int, trial_index: int) -> np.random.Generator:
 def gen_synthetic(spec: SyntheticSpec, trial_index: int) -> Dataset:
     """Draw one trial's dataset: Bernoulli(1 - sparsity) Z, then the noise."""
     rng = trial_rng(spec.seed, trial_index)
-    Z = (rng.random((spec.n, spec.d)) < 1.0 - spec.sparsity).astype(np.float64)
+    # Column-major, the layout Dataset stores, so it takes Z without a copy.
+    Z = (rng.random((spec.n, spec.d)) < 1.0 - spec.sparsity).astype(np.float64, order="F")
     y = np.zeros(spec.n)
     # A finite truth whose response overflows is a numeric failure, not a
     # usage error: report it as one, without numpy's warning.

@@ -453,11 +453,6 @@ def truncation_windows(
     y = data.y
     n = len(y)
     columns = [feature_column(it, data.Z) for it in sel.selected]
-    # ZT with a row of ones below it, which pads short itemsets' factor lists.
-    ZT1 = np.empty((data.d + 1, n))
-    ZT1[:-1] = data.Z.T
-    ZT1[-1] = 1.0
-    ZT = ZT1[:-1]
     C = np.stack([np.asarray(con.c, dtype=np.float64) for con in contrasts])
     V = np.vstack([y, C])  # x'y and x'c_q as rows, for the leaf gate and the seeds
     # One (n, 6) slice [y, c, y+, y-, c+, c-] per contrast, which the walker
@@ -505,11 +500,7 @@ def truncation_windows(
         # it and the rounding of forming num and den.  Within those margins
         # the walk's denominator is below -DENOM_TOL and its ratio at least
         # the corner formed last.
-        pad = (data.d + 1,)  # the row of ones
-        idx = np.array([ix + pad * (r - len(ix)) for ix in ups]) - 1
-        cols = ZT1[idx[:, 0]]
-        for p in range(1, r):  # left to right, as feature_column forms them
-            cols *= ZT1[idx[:, p]]
+        cols = np.stack([feature_column(ix, data.Z) for ix in ups])  # (S, n)
         xy, xc = np.split(V @ cols.T, [1])  # (1, S) and (K, S)
         # The walk's num and den along c (e = 0), on the axes (contrast,
         # orientation, feature j, itemset l); along -c (e = 1) every
@@ -732,7 +723,7 @@ def truncation_windows(
             lambda j: ActiveConstraint("sign", sel.selected[j], None, None),
         )
         # The leaf gate's sums are x'y and x'c_q.
-        walk_tree(ZT, r, W, V, node, np.ones((K, 2, 2, k), dtype=bool))
+        walk_tree(data.Z.T, r, W, V, node, np.ones((K, 2, 2, k), dtype=bool))
 
     intervals = []
     for con, b, ends, seen in zip(contrasts, best, info, visits):
@@ -1035,6 +1026,9 @@ def infer(
     """
     if config.sigma is None and config.covariance is None:
         raise ValueError("inference needs a noise model: set sigma or covariance")
+    if config.covariance is not None and len(config.covariance) != data.n:
+        m = len(config.covariance)
+        raise ValueError(f"covariance is {m} x {m}, but the data have n = {data.n} rows")
     if screened is None:
         screened = marginal_screen(data, config.k, config.r, prune=prune)
     sel, smetrics = screened

@@ -108,13 +108,19 @@ class Itemset:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Covariate matrix Z (n x d, entries in [0,1]) and response vector y."""
+    """Covariate matrix Z (n x d, entries in [0,1]) and response vector y.
+
+    The one place the covariates' layout is decided: Z is stored
+    column-major (F-contiguous), so ``Z.T`` is the C-contiguous (d, n)
+    matrix that :func:`walk_tree` reads, and every factor
+    :func:`feature_column` reads is a contiguous column.  Neither is copied.
+    """
 
     Z: np.ndarray
     y: np.ndarray
 
     def __post_init__(self) -> None:
-        Z = np.ascontiguousarray(self.Z, dtype=np.float64)
+        Z = np.asfortranarray(self.Z, dtype=np.float64)
         y = np.ascontiguousarray(self.y, dtype=np.float64)
         if Z.ndim != 2:
             raise ValueError(f"Z must be 2-d, got shape {Z.shape}")
@@ -145,9 +151,9 @@ class Dataset:
 class ModelConfig:
     """Knobs shared by screening and inference.
 
-    Either ``sigma`` (noise s.d., giving covariance sigma^2 * I) or a full
-    ``covariance`` matrix must be supplied for inference; screening needs
-    neither.
+    Either ``sigma`` (noise s.d., giving covariance sigma^2 * I) or a full,
+    finite ``covariance`` matrix, not both, must be supplied for inference;
+    screening needs neither.
     """
 
     r: int
@@ -166,9 +172,13 @@ class ModelConfig:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.covariance is not None:
+            if self.sigma is not None:
+                raise ValueError("supply sigma or covariance, not both")
             cov = np.asarray(self.covariance, dtype=np.float64)
             if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
                 raise ValueError("covariance must be a square matrix")
+            if not np.isfinite(cov).all():
+                raise ValueError("covariance contains non-finite entries")
             object.__setattr__(self, "covariance", cov)
 
 
@@ -208,7 +218,9 @@ def walk_tree(
 ) -> None:
     """Depth-first search of the itemset tree down to order ``r``.
 
-    ``ZT`` is the transposed covariate matrix (d x n, C-contiguous).  A node's
+    ``ZT`` is the transposed covariate matrix (d x n, C-contiguous):
+    callers pass ``Dataset.Z.T`` itself, which the column-major ``Dataset``
+    makes C-contiguous without a copy.  A node's
     children append one index above the node's largest, so every itemset of
     order 1..r is reached exactly once and in lexicographic order.
 

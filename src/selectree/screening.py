@@ -160,7 +160,7 @@ def marginal_screen(
         ysum = float(np.abs(y).sum())
     if not math.isfinite(ysum):
         raise FloatingPointError("the sum of |y| overflows")
-    ZT = np.ascontiguousarray(data.Z.T)
+    ZT = data.Z.T  # C-contiguous (d, n): Dataset stores Z column-major
     W = np.stack([y, *sign_split(y)], axis=1)  # (n, 3): [y, y+, y-]
 
     # The best k so far and their runners-up, as (rank key..., score) sorted

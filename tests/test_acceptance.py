@@ -305,6 +305,48 @@ def test_criterion_9_scale(capsys):
     )
 
 
+def test_criterion_11_selective_ci_coverage(capsys):
+    # At a planted truth the pivot at the true eta_j'mu is Unif(0, 1) given
+    # the selection event, so the CI covers eta_j'mu with probability
+    # 1 - alpha.  One feature per trial, the lexicographically smallest
+    # selected itemset as in criterion 6, keeps the trials independent.
+    spec = SyntheticSpec(
+        n=100, d=40, r=3, k=8, sparsity=0.5, sigma=0.3, alpha=0.1,
+        truth={(1, 2, 3): 1.0}, seed=11, trials=400,
+    )
+    config = spec.config()
+    covered, pivots, failed = 0, [], 0
+    t0 = time.perf_counter()
+    for t in range(spec.trials):
+        data = gen_synthetic(spec, t)
+        try:
+            report = infer(data, config)
+        except (SingularGramError, DegenerateTruncationError):
+            failed += 1
+            continue
+        j, f = min(enumerate(report.features), key=lambda jf: jf[1].itemset)
+        X_S = np.column_stack([feature_column(it, data.Z) for it in report.screening.selected])
+        con = contrast_for_coefficient(X_S, data.y, j + 1, sigma=spec.sigma)
+        mu = sum(beta * feature_column(it, data.Z) for it, beta in spec.truth.items())
+        target = float(con.eta @ mu)
+        covered += f.ci_low <= target <= f.ci_high
+        pivots.append(trunc_norm_cdf(
+            con.eta_y, target, con.eta_var, f.interval.v_minus, f.interval.v_plus
+        ))
+    elapsed = time.perf_counter() - t0
+    used = len(pivots)
+    binom_p = stats.binomtest(covered, used, 1.0 - spec.alpha).pvalue
+    _, ks_p = stats.kstest(np.asarray(pivots), "uniform")
+    ok = binom_p >= 0.01 and ks_p >= 0.01
+    _announce(
+        capsys, "criterion 11", ok,
+        f"selective CI covered eta'mu in {covered}/{used} trials "
+        f"({covered / used:.4f}, binomial p {binom_p:.3f} >= 0.01 against "
+        f"{1.0 - spec.alpha}); KS p of the pivots at eta'mu {ks_p:.3f} >= 0.01; "
+        f"{failed} failed trials skipped; {elapsed:.0f}s",
+    )
+
+
 def _cdf_grid():
     """10^4 evaluation points, half of them in windows beyond 6 sigma."""
     rng = np.random.default_rng(77)

@@ -306,6 +306,11 @@ class TestBinarize:
         assert_array_equal(out[:, 0], (z > 1.0).astype(np.float64))
         assert_array_equal(out[:, 1], (z < -1.0).astype(np.float64))
 
+    def test_output_goes_into_dataset_without_a_copy(self):
+        rng = np.random.default_rng(2)
+        _, Zb = binarize_table(["a", "b", "c"], rng.standard_normal((40, 3)))
+        assert Dataset(Zb, np.ones(40)).Z is Zb
+
     def test_constant_column_rejected(self):
         with pytest.raises(DataError, match="zero variance"):
             binarize_table(["flat"], np.full((10, 1), 3.3))

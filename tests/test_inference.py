@@ -1030,6 +1030,45 @@ class TestInfer:
             infer(tiny, ModelConfig(r=2, k=2, sigma=1.0),
                   screened=marginal_screen(tiny, 1, 2))
 
+    def test_covariance_must_be_n_by_n(self):
+        # Rejected up front, naming both sizes, not deep inside a matmul.
+        data = gen_synthetic(SyntheticSpec(n=30, d=6, r=2, k=2, sparsity=0.5, sigma=1.0, seed=3), 0)
+        with pytest.raises(ValueError, match=r"covariance is 29 x 29, but the data have n = 30"):
+            infer(data, ModelConfig(r=2, k=2, covariance=np.eye(29)))
+
+    def test_covariance_of_size_n_matches_isotropic(self):
+        # The n x n check lets a covariance of the data's size through.
+        data = gen_synthetic(SyntheticSpec(n=30, d=6, r=2, k=2, sparsity=0.5, sigma=1.0, seed=3), 0)
+        a = infer(data, ModelConfig(r=2, k=2, sigma=0.7))
+        b = infer(data, ModelConfig(r=2, k=2, covariance=0.49 * np.eye(30)))
+        for fa, fb in zip(a.features, b.features):
+            assert fa.itemset == fb.itemset
+            assert fb.p_value == pytest.approx(fa.p_value, rel=1e-9, abs=1e-12)
+
+
+class TestOneLayout:
+    """Every walk reads ``Dataset.Z.T`` in place: no stage copies or pads
+    the covariates for its walk."""
+
+    @pytest.mark.parametrize("module", [screening, inference], ids=["screening", "truncation"])
+    def test_the_walk_reads_the_dataset_in_place(self, module, monkeypatch):
+        # The ZT the module hands walk_tree, wrapped as record_expanded does.
+        seen = []
+        walk = module.walk_tree
+
+        def recording_walk(ZT, *args):
+            seen.append(ZT)
+            return walk(ZT, *args)
+
+        monkeypatch.setattr(module, "walk_tree", recording_walk)
+        spec = SyntheticSpec(n=40, d=8, r=3, k=4, sparsity=0.5, sigma=0.5,
+                             truth={(1, 2): 1.0}, seed=6)
+        data = gen_synthetic(spec, 0)
+        infer(data, spec.config())
+        (ZT,) = seen
+        assert np.shares_memory(ZT, data.Z)
+        assert ZT.flags.c_contiguous and ZT.shape == (data.d, data.n)
+
 
 class TestDegenerateDesigns:
     @pytest.mark.parametrize("name", sorted(degenerate_designs()))

@@ -206,7 +206,33 @@ class TestDataset:
 
     def test_properties(self, tiny):
         assert (tiny.n, tiny.d) == (3, 3)
-        assert tiny.Z.flags["C_CONTIGUOUS"]
+        assert tiny.Z.T.flags.c_contiguous  # the layout walk_tree reads
+
+    def test_every_input_layout_is_stored_column_major(self):
+        rng = np.random.default_rng(5)
+        Z = rng.random((7, 4))
+        Z[2, 1] = -0.0
+        Z[5, 3] = 1.0
+        y = rng.standard_normal(7)
+        wide = np.zeros((7, 8))
+        wide[:, ::2] = Z
+        inputs = {
+            "C": np.ascontiguousarray(Z),
+            "F": np.asfortranarray(Z),
+            "strided": wide[:, ::2],
+            "integer": (Z > 0.5).astype(np.int64),
+        }
+        expected = Z + 0.0
+        for name, z in inputs.items():
+            data = Dataset(z, y)
+            assert data.Z.flags.f_contiguous, name
+            assert data.Z.dtype == np.float64, name
+            want = (z > 0.5).astype(np.float64) if name == "integer" else expected
+            assert data.Z.tobytes("F") == want.tobytes("F"), name  # -0.0 became +0.0
+
+    def test_column_major_input_is_not_copied(self):
+        Z = np.asfortranarray(np.eye(3))
+        assert Dataset(Z, np.ones(3)).Z is Z
 
 
 class TestModelConfig:
@@ -221,6 +247,17 @@ class TestModelConfig:
             ModelConfig(r=1, k=1, alpha=1.0)
         with pytest.raises(ValueError):
             ModelConfig(r=1, k=1, covariance=np.ones((2, 3)))
+
+    def test_sigma_and_covariance_are_exclusive(self):
+        with pytest.raises(ValueError, match="not both"):
+            ModelConfig(r=2, k=2, sigma=1.0, covariance=np.eye(30))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_covariance_must_be_finite(self, bad):
+        cov = np.eye(30)
+        cov[3, 5] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            ModelConfig(r=2, k=2, covariance=cov)
 
     @pytest.mark.parametrize("sigma", [np.inf, np.nan, -1.0])
     def test_sigma_must_be_finite_and_positive(self, sigma):
